@@ -9,14 +9,14 @@
 // -compare gates the run against a committed snapshot: if a gated
 // benchmark (SimulationSingleTrial, FaultyTrial, ServedAnalyzeCached)
 // regresses more than 10% in ns/op against the baseline file, the command
-// exits non-zero. CI runs `gbd-bench -compare BENCH_PR10.json` so the
+// exits non-zero. CI runs `gbd-bench -compare BENCH_PR12.json` so the
 // headline numbers cannot silently drift back. ServedBatch and PeerForwardedHit
 // track the PR-8 fleet surfaces (informational — HTTP-path variance is
 // too wide to gate on).
 //
 // Usage:
 //
-//	gbd-bench [-out BENCH_PR12.json] [-compare BENCH_PR10.json]
+//	gbd-bench [-out BENCH_PR13.json] [-compare BENCH_PR12.json]
 package main
 
 import (

@@ -37,12 +37,23 @@ func checkPeriods(periods int) error {
 	return nil
 }
 
-func allAlive(nodes, periods int) [][]bool {
+// rows returns periods masks of nodes entries each, sliced from one backing
+// array. Every row is capped at its own end, so no row aliases another:
+// Compose and Blob write into rows one by one.
+func rows(nodes, periods int) [][]bool {
+	backing := make([]bool, nodes*periods)
 	masks := make([][]bool, periods)
 	for t := range masks {
-		masks[t] = make([]bool, nodes)
-		for i := range masks[t] {
-			masks[t][i] = true
+		masks[t] = backing[t*nodes : (t+1)*nodes : (t+1)*nodes]
+	}
+	return masks
+}
+
+func allAlive(nodes, periods int) [][]bool {
+	masks := rows(nodes, periods)
+	for _, m := range masks {
+		for i := range m {
+			m[i] = true
 		}
 	}
 	return masks
@@ -76,13 +87,13 @@ func (b Bernoulli) Masks(nodes []geom.Point, _ geom.Rect, periods int, rng *rand
 	if err := checkPeriods(periods); err != nil {
 		return nil, err
 	}
-	alive := make([]bool, len(nodes))
+	masks := rows(len(nodes), periods)
+	alive := masks[0]
 	for i := range alive {
 		alive[i] = rng.Float64() >= b.DeadFrac
 	}
-	masks := make([][]bool, periods)
-	for t := range masks {
-		masks[t] = append([]bool(nil), alive...)
+	for _, m := range masks[1:] {
+		copy(m, alive)
 	}
 	return masks, nil
 }
@@ -110,18 +121,20 @@ func (l Lifetime) Masks(nodes []geom.Point, _ geom.Rect, periods int, rng *rand.
 	if err := checkPeriods(periods); err != nil {
 		return nil, err
 	}
-	alive := make([]bool, len(nodes))
+	masks := rows(len(nodes), periods)
+	alive := masks[0] // the initial state, then period 1's after its hazard
 	for i := range alive {
 		alive[i] = rng.Float64() >= l.InitialDeadFrac
 	}
-	masks := make([][]bool, periods)
-	for t := range masks {
-		for i := range alive {
-			if alive[i] && rng.Float64() < l.Hazard {
-				alive[i] = false
+	for t, m := range masks {
+		if t > 0 {
+			copy(m, masks[t-1])
+		}
+		for i := range m {
+			if m[i] && rng.Float64() < l.Hazard {
+				m[i] = false
 			}
 		}
-		masks[t] = append([]bool(nil), alive...)
 	}
 	return masks, nil
 }

@@ -2,6 +2,8 @@ package faults
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/field"
@@ -155,6 +157,66 @@ func TestComposeIntersects(t *testing.T) {
 	}
 	if _, err := (Compose{}).Masks(nodes, bounds, 3, field.NewRand(1)); err == nil {
 		t.Error("empty composition should fail")
+	}
+}
+
+// perRowMasks is the one-slice-per-period construction Bernoulli (hazard
+// < 0: no per-period draws) and Lifetime used before their rows shared a
+// backing array, drawing in the same order: the reference the shared layout
+// must reproduce bit for bit.
+func perRowMasks(n, periods int, initialDead, hazard float64, rng *rand.Rand) [][]bool {
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = rng.Float64() >= initialDead
+	}
+	masks := make([][]bool, periods)
+	for t := range masks {
+		for i := range alive {
+			if hazard >= 0 && alive[i] && rng.Float64() < hazard {
+				alive[i] = false
+			}
+		}
+		masks[t] = append([]bool(nil), alive...)
+	}
+	return masks
+}
+
+// TestSharedRowsMatchPerRowMasks: masks sliced from one backing array equal
+// the per-row construction bit for bit, and no row aliases its neighbour —
+// a write into, or an append onto, row t leaves row t+1 as it was.
+func TestSharedRowsMatchPerRowMasks(t *testing.T) {
+	bounds := geom.Square(1000)
+	nodes := deployment(t, 300, bounds, 13)
+	const periods = 6
+	for seed := int64(1); seed <= 5; seed++ {
+		model := Compose{Bernoulli{DeadFrac: 0.2}, Lifetime{Hazard: 0.1, InitialDeadFrac: 0.05}}
+		got, err := model.Masks(nodes, bounds, periods, field.NewRand(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := field.NewRand(seed)
+		want := perRowMasks(len(nodes), periods, 0.2, -1, ref)
+		life := perRowMasks(len(nodes), periods, 0.05, 0.1, ref)
+		for tt := range want {
+			for i := range want[tt] {
+				want[tt][i] = want[tt][i] && life[tt][i]
+			}
+		}
+		for tt := range want {
+			if !slices.Equal(got[tt], want[tt]) {
+				t.Fatalf("seed %d period %d: shared-row mask differs from the per-row one", seed, tt+1)
+			}
+		}
+		for tt := 0; tt+1 < periods; tt++ {
+			next := slices.Clone(got[tt+1])
+			for i := range got[tt] {
+				got[tt][i] = !got[tt][i]
+			}
+			_ = append(got[tt], !next[0]) // spills into row t+1 if the rows are uncapped
+			if !slices.Equal(got[tt+1], next) {
+				t.Fatalf("seed %d: writing row %d changed row %d", seed, tt, tt+1)
+			}
+		}
 	}
 }
 

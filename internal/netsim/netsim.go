@@ -32,6 +32,7 @@ var ErrGreedyStuck = errors.New("netsim: greedy forwarding stuck in local minimu
 type Network struct {
 	nodes     []geom.Point
 	commRange float64
+	bounds    geom.Rect
 	adj       [][]int32 // per-node views into one shared backing array
 	comp      []int     // connected component id per node
 	nComp     int
@@ -44,15 +45,13 @@ type Network struct {
 // of each other. bounds must contain the deployment (it sizes the internal
 // spatial index).
 func New(nodes []geom.Point, commRange float64, bounds geom.Rect) (*Network, error) {
-	if commRange <= 0 || math.IsNaN(commRange) {
-		return nil, fmt.Errorf("comm range %v: %w", commRange, ErrNetwork)
-	}
-	if bounds.Area() <= 0 {
-		return nil, fmt.Errorf("empty bounds: %w", ErrNetwork)
+	if err := checkGeometry(commRange, bounds); err != nil {
+		return nil, err
 	}
 	n := &Network{
 		nodes:     append([]geom.Point(nil), nodes...),
 		commRange: commRange,
+		bounds:    bounds,
 	}
 	sc := buildPool.Get().(*buildScratch)
 	defer buildPool.Put(sc)
@@ -258,10 +257,26 @@ func (n *Network) greedyOK(src, dst int) bool {
 	return true
 }
 
+// checkGeometry validates a unit-disk graph's comm range and field bounds.
+func checkGeometry(commRange float64, bounds geom.Rect) error {
+	if commRange <= 0 || math.IsNaN(commRange) {
+		return fmt.Errorf("comm range %v: %w", commRange, ErrNetwork)
+	}
+	if bounds.Area() <= 0 {
+		return fmt.Errorf("empty bounds: %w", ErrNetwork)
+	}
+	return nil
+}
+
 func (n *Network) checkIDs(ids ...int) error {
+	return checkIDs(len(n.nodes), ids...)
+}
+
+// checkIDs validates node ids against a network of n nodes.
+func checkIDs(n int, ids ...int) error {
 	for _, id := range ids {
-		if id < 0 || id >= len(n.nodes) {
-			return fmt.Errorf("node id %d out of range [0,%d): %w", id, len(n.nodes), ErrNetwork)
+		if id < 0 || id >= n {
+			return fmt.Errorf("node id %d out of range [0,%d): %w", id, n, ErrNetwork)
 		}
 	}
 	return nil

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,61 +66,89 @@ func TestRoutingMatchesRouteWalks(t *testing.T) {
 	}
 }
 
-// TestRoutingResetMatchesSubset checks that a table Reset with an alive
-// mask reproduces, node for node, the Subset-and-rebuild path it replaced
-// in the fault injector.
+// TestRoutingResetMatchesSubset checks that one table, re-aimed in place
+// with Rebuild across many random sparse deployments and Reset with alive
+// masks, reproduces node for node the Subset-and-rebuild path it replaced
+// in the fault injector: outcome, hop count, Rerouted, and BFS Hops. The
+// deployments are sparse enough that greedy voids and partitions occur,
+// and the test insists that they do.
 func TestRoutingResetMatchesSubset(t *testing.T) {
 	bounds := geom.Square(1000)
-	rng := field.NewRand(3)
-	pts, err := field.Uniform(80, bounds, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := New(pts, 180, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := full.NewRouting(5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := LossModel{PerHopDelivery: 1, PerHop: time.Second, Budget: time.Hour}
-	for trial := int64(0); trial < 6; trial++ {
-		keep, err := RandomFailures(full.Len(), 0.7, field.NewRand(100+trial), 5)
+	var r Routing
+	var rerouted, lost, masks int
+	for deploy := int64(0); deploy < 60; deploy++ {
+		rng := field.NewRand(200 + deploy)
+		pts, err := field.Uniform(40+rng.Intn(60), bounds, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Reset(keep); err != nil {
-			t.Fatal(err)
-		}
-		sub, mapping, err := full.Subset(keep, bounds)
+		commRange := 150 + 60*rng.Float64()
+		base := rng.Intn(len(pts))
+		full, err := New(pts, commRange, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		subBase := -1
-		origToSub := make(map[int]int, len(mapping))
-		for subID, origID := range mapping {
-			origToSub[origID] = subID
-			if origID == 5 {
-				subBase = subID
+		if err := r.Rebuild(pts, commRange, bounds, base); err != nil {
+			t.Fatal(err)
+		}
+		// Mask 0 is Rebuild's all-alive table; then two Reset epochs.
+		for epoch := 0; epoch < 3; epoch++ {
+			keep := make([]bool, len(pts))
+			for i := range keep {
+				keep[i] = true
 			}
-		}
-		for subSrc, origSrc := range mapping {
-			wantHops, wantRerouted := routeHops(t, sub, subSrc, subBase)
-			d, err := r.Send(origSrc, m, field.NewRand(1))
+			if epoch > 0 {
+				if keep, err = RandomFailures(len(pts), 0.75, rng, base); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Reset(keep); err != nil {
+					t.Fatal(err)
+				}
+				masks++
+			}
+			sub, mapping, err := full.Subset(keep, bounds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotHops := d.Hops
-			if d.Outcome == Lost && d.Attempts == 0 && origSrc != 5 {
-				gotHops = -1
+			subBase := slices.Index(mapping, base)
+			subHops, err := sub.HopsFrom(subBase)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if gotHops != wantHops || d.Rerouted != wantRerouted {
-				t.Errorf("trial %d src %d: got hops=%d rerouted=%v, want hops=%d rerouted=%v",
-					trial, origSrc, gotHops, d.Rerouted, wantHops, wantRerouted)
+			for subSrc, src := range mapping {
+				wantHops, wantRerouted := routeHops(t, sub, subSrc, subBase)
+				wantOutcome := Delivered
+				if wantHops < 0 {
+					wantOutcome, wantHops = Lost, 0
+				}
+				d, err := r.Send(src, m, field.NewRand(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Outcome != wantOutcome || d.Hops != wantHops || d.Rerouted != wantRerouted {
+					t.Fatalf("deployment %d epoch %d src %d: got %v hops=%d rerouted=%v, want %v hops=%d rerouted=%v",
+						deploy, epoch, src, d.Outcome, d.Hops, d.Rerouted, wantOutcome, wantHops, wantRerouted)
+				}
+				h, err := r.Hops(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h != subHops[subSrc] {
+					t.Fatalf("deployment %d epoch %d: Hops(%d) = %d, want %d", deploy, epoch, src, h, subHops[subSrc])
+				}
+				if d.Rerouted {
+					rerouted++
+				}
+				if d.Outcome == Lost {
+					lost++
+				}
 			}
 		}
-		_ = origToSub
+	}
+	t.Logf("%d masks, %d rerouted, %d lost sends", masks, rerouted, lost)
+	if masks < 100 || rerouted == 0 || lost == 0 {
+		t.Fatalf("weak coverage: %d masks, %d rerouted, %d lost sends", masks, rerouted, lost)
 	}
 }
 
@@ -171,4 +201,47 @@ func TestRoutingHops(t *testing.T) {
 	if _, err := r.Hops(99); err == nil {
 		t.Fatal("Hops out of range should fail")
 	}
+}
+
+// TestRoutingConcurrentSends: the table a Network shares across Sends is
+// filled lazily under its lock, so concurrent first walks through the same
+// nodes must still produce the routes a sequential walk does.
+func TestRoutingConcurrentSends(t *testing.T) {
+	bounds := geom.Square(1000)
+	pts, err := field.Uniform(80, bounds, field.NewRand(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(pts, 170, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, n.Len())
+	for src := range want {
+		want[src], _ = routeHops(t, n, src, 0)
+	}
+	m := LossModel{PerHopDelivery: 1, PerHop: time.Second, Budget: time.Hour}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range want {
+				src := (k*(2*g+1) + g) % len(want) // a different visiting order per goroutine
+				d, err := n.Send(src, 0, m, field.NewRand(int64(g)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := d.Hops
+				if d.Outcome == Lost {
+					got = -1
+				}
+				if got != want[src] {
+					t.Errorf("goroutine %d src %d: hops %d, want %d", g, src, got, want[src])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/faults"
+	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
 	"github.com/groupdetect/gbd/internal/netsim"
 )
@@ -277,5 +279,87 @@ func TestFaultConfigValidation(t *testing.T) {
 	cfg.Loss.PerHopDelivery = 1.5
 	if _, err := Run(cfg); err == nil {
 		t.Error("invalid loss model should fail")
+	}
+}
+
+// TestRelayStageAllocatesNothing: once a worker's kernel is warm, the relay
+// stage — re-aiming the routing table at a fresh deployment, mask epochs,
+// and every send — runs entirely in the kernel's reused storage.
+func TestRelayStageAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	cfg := baseConfig()
+	cfg.CommRange = 6000
+	cfg.Loss = netsim.LossModel{PerHopDelivery: 0.9, MaxRetries: 2, PerHop: 10 * time.Second, Backoff: 5 * time.Second}
+	pl, err := newPlan(cfg, nil, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := &kernel{pl: pl, stream: field.NewStream()}
+	mask := make([]bool, pl.n)
+	trial := 0
+	relay := func() {
+		k.rng = k.stream.At(pl.cfg.RNG, pl.cfg.Seed, int64(trial))
+		if err := k.deploy(); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.relay.rebuild(k.sensors, pl.cfg.CommRange, pl.bounds); err != nil {
+			t.Fatal(err)
+		}
+		for epoch := 0; epoch < 3; epoch++ {
+			for i := range mask {
+				mask[i] = (i+trial+epoch)%4 != 0
+			}
+			for s := 0; s < pl.n; s += 5 {
+				if !mask[s] {
+					continue
+				}
+				if _, err := k.relay.send(s, mask, pl.cfg.Loss, k.rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		trial++
+	}
+	for i := 0; i < 50; i++ {
+		relay() // grow every scratch array to its steady size
+	}
+	if allocs := testing.AllocsPerRun(200, relay); allocs != 0 {
+		t.Errorf("warm relay stage: %v allocs per trial, want 0", allocs)
+	}
+}
+
+// TestFaultyRunTrialAllocs bounds the allocations of one detailed
+// fault-injection trial (BenchmarkFaultyTrial's shape): the fault masks,
+// the track and the returned TrialResult, nothing per report or per route.
+func TestFaultyRunTrialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	cfg := Config{
+		Params:    detect.Defaults(),
+		Trials:    1,
+		Faults:    faults.Bernoulli{DeadFrac: 0.2},
+		CommRange: 6000,
+		Loss: netsim.LossModel{
+			PerHopDelivery: 0.9,
+			MaxRetries:     2,
+			PerHop:         10 * time.Second,
+			Backoff:        5 * time.Second,
+		},
+	}
+	trial := 0
+	run := func() {
+		if _, err := RunTrial(cfg, trial); err != nil {
+			t.Fatal(err)
+		}
+		trial++
+	}
+	for i := 0; i < 50; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs > 12 {
+		t.Errorf("faulty RunTrial: %v allocs per trial, want at most 12", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -25,7 +26,7 @@ import (
 //
 //	deploy      always: 2 draws per sensor (X, Y), class by class
 //	alive       Faults: Faults.Masks for the whole mission
-//	relay       CommRange: unit-disk network and base station, no draws
+//	relay       CommRange: base station and lazy routing table, no draws
 //	track(s)    always: target.Sample per target, resampled until
 //	            separated when several targets share a trial
 //	per period, track by track, then sensor by sensor:
@@ -140,7 +141,7 @@ type kernel struct {
 	arrivals  []int // target j's arrivals per 1-based period, at [j*(mission+1):]
 	buf       []int // spatial-query result buffer
 	masks     [][]bool
-	relay     *relayState
+	relay     relayState
 	eng       *infer.Engine
 	heardNow  []bool // sensors heard at the base this period (Infer)
 	allAlive  []bool // ground truth when no fault model runs (Infer)
@@ -172,7 +173,7 @@ func getKernel(pl *plan) *kernel {
 }
 
 func putKernel(k *kernel) {
-	k.pl, k.masks, k.relay, k.eng = nil, nil, nil, nil
+	k.pl, k.masks, k.eng = nil, nil, nil
 	kernelPool.Put(k)
 }
 
@@ -280,13 +281,10 @@ func (k *kernel) run(trial int, detailed bool) error {
 			return err
 		}
 	}
-	k.relay = nil
 	if pl.relay {
-		relay, err := newRelayState(k.sensors, cfg.CommRange, pl.bounds)
-		if err != nil {
+		if err := k.relay.rebuild(k.sensors, cfg.CommRange, pl.bounds); err != nil {
 			return err
 		}
-		k.relay = relay
 	}
 	// The failure inferencer consumes no randomness — all its inputs are
 	// what the base station observed — so enabling it never perturbs the
@@ -317,6 +315,8 @@ func (k *kernel) run(trial int, detailed bool) error {
 		k.reported = bools(k.reported, pl.n, false)
 	}
 	aliveFracSum := 0.0
+	var prevMask []bool
+	aliveFrac := 1.0
 	for period := 1; period <= mission; period++ {
 		k.genNow, k.delNow = 0, 0
 		if k.eng != nil {
@@ -325,10 +325,14 @@ func (k *kernel) run(trial int, detailed bool) error {
 		var mask []bool
 		if k.masks != nil {
 			mask = k.masks[period-1]
-			aliveFracSum += faults.AliveFraction(mask)
-		} else {
-			aliveFracSum++
+			// Masks mostly repeat period to period, and a repeat has the
+			// same alive fraction: count only a changed one.
+			if prevMask == nil || !slices.Equal(prevMask, mask) {
+				aliveFrac = faults.AliveFraction(mask)
+			}
+			prevMask = mask
 		}
+		aliveFracSum += aliveFrac
 		for j, track := range k.tracks {
 			if err := k.sense(geom.Segment{A: track[period-1], B: track[period]}, j, period, mask); err != nil {
 				return err

@@ -9,27 +9,24 @@ import (
 	"github.com/groupdetect/gbd/internal/netsim"
 )
 
-// relayState owns the communication network of one trial: the full
-// unit-disk graph, the base station choice, and a routing table toward the
-// base that is Reset — not rebuilt — only when the alive mask changes.
-// Routing over the alive mask reproduces what the Subset-and-rebuild path
-// computed, draw for draw (see netsim.Routing), without reconstructing a
-// network per mask epoch.
+// relayState is the relay stage's state on one worker: the base station
+// choice and a lazy routing table toward it, re-aimed in place at every
+// trial's deployment and Reset — not rebuilt — only when the alive mask
+// changes. Routing over the alive mask reproduces what the Subset-and-rebuild
+// path computed, draw for draw (see netsim.Routing), without building a
+// network per trial or per mask epoch.
 type relayState struct {
-	full *netsim.Network
-	base int // base station id in the full network
+	routing netsim.Routing
+	base    int // base station id
 
-	// Cached routing state for the current mask.
-	mask    []bool
-	keep    []bool // mask with the base forced alive
-	routing *netsim.Routing
+	stale bool   // no Reset since the last rebuild
+	mask  []bool // the mask of the last Reset, empty for nil (a deployment is never empty)
+	keep  []bool // mask with the base forced alive
 }
 
-func newRelayState(sensors []geom.Point, commRange float64, bounds geom.Rect) (*relayState, error) {
-	full, err := netsim.New(sensors, commRange, bounds)
-	if err != nil {
-		return nil, err
-	}
+// rebuild aims the relay at a new deployment, with the base station at the
+// sensor nearest the field center.
+func (r *relayState) rebuild(sensors []geom.Point, commRange float64, bounds geom.Rect) error {
 	center := geom.Point{
 		X: (bounds.MinX + bounds.MaxX) / 2,
 		Y: (bounds.MinY + bounds.MaxY) / 2,
@@ -40,20 +37,22 @@ func newRelayState(sensors []geom.Point, commRange float64, bounds geom.Rect) (*
 			base = i
 		}
 	}
-	return &relayState{full: full, base: base}, nil
+	if err := r.routing.Rebuild(sensors, commRange, bounds, base); err != nil {
+		return err
+	}
+	r.base = base
+	r.stale = true
+	return nil
 }
 
 // send forwards a report from sensor id to the base over the network
 // induced by the alive mask (nil means everyone is alive). The base is
 // protected: it relays even when the mask marks it dead.
 func (r *relayState) send(id int, mask []bool, loss netsim.LossModel, rng *rand.Rand) (netsim.Delivery, error) {
-	if mask == nil {
-		return r.full.Send(id, r.base, loss, rng)
-	}
 	if err := r.refresh(mask); err != nil {
 		return netsim.Delivery{}, err
 	}
-	if !mask[id] && id != r.base {
+	if mask != nil && !mask[id] && id != r.base {
 		// Defensive: dead sensors are filtered before sensing, so a report
 		// from one is a bug in the caller.
 		return netsim.Delivery{}, fmt.Errorf("report from dead sensor %d: %w", id, ErrConfig)
@@ -63,19 +62,15 @@ func (r *relayState) send(id int, mask []bool, loss netsim.LossModel, rng *rand.
 
 // refresh re-aims the routing table when the mask changed.
 func (r *relayState) refresh(mask []bool) error {
-	if r.mask != nil && slices.Equal(r.mask, mask) {
+	if !r.stale && slices.Equal(r.mask, mask) {
 		return nil
 	}
+	r.stale = false
 	r.mask = append(r.mask[:0], mask...)
+	if mask == nil {
+		return r.routing.Reset(nil)
+	}
 	r.keep = append(r.keep[:0], mask...)
 	r.keep[r.base] = true // the base station survives
-	if r.routing == nil {
-		routing, err := r.full.NewRouting(r.base, r.keep)
-		if err != nil {
-			return err
-		}
-		r.routing = routing
-		return nil
-	}
 	return r.routing.Reset(r.keep)
 }

@@ -88,11 +88,13 @@ type Result struct {
 	DecisionLatency stats.Histogram
 }
 
-// partial is one worker's share of the campaign's aggregation.
+// partial is one worker's share of the campaign's aggregation, plus the
+// routing table the worker re-aims at every trial's deployment.
 type partial struct {
 	detections                   int
 	generated, delivered, delays int
 	latency                      stats.Histogram
+	routing                      *netsim.Routing
 }
 
 // Run simulates the full pipeline.
@@ -163,10 +165,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 func (part *partial) add(cfg Config, gate track.Gate, tr sim.Trial) error {
 	p := cfg.Params
 	sensors := tr.Sensors
-	net, err := netsim.New(sensors, cfg.CommRange, geom.Square(p.FieldSide))
-	if err != nil {
-		return err
-	}
 	center := geom.Point{X: p.FieldSide / 2, Y: p.FieldSide / 2}
 	base := 0
 	for i, s := range sensors {
@@ -174,8 +172,10 @@ func (part *partial) add(cfg Config, gate track.Gate, tr sim.Trial) error {
 			base = i
 		}
 	}
-	hops, err := net.HopsFrom(base)
-	if err != nil {
+	if part.routing == nil {
+		part.routing = new(netsim.Routing)
+	}
+	if err := part.routing.Rebuild(sensors, cfg.CommRange, geom.Square(p.FieldSide), base); err != nil {
 		return err
 	}
 
@@ -183,13 +183,17 @@ func (part *partial) add(cfg Config, gate track.Gate, tr sim.Trial) error {
 	arrivals := make([][]track.Report, p.M+1)
 	for _, r := range tr.Reports {
 		part.generated++
-		if hops[r.Sensor] < 0 {
+		hops, err := part.routing.Hops(r.Sensor)
+		if err != nil {
+			return err
+		}
+		if hops < 0 {
 			continue // reporter disconnected from the base
 		}
 		// Whole-period delay: a report forwarded within its own period
 		// (hops*PerHop <= T) arrives with zero period delay, matching the
 		// paper's assumption when it holds.
-		delay := int(math.Ceil(float64(time.Duration(hops[r.Sensor])*cfg.PerHop) / float64(p.T)))
+		delay := int(math.Ceil(float64(time.Duration(hops)*cfg.PerHop) / float64(p.T)))
 		if delay > 0 {
 			delay--
 		}
