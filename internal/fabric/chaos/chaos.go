@@ -183,6 +183,12 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 	}
 	defer resp.Body.Close()
 	for k, vs := range resp.Header {
+		// No Content-Length: the relay may be cut mid-body, and the clean
+		// forward is counted after the last byte is copied, so the client
+		// must see the end of the body only once the handler has returned.
+		if k == "Content-Length" {
+			continue
+		}
 		for _, v := range vs {
 			w.Header().Add(k, v)
 		}

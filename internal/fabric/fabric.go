@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"github.com/groupdetect/gbd/internal/checkpoint"
+	"github.com/groupdetect/gbd/internal/peer"
 	"github.com/groupdetect/gbd/internal/serve"
 	"github.com/groupdetect/gbd/internal/sweep"
 )
@@ -269,6 +270,17 @@ type result struct {
 	err   error
 }
 
+// worker is one remote gbd-server in the fleet, with its circuit
+// breaker (owned by the scheduler goroutine, so unlocked), its current
+// dispatch load, and its metric handles.
+type worker struct {
+	idx      int
+	url      string
+	br       peer.Breaker
+	inflight int
+	m        workerMetrics
+}
+
 // Coordinator runs one campaign over a worker fleet.
 type Coordinator struct {
 	cfg     Config
@@ -307,7 +319,7 @@ func New(cfg Config) (*Coordinator, error) {
 		c.workers = append(c.workers, &worker{
 			idx: i,
 			url: url,
-			br:  breaker{threshold: cfg.CircuitThreshold, cooldown: cfg.CircuitCooldown},
+			br:  peer.Breaker{Threshold: cfg.CircuitThreshold, Cooldown: cfg.CircuitCooldown},
 			m:   newWorkerMetrics(i),
 		})
 	}
@@ -435,7 +447,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 		bestTried := false
 		for off := 0; off < len(c.workers); off++ {
 			w := c.workers[(rr+off)%len(c.workers)]
-			if w.inflight >= c.cfg.MaxInflightPerWorker || !w.br.admissible(now) {
+			if w.inflight >= c.cfg.MaxInflightPerWorker || !w.br.Admissible(now) {
 				continue
 			}
 			if runningOn(sh, w) {
@@ -458,7 +470,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 		if w == nil {
 			return false
 		}
-		if w.br.onDispatch() {
+		if w.br.OnDispatch() {
 			fabricProbes.Inc()
 			rep.Probes++
 			emit(Event{Type: "probe", Shard: sh.start, Worker: w.idx})
@@ -511,7 +523,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 		elapsed := now.Sub(att.started)
 		switch {
 		case res.err == nil:
-			w.br.onSuccess()
+			w.br.OnSuccess()
 			w.m.completed.Inc()
 			if _, err := c.led.commit(sh.start, res.lines); err != nil {
 				// A conflicting duplicate or a ledger write failure is not
@@ -558,7 +570,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 				fail(sh.start, fmt.Errorf("fabric: shard at point %d: %w", sh.start, res.err))
 				return
 			}
-			if opened := w.br.onFailure(now); opened {
+			if opened := w.br.OnFailure(now); opened {
 				fabricCircuitOpens.Inc()
 				w.m.circuitOpens.Inc()
 				rep.Opens++

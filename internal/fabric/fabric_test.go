@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/groupdetect/gbd/internal/fabric/chaos"
+	"github.com/groupdetect/gbd/internal/peer"
 	"github.com/groupdetect/gbd/internal/serve"
 )
 
@@ -483,39 +484,39 @@ func TestLedgerIdempotency(t *testing.T) {
 // probe, re-open, and recovery.
 func TestBreakerStateMachine(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := breaker{threshold: 3, cooldown: time.Second}
-	if !b.admissible(now) {
+	b := peer.Breaker{Threshold: 3, Cooldown: time.Second}
+	if !b.Admissible(now) {
 		t.Fatal("fresh breaker not admissible")
 	}
-	if b.onFailure(now) || b.onFailure(now) {
+	if b.OnFailure(now) || b.OnFailure(now) {
 		t.Fatal("breaker opened below threshold")
 	}
-	if !b.onFailure(now) {
+	if !b.OnFailure(now) {
 		t.Fatal("breaker did not open at threshold")
 	}
-	if b.admissible(now.Add(500 * time.Millisecond)) {
+	if b.Admissible(now.Add(500 * time.Millisecond)) {
 		t.Fatal("open breaker admitted during cooldown")
 	}
 	probeTime := now.Add(time.Second)
-	if !b.admissible(probeTime) {
+	if !b.Admissible(probeTime) {
 		t.Fatal("cooled breaker refused its probe")
 	}
-	if !b.onDispatch() {
+	if !b.OnDispatch() {
 		t.Fatal("cooled dispatch not flagged as probe")
 	}
-	if b.admissible(probeTime) {
+	if b.Admissible(probeTime) {
 		t.Fatal("second dispatch admitted while probing")
 	}
-	if !b.onFailure(probeTime) {
+	if !b.OnFailure(probeTime) {
 		t.Fatal("failed probe did not re-open")
 	}
 	again := probeTime.Add(time.Second)
-	if !b.admissible(again) {
+	if !b.Admissible(again) {
 		t.Fatal("re-opened breaker refused its second probe")
 	}
-	b.onDispatch()
-	b.onSuccess()
-	if !b.admissible(again) || b.fails != 0 {
+	b.OnDispatch()
+	b.OnSuccess()
+	if !b.Admissible(again) || b.OnFailure(again) || b.OnFailure(again) {
 		t.Fatalf("successful probe did not close the breaker: %+v", b)
 	}
 }

@@ -13,10 +13,9 @@
 //     lookup walks clockwise from the key's hash point and returns the
 //     first member the caller's liveness predicate admits, so ownership
 //     re-hashes deterministically around dead replicas.
-//   - Health: per-member failure tracking with the same
-//     consecutive-failure / cooldown / single-probe shape as the fabric
-//     coordinator's circuit breaker, but safe for concurrent request
-//     handlers.
+//   - Health: per-member failure tracking, one Breaker per member
+//     behind a mutex — the same Breaker value the fabric coordinator
+//     drives from its scheduler goroutine.
 //
 // Picker binds the two together with the replica's own identity.
 package peer
@@ -128,29 +127,91 @@ func hash64(s string) uint64 {
 	return h.Sum64()
 }
 
-// Health tracks per-member availability with a circuit-breaker state
-// machine (closed → open after Threshold consecutive failures → one
-// probe after Cooldown → closed on success, open again on failure). It
-// is called concurrently by request handlers, unlike the fabric
-// coordinator's single-goroutine breaker.
-type Health struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	states    []memberHealth
+// Breaker is the one consecutive-failure circuit breaker of the repo:
+// closed → open after Threshold consecutive failures → one re-admission
+// probe once Cooldown has elapsed → closed on the probe's success, open
+// again on its failure. It is a plain value without locking: the fabric
+// coordinator drives its workers' breakers from its scheduler goroutine,
+// and Health guards its members' breakers with a mutex.
+type Breaker struct {
+	// Threshold consecutive failures open a closed circuit; Cooldown is
+	// how long it then stays open before the probe.
+	Threshold int
+	Cooldown  time.Duration
+
+	state    breakerState
+	fails    int
+	openedAt time.Time
 }
 
-type memberHealth struct {
-	failures  int
-	state     int // breaker state: closed / open / probing
-	openUntil time.Time
-}
+type breakerState int
 
 const (
-	hClosed = iota
-	hOpen
-	hProbing
+	breakerClosed breakerState = iota
+	breakerOpen
+	// breakerProbing has exactly one re-admission probe in flight; no
+	// other dispatch is admitted until the probe reports.
+	breakerProbing
 )
+
+// Admissible reports whether a new dispatch may go to the member at now.
+// An open breaker becomes admissible once per cooldown: that dispatch is
+// the re-admission probe.
+func (b *Breaker) Admissible(now time.Time) bool {
+	switch b.state {
+	case breakerClosed:
+		return true
+	case breakerOpen:
+		return now.Sub(b.openedAt) >= b.Cooldown
+	default: // probing: the single probe slot is taken
+		return false
+	}
+}
+
+// OnDispatch transitions an open-but-cooled breaker into the probing
+// state; it reports whether this dispatch is the re-admission probe.
+func (b *Breaker) OnDispatch() (probe bool) {
+	if b.state == breakerOpen {
+		b.state = breakerProbing
+		return true
+	}
+	return false
+}
+
+// OnSuccess closes the circuit (probe success re-admits the member).
+func (b *Breaker) OnSuccess() {
+	b.fails = 0
+	b.state = breakerClosed
+}
+
+// OnFailure records one failure and reports whether it opened (or
+// re-opened) the circuit: a failed probe re-opens immediately, and a
+// closed breaker opens at the consecutive-failure threshold. A straggler
+// failure landing while the circuit is already open changes nothing: the
+// cooldown is not re-armed and the circuit is not opened twice.
+func (b *Breaker) OnFailure(now time.Time) (opened bool) {
+	b.fails++
+	switch b.state {
+	case breakerProbing:
+		b.state = breakerOpen
+		b.openedAt = now
+		return true
+	case breakerClosed:
+		if b.fails >= b.Threshold {
+			b.state = breakerOpen
+			b.openedAt = now
+			return true
+		}
+	}
+	return false
+}
+
+// Health is per-member availability for concurrent request handlers: one
+// Breaker per member behind a mutex.
+type Health struct {
+	mu       sync.Mutex
+	breakers []Breaker
+}
 
 // NewHealth tracks n members; threshold consecutive failures open a
 // member's circuit (<= 0 means 1: a single failed forward re-hashes
@@ -164,7 +225,11 @@ func NewHealth(n, threshold int, cooldown time.Duration) *Health {
 	if cooldown <= 0 {
 		cooldown = 2 * time.Second
 	}
-	return &Health{threshold: threshold, cooldown: cooldown, states: make([]memberHealth, n)}
+	h := &Health{breakers: make([]Breaker, n)}
+	for i := range h.breakers {
+		h.breakers[i] = Breaker{Threshold: threshold, Cooldown: cooldown}
+	}
+	return h
 }
 
 // Alive reports whether member may receive a request now. An open
@@ -174,45 +239,27 @@ func NewHealth(n, threshold int, cooldown time.Duration) *Health {
 func (h *Health) Alive(member int, now time.Time) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st := &h.states[member]
-	switch st.state {
-	case hClosed:
-		return true
-	case hOpen:
-		if now.Before(st.openUntil) {
-			return false
-		}
-		st.state = hProbing
-		return true
-	default: // probing: one request is already finding out
+	b := &h.breakers[member]
+	if !b.Admissible(now) {
 		return false
 	}
+	b.OnDispatch()
+	return true
 }
 
 // OnSuccess records a successful request to member, closing its circuit.
 func (h *Health) OnSuccess(member int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st := &h.states[member]
-	st.failures = 0
-	st.state = hClosed
+	h.breakers[member].OnSuccess()
 }
 
 // OnFailure records a failed request to member and reports whether this
-// failure opened (or re-opened) the circuit. A failed probe re-opens
-// immediately regardless of the threshold.
+// failure opened (or re-opened) the circuit.
 func (h *Health) OnFailure(member int, now time.Time) (opened bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st := &h.states[member]
-	st.failures++
-	if st.state == hProbing || st.failures >= h.threshold {
-		st.state = hOpen
-		st.openUntil = now.Add(h.cooldown)
-		st.failures = 0
-		return true
-	}
-	return false
+	return h.breakers[member].OnFailure(now)
 }
 
 // Options tunes a Picker.

@@ -172,6 +172,24 @@ func TestHealthThreshold(t *testing.T) {
 	}
 }
 
+// TestHealthStragglerFailure: a failure that lands while the circuit is
+// already open — a forward dispatched before it opened — is not a second
+// opening: it neither reports opened (the caller would count a second
+// death) nor re-arms the cooldown.
+func TestHealthStragglerFailure(t *testing.T) {
+	h := NewHealth(1, 1, 50*time.Millisecond)
+	now := time.Now()
+	if !h.OnFailure(0, now) {
+		t.Fatal("failure at threshold should open the circuit")
+	}
+	if h.OnFailure(0, now.Add(30*time.Millisecond)) {
+		t.Fatal("straggler failure on an open circuit reported as opening it")
+	}
+	if !h.Alive(0, now.Add(50*time.Millisecond)) {
+		t.Fatal("straggler failure re-armed the cooldown")
+	}
+}
+
 func TestPickerRoute(t *testing.T) {
 	peers := testPeers(3)
 	var pickers []*Picker

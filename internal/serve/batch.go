@@ -12,11 +12,9 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"github.com/groupdetect/gbd/internal/detect"
 )
@@ -68,10 +66,8 @@ type sweepPointCanonical struct {
 // parameters and cache key.
 func (s *Server) sweepPointKey(req SweepPointRequest) (detect.Params, string, error) {
 	var p detect.Params
-	switch req.Axis {
-	case AxisN, AxisV, AxisK, AxisM, AxisPd, AxisDeadFrac:
-	default:
-		return p, "", fmt.Errorf("axis = %q must be one of n, v, k, m, pd, dead_frac: %w", req.Axis, ErrRequest)
+	if err := validAxis(req.Axis); err != nil {
+		return p, "", err
 	}
 	if req.Trials < 0 || req.Trials > s.cfg.MaxTrials {
 		return p, "", fmt.Errorf("trials = %d must be in [0, %d]: %w", req.Trials, s.cfg.MaxTrials, ErrRequest)
@@ -96,147 +92,20 @@ func (s *Server) sweepPointKey(req SweepPointRequest) (detect.Params, string, er
 	return p, key, err
 }
 
-// planItem resolves one batch item to its cache key and local compute.
-// The compute closures are the standalone handlers' closures, so the
-// rendered bytes and cache entries are shared with the /v1/* surface by
-// construction.
-func (s *Server) planItem(it BatchItem) (string, func(ctx context.Context) (any, error), error) {
-	if len(it.Request) == 0 {
-		return "", nil, fmt.Errorf("batch item %q missing request: %w", it.Op, ErrRequest)
+// sweep is the one-point SweepRequest a sweep_point renders through: the
+// same SweepRow the streaming endpoint marshals, with IndexBase carrying
+// the global index.
+func (req *SweepPointRequest) sweep() SweepRequest {
+	return SweepRequest{
+		Scenario: req.Scenario, Options: req.Options, Axis: req.Axis,
+		Trials: req.Trials, Seed: req.Seed, RNG: req.RNG,
+		IndexBase: req.Index,
 	}
-	switch it.Op {
-	case "analyze":
-		var req AnalyzeRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, key, err := s.analyzeKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computeAnalyze(ctx, p, req) }, nil
-	case "design":
-		var req DesignRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, key, err := s.designKey(&req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computeDesign(ctx, p, req) }, nil
-	case "latency":
-		var req LatencyRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, key, err := s.latencyKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computeLatency(ctx, p, req) }, nil
-	case "simulate":
-		var req SimulateRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, key, err := s.simulateKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computeSimulate(ctx, p, req) }, nil
-	case "infer":
-		var req InferRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, cfg, key, err := s.inferKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computeInfer(ctx, p, req, cfg) }, nil
-	case "place":
-		var req PlaceRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		cfg, classes, key, err := s.placeKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computePlace(ctx, cfg, classes) }, nil
-	case "sweep_point":
-		var req SweepPointRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, key, err := s.sweepPointKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		// sweepPoint renders through the same SweepRow the streaming
-		// endpoint marshals, with IndexBase carrying the global index.
-		sreq := SweepRequest{
-			Scenario: req.Scenario, Options: req.Options, Axis: req.Axis,
-			Trials: req.Trials, Seed: req.Seed, RNG: req.RNG,
-			IndexBase: req.Index,
-		}
-		return key, func(ctx context.Context) (any, error) {
-			row, err := s.sweepPoint(ctx, p, sreq, 0, req.Value)
-			if err != nil {
-				return nil, err
-			}
-			return row, nil
-		}, nil
-	}
-	return "", nil, fmt.Errorf("op = %q must be one of analyze, design, latency, simulate, infer, place, sweep_point: %w", it.Op, ErrRequest)
-}
-
-// forwardItem routes one batch item to the replica owning its key,
-// replayed as a single-item batch (uniform for every op, including
-// sweep_point which has no standalone endpoint). The returned bytes are
-// the owner's rendered line. ok=false means compute locally; like
-// tryForward, failures never surface as errors.
-func (s *Server) forwardItem(r *http.Request, key string, it BatchItem) ([]byte, bool) {
-	if s.peers == nil || r.Header.Get(peerHeader) != "" {
-		return nil, false
-	}
-	fwd := &forwardSpec{endpoint: "/v1/batch", body: func() ([]byte, error) {
-		b, err := json.Marshal(BatchRequest{Items: []BatchItem{it}})
-		if err != nil {
-			return nil, fmt.Errorf("serve: marshal forward item: %w", err)
-		}
-		return b, nil
-	}}
-	for attempt := 0; attempt < 2; attempt++ {
-		member, url, self := s.peers.Route(key)
-		if self {
-			return nil, false
-		}
-		b, status, xcache, err := s.peerFetch(r, url, fwd)
-		if err != nil {
-			peerForwardFails.Inc()
-			if s.peers.OnFailure(member) {
-				peerDeaths.Inc()
-			}
-			continue
-		}
-		s.peers.OnSuccess(member)
-		// The owner answered: a non-200 (shed batch) or an in-band error
-		// line (error=1 in its aggregate header) is not cacheable — fall
-		// back to local compute without marking the peer dead.
-		if status != http.StatusOK || len(b) == 0 || !strings.HasSuffix(xcache, ",error=0") {
-			peerForwardFails.Inc()
-			return nil, false
-		}
-		return b, true
-	}
-	return nil, false
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := readJSON(r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -253,43 +122,50 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	batchRequests.Inc()
 	batchItems.Add(uint64(len(req.Items)))
 
-	// Classification pass: every item resolves to hit, forward, miss, or
-	// error before any compute runs, so the aggregate X-Cache header can
-	// precede the stream. A compute that later fails still lands as an
-	// in-band error line; the header reflects lookup-time classification.
+	// Classification pass: every item resolves through the endpoint table
+	// to hit, forward, miss, or error before any compute runs, so the
+	// aggregate X-Cache header can precede the stream. A compute that
+	// later fails still lands as an in-band error line; the header
+	// reflects lookup-time classification.
 	type itemState struct {
+		e       *endpoint
 		key     string
-		compute func(ctx context.Context) (any, error)
+		compute computeFunc
 		body    []byte
 		err     error
 	}
-	states := make([]*itemState, len(req.Items))
+	states := make([]itemState, len(req.Items))
 	var hits, misses, forwards, errs int
 	for i, it := range req.Items {
-		st := &itemState{}
-		states[i] = st
-		key, compute, err := s.planItem(it)
-		if err != nil {
-			st.err = err
+		st := &states[i]
+		st.e = endpointFor(it.Op)
+		if st.e != nil {
+			st.e.requests.Inc()
+		}
+		switch {
+		case len(it.Request) == 0:
+			st.err = fmt.Errorf("batch item %q missing request: %w", it.Op, ErrRequest)
+		case st.e == nil:
+			st.err = fmt.Errorf("op = %q must be one of %s: %w", it.Op, opNames, ErrRequest)
+		default:
+			st.key, st.compute, st.err = st.e.plan(s, it.Request)
+		}
+		if st.err != nil {
 			errs++
 			continue
 		}
-		st.key, st.compute = key, compute
-		if body, ok := s.cache.get(key); ok {
-			lookupHit()
+		// A forwarded item replays at its owner as a one-item batch — the
+		// one shape every op, sweep_point included, can take.
+		body, source, ok := s.lookup(r, st.key, "", forward{e: st.e, body: it.Request, batch: true})
+		switch {
+		case !ok:
+			misses++
+		case source == "hit":
 			hits++
-			st.body = body
-			continue
-		}
-		if body, ok := s.forwardItem(r, key, it); ok {
-			lookupForward()
+		default:
 			forwards++
-			s.cache.add(key, body)
-			st.body = body
-			continue
 		}
-		lookupMiss()
-		misses++
+		st.body = body
 	}
 
 	// One admission slot covers every local compute in the batch, acquired
@@ -309,22 +185,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Cache", fmt.Sprintf("hit=%d,miss=%d,forward=%d,error=%d", hits, misses, forwards, errs))
 	flusher, _ := w.(http.Flusher)
-	for _, st := range states {
+	for i := range states {
+		st := &states[i]
 		line := st.body
 		if line == nil && st.err == nil {
 			// Singleflight still dedups against standalone requests and
 			// other batches; the fn holds this batch's slot, never a
 			// second one.
-			body, err, _ := s.flight.do(st.key, func() ([]byte, error) {
+			line, st.err, _ = s.flight.do(st.key, func() ([]byte, error) {
 				return s.renderCompute(ctx, st.key, "", st.compute)
 			})
-			if err != nil {
-				st.err = err
-			} else {
-				line = body
-			}
 		}
 		if st.err != nil {
+			if st.e != nil {
+				st.e.errors.Inc()
+			}
 			line = errorBody(st.err)
 		}
 		w.Write(line)

@@ -247,24 +247,10 @@ type Heartbeat struct {
 	HB bool `json:"hb"`
 }
 
-// decodeJSON strictly decodes r's body into v: unknown fields and
+// decodeBytes strictly decodes a request body into v: unknown fields and
 // trailing garbage are request errors, so a typo cannot silently analyze
 // the default scenario (and cannot alias two semantically different
 // bodies onto one cache key).
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decode body: %v: %w", err, ErrRequest)
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after JSON body: %w", ErrRequest)
-	}
-	return nil
-}
-
-// decodeBytes is decodeJSON over an already-read body, with the same
-// strictness: unknown fields and trailing garbage are request errors.
 func decodeBytes(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -310,6 +296,19 @@ func readBody(r *http.Request, endpoint string, sc *bodyScratch) ([]byte, error)
 			return nil, fmt.Errorf("read body: %v: %w", err, ErrRequest)
 		}
 	}
+}
+
+// readJSON reads r's body through the pooled scratch and strictly
+// decodes it into v — the uncached /v1/sweep and /v1/batch envelopes
+// read bodies the same way the endpoint table does.
+func readJSON(r *http.Request, v any) error {
+	sc := bodyPool.Get().(*bodyScratch)
+	defer bodyPool.Put(sc)
+	raw, err := readBody(r, "", sc)
+	if err != nil {
+		return err
+	}
+	return decodeBytes(raw, v)
 }
 
 // resolveRNG maps a wire scheme name to the effective scheme: empty

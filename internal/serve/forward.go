@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,25 +16,15 @@ import (
 // loop.
 const peerHeader = "X-Gbd-Peer"
 
-// forwardSpec describes how to replay a request at the key's owning
-// replica: the standalone endpoint to POST and a lazy body renderer
-// (marshaling is deferred because most lookups never forward).
-type forwardSpec struct {
-	endpoint string
-	body     func() ([]byte, error)
-}
-
-// marshalForward builds a forwardSpec that re-marshals the decoded
-// request. Re-encoding is sound: the owner canonicalizes the body again,
-// so any JSON spelling of the same request reaches the same cache key.
-func marshalForward(endpoint string, req any) *forwardSpec {
-	return &forwardSpec{endpoint: endpoint, body: func() ([]byte, error) {
-		b, err := json.Marshal(req)
-		if err != nil {
-			return nil, fmt.Errorf("serve: marshal forward body: %w", err)
-		}
-		return b, nil
-	}}
+// forward is how a miss replays at its key's owning replica: the op's
+// request body, posted verbatim to the op's route, or — for a /v1/batch
+// item — wrapped as a one-item batch. A nil op never forwards (GET
+// /v1/experiments has no body to replay, so each replica computes it
+// locally).
+type forward struct {
+	e     *endpoint
+	body  []byte
+	batch bool
 }
 
 // tryForward routes a cache miss to the replica owning key. It returns
@@ -42,9 +33,10 @@ func marshalForward(endpoint string, req any) *forwardSpec {
 // sharding disabled, we own the key, the request is already a forward,
 // or the owner is unreachable (it is marked dead and the key re-routes).
 // Forward failures never surface to the client as errors: the fallback
-// is always local computation.
-func (s *Server) tryForward(r *http.Request, key string, fwd *forwardSpec) (body []byte, upstream string, ok bool) {
-	if s.peers == nil || fwd == nil || r.Header.Get(peerHeader) != "" {
+// is always local computation. This is the only forward loop: the
+// standalone handler and every /v1/batch item come through here.
+func (s *Server) tryForward(r *http.Request, key string, fwd forward) (body []byte, upstream string, ok bool) {
+	if s.peers == nil || fwd.e == nil || r.Header.Get(peerHeader) != "" {
 		return nil, "", false
 	}
 	// One re-route: if the first owner fails its probe, the ring without it
@@ -54,7 +46,7 @@ func (s *Server) tryForward(r *http.Request, key string, fwd *forwardSpec) (body
 		if self {
 			return nil, "", false
 		}
-		b, status, _, err := s.peerFetch(r, url, fwd)
+		b, status, xcache, err := s.peerFetch(r, url, fwd)
 		if err != nil {
 			// Transport-level failure: the peer is unreachable. Open its
 			// circuit and try the re-routed owner.
@@ -65,9 +57,11 @@ func (s *Server) tryForward(r *http.Request, key string, fwd *forwardSpec) (body
 			continue
 		}
 		s.peers.OnSuccess(member)
-		if status != http.StatusOK {
-			// The peer is alive but refused (shed, bad request): do not
-			// mark it dead — owner-computes is best-effort, compute here.
+		// The peer is alive but its answer is not cacheable bytes — shed,
+		// bad request, or for a batch an in-band error line (error=1 in
+		// its aggregate header): do not mark it dead — owner-computes is
+		// best-effort, compute here.
+		if status != http.StatusOK || fwd.batch && (len(b) == 0 || !strings.HasSuffix(xcache, ",error=0")) {
 			peerForwardFails.Inc()
 			return nil, "", false
 		}
@@ -77,9 +71,8 @@ func (s *Server) tryForward(r *http.Request, key string, fwd *forwardSpec) (body
 }
 
 // peerFetch replays the request at a peer and returns the response body,
-// status, and X-Cache provenance (batch forwarding inspects the latter
-// for per-item errors). The peer header suppresses further forwarding
-// hops.
+// status, and X-Cache provenance. The peer header suppresses further
+// forwarding hops.
 //
 // The forward context derives from the inbound request context — a
 // client hang-up cancels the forward — bounded by Config.PeerTimeout,
@@ -87,14 +80,18 @@ func (s *Server) tryForward(r *http.Request, key string, fwd *forwardSpec) (body
 // slow": a stalled owner burns one PeerTimeout, trips its breaker via
 // the caller's OnFailure, and the request computes locally with most of
 // its RequestTimeout still available.
-func (s *Server) peerFetch(r *http.Request, url string, fwd *forwardSpec) ([]byte, int, string, error) {
-	payload, err := fwd.body()
-	if err != nil {
-		return nil, 0, "", err
+func (s *Server) peerFetch(r *http.Request, url string, fwd forward) ([]byte, int, string, error) {
+	path, payload := fwd.e.path, fwd.body
+	if fwd.batch {
+		b, err := json.Marshal(BatchRequest{Items: []BatchItem{{Op: fwd.e.name, Request: fwd.body}}})
+		if err != nil {
+			return nil, 0, "", fmt.Errorf("serve: marshal forward item: %w", err)
+		}
+		path, payload = "/v1/batch", b
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.PeerTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+fwd.endpoint, strings.NewReader(string(payload)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+path, bytes.NewReader(payload))
 	if err != nil {
 		return nil, 0, "", err
 	}

@@ -1,104 +1,87 @@
-// Fuzz coverage for the request-canonicalization layer: arbitrary raw
-// bodies must never panic the decoder or the key derivation, and any
-// body that is accepted must canonicalize deterministically — the same
-// bytes always land on the same cache key. Key stability is the safety
-// property the whole cache rests on: a nondeterministic key would let
-// one request populate an entry another spelling of itself misses, or
-// worse, collide two different requests.
+// Fuzz coverage for the endpoint table: arbitrary raw bodies, sent to any
+// registered op, must never panic the decoder or the key derivation; a
+// rejected body must map to a 4xx, never a 500; and any body that is
+// accepted must canonicalize deterministically — the same bytes always
+// land on the same cache key. Key stability is the safety property the
+// whole cache rests on: a nondeterministic key would let one request
+// populate an entry another spelling of itself misses, or worse, collide
+// two different requests.
 package serve
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 )
 
-// fuzzServer is shared across fuzz iterations; key derivation is
-// read-only on the server (config lookups), so this is race-free.
+// fuzzServer is shared across fuzz iterations; planning is read-only on
+// the server (config lookups), so this is race-free.
 var fuzzServer = New(Config{})
 
-func FuzzCanonicalizeAnalyze(f *testing.F) {
-	f.Add([]byte(`{"scenario":{}}`))
-	f.Add([]byte(`{"scenario":{"n":100,"v":5},"options":{"gh":4,"g":4},"h_nodes":2}`))
-	f.Add([]byte(`{"scenario":{"pd":0.9},"rng":"philox"}`))
-	f.Add([]byte(`{"scenario":{"period_seconds":1e308}}`))
-	f.Add([]byte(`not json`))
-	f.Add([]byte(`{"scenario":{"n":-1}}`))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var req AnalyzeRequest
-		if err := decodeBytes(body, &req); err != nil {
-			return
+// opIndex returns the table position of the named op.
+func opIndex(t testing.TB, name string) uint8 {
+	for i, e := range endpoints {
+		if e.name == name {
+			return uint8(i)
 		}
-		_, key, err := fuzzServer.analyzeKey(req)
-		if err != nil {
-			return
-		}
-		var req2 AnalyzeRequest
-		if err := decodeBytes(body, &req2); err != nil {
-			t.Fatalf("body decoded once but not twice: %v", err)
-		}
-		_, key2, err := fuzzServer.analyzeKey(req2)
-		if err != nil {
-			t.Fatalf("body keyed once but not twice: %v", err)
-		}
-		if key != key2 {
-			t.Errorf("unstable cache key for %q: %q vs %q", body, key, key2)
-		}
-	})
+	}
+	t.Fatalf("no op %q in the table", name)
+	return 0
 }
 
-func FuzzCanonicalizeSimulate(f *testing.F) {
-	f.Add([]byte(`{"scenario":{},"trials":100,"seed":42}`))
-	f.Add([]byte(`{"scenario":{"n":60},"trials":50,"dead_frac":0.2,"comm_range":6000,"per_hop_loss":0.1,"hop_retries":2}`))
-	f.Add([]byte(`{"scenario":{},"trials":1,"rng":"legacy"}`))
-	f.Add([]byte(`{"scenario":{},"trials":-5}`))
-	f.Add([]byte(`{"trials":100}`))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var req SimulateRequest
-		if err := decodeBytes(body, &req); err != nil {
+func FuzzEndpoints(f *testing.F) {
+	seeds := []struct{ op, body string }{
+		{"analyze", `{"scenario":{}}`},
+		{"analyze", `{"scenario":{"n":100,"v":5},"options":{"gh":4,"g":4},"h_nodes":2}`},
+		{"analyze", `{"scenario":{"pd":0.9},"rng":"philox"}`},
+		{"analyze", `{"scenario":{"period_seconds":1e308}}`},
+		{"analyze", `not json`},
+		{"analyze", `{"scenario":{"n":-1}}`},
+		{"simulate", `{"scenario":{},"trials":100,"seed":42}`},
+		{"simulate", `{"scenario":{"n":60},"trials":50,"dead_frac":0.2,"comm_range":6000,"per_hop_loss":0.1,"hop_retries":2}`},
+		{"simulate", `{"scenario":{},"trials":1,"rng":"legacy"}`},
+		{"simulate", `{"scenario":{},"trials":-5}`},
+		{"simulate", `{"trials":100}`},
+		{"infer", `{"scenario":{},"trials":100,"seed":42,"dead_frac":0.2}`},
+		{"infer", `{"scenario":{"n":60},"trials":50,"p_deliver":0.9,"beacons":true,"alpha":0.01,"beta":0.01}`},
+		{"infer", `{"scenario":{},"trials":50,"beacons":false,"rng":"philox"}`},
+		{"infer", `{"scenario":{},"trials":50,"p_deliver":0}`},
+		{"infer", `{"scenario":{},"trials":50,"alpha":0.9}`},
+	}
+	for _, sd := range seeds {
+		f.Add(opIndex(f, sd.op), []byte(sd.body))
+	}
+	for _, tc := range goldenCorpus {
+		op, ok := strings.CutPrefix(tc.path, "/v1/")
+		switch {
+		case !ok || tc.body == "":
+		case op == "batch":
+			var req BatchRequest
+			if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+				f.Fatal(err)
+			}
+			for _, it := range req.Items {
+				f.Add(opIndex(f, it.Op), []byte(it.Request))
+			}
+		default:
+			f.Add(opIndex(f, op), []byte(tc.body))
+		}
+	}
+	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
+		e := endpoints[int(op)%len(endpoints)]
+		key, _, err := e.plan(fuzzServer, body)
+		if err != nil {
+			if code := errorStatus(err); code < 400 || code > 499 {
+				t.Fatalf("%s rejected %q with status %d: %v", e.name, body, code, err)
+			}
 			return
 		}
-		_, key, err := fuzzServer.simulateKey(req)
+		key2, _, err := e.plan(fuzzServer, body)
 		if err != nil {
-			return
-		}
-		var req2 SimulateRequest
-		if err := decodeBytes(body, &req2); err != nil {
-			t.Fatalf("body decoded once but not twice: %v", err)
-		}
-		_, key2, err := fuzzServer.simulateKey(req2)
-		if err != nil {
-			t.Fatalf("body keyed once but not twice: %v", err)
+			t.Fatalf("%s keyed %q once but not twice: %v", e.name, body, err)
 		}
 		if key != key2 {
-			t.Errorf("unstable cache key for %q: %q vs %q", body, key, key2)
-		}
-	})
-}
-
-func FuzzCanonicalizeInfer(f *testing.F) {
-	f.Add([]byte(`{"scenario":{},"trials":100,"seed":42,"dead_frac":0.2}`))
-	f.Add([]byte(`{"scenario":{"n":60},"trials":50,"p_deliver":0.9,"beacons":true,"alpha":0.01,"beta":0.01}`))
-	f.Add([]byte(`{"scenario":{},"trials":50,"beacons":false,"rng":"philox"}`))
-	f.Add([]byte(`{"scenario":{},"trials":50,"p_deliver":0}`))
-	f.Add([]byte(`{"scenario":{},"trials":50,"alpha":0.9}`))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var req InferRequest
-		if err := decodeBytes(body, &req); err != nil {
-			return
-		}
-		_, _, key, err := fuzzServer.inferKey(req)
-		if err != nil {
-			return
-		}
-		var req2 InferRequest
-		if err := decodeBytes(body, &req2); err != nil {
-			t.Fatalf("body decoded once but not twice: %v", err)
-		}
-		_, _, key2, err := fuzzServer.inferKey(req2)
-		if err != nil {
-			t.Fatalf("body keyed once but not twice: %v", err)
-		}
-		if key != key2 {
-			t.Errorf("unstable cache key for %q: %q vs %q", body, key, key2)
+			t.Errorf("%s: unstable cache key for %q: %q vs %q", e.name, body, key, key2)
 		}
 	})
 }

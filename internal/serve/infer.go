@@ -1,4 +1,4 @@
-// The /v1/infer handler: a closed-loop failure-inference campaign as a
+// The /v1/infer op: a closed-loop failure-inference campaign as a
 // cacheable request/response pair. The simulator streams per-period
 // reports (plus liveness beacons) over a lossy uplink through the SPRT
 // failure inferencer (internal/infer), scores the inferred dead mask
@@ -15,7 +15,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"net/http"
 
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/faults"
@@ -193,20 +192,4 @@ func (s *Server) computeInfer(ctx context.Context, p detect.Params, req InferReq
 		InferredProb:     pair.InferredProb,
 		AbsDiff:          pair.AbsDiff(),
 	}, nil
-}
-
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	var req InferRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	p, cfg, key, err := s.inferKey(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.serveCached(w, r, key, marshalForward("/v1/infer", req), func(ctx context.Context) (any, error) {
-		return s.computeInfer(ctx, p, req, cfg)
-	})
 }

@@ -1,15 +1,12 @@
-// The /v1/place handler: the optimal-deployment engine behind the same
+// The /v1/place op: the optimal-deployment engine behind the same
 // canonicalize/cache/admission discipline as every other compute
 // endpoint. Placement runs are deterministic per (config, seed), so
-// caching the rendered bytes is sound, and the "place" /v1/batch op
-// renders through the identical compute closure — a batch item and the
-// standalone request are bit-identical by construction.
+// caching the rendered bytes is sound.
 package serve
 
 import (
 	"context"
 	"fmt"
-	"net/http"
 
 	"github.com/groupdetect/gbd/internal/placement"
 )
@@ -233,20 +230,4 @@ func (s *Server) computePlace(ctx context.Context, cfg placement.Config, classes
 		Evals: res.Evals, LazyHits: res.LazyHits,
 		KMin: res.KMin, KMinExact: res.KMinExact,
 	}, nil
-}
-
-func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	var req PlaceRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	cfg, classes, key, err := s.placeKey(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.serveCached(w, r, key, marshalForward("/v1/place", req), func(ctx context.Context) (any, error) {
-		return s.computePlace(ctx, cfg, classes)
-	})
 }

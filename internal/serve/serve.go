@@ -29,7 +29,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -191,31 +190,44 @@ func New(cfg Config) *Server {
 		}
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/design", s.handleDesign)
-	mux.HandleFunc("POST /v1/latency", s.handleLatency)
-	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	mux.HandleFunc("POST /v1/infer", s.handleInfer)
-	mux.HandleFunc("POST /v1/place", s.handlePlace)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("GET /v1/experiments/{id}", s.handleExperiment)
+	mux.HandleFunc("GET /healthz", timed(s.handleHealthz, nil))
+	mux.HandleFunc("GET /metrics", timed(s.handleMetrics, nil))
+	for _, e := range endpoints {
+		if e.path != "" {
+			mux.HandleFunc("POST "+e.path, timed(s.handle(e), e.latency))
+		}
+	}
+	mux.HandleFunc("POST /v1/sweep", timed(s.handleSweep, nil))
+	mux.HandleFunc("POST /v1/batch", timed(s.handleBatch, nil))
+	mux.HandleFunc("GET /v1/experiments/{id}", timed(s.handleExperiment, nil))
 	s.mux = mux
 	return s
 }
 
 // Handler returns the HTTP handler: the API mux wrapped with request
-// counting and latency observation. Mount it on an http.Server;
-// http.Server.Shutdown then drains in-flight requests gracefully.
+// counting. Mount it on an http.Server; http.Server.Shutdown then drains
+// in-flight requests gracefully.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		serveRequests.Inc()
-		t0 := time.Now()
 		s.mux.ServeHTTP(w, r)
-		serveLatency.Observe(time.Since(t0).Seconds())
 	})
+}
+
+// timed wraps one route with latency observation: serve.latency.seconds
+// for every route, plus the op's own histogram for a table op — one
+// clock pair per request either way. Requests the mux answers itself
+// (404, 405) are counted in serve.requests but not timed.
+func timed(h http.HandlerFunc, op *obs.Histogram) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		h(w, r)
+		d := time.Since(t0).Seconds()
+		serveLatency.Observe(d)
+		if op != nil {
+			op.Observe(d)
+		}
+	}
 }
 
 // requestCtx derives the computation context: the request context bounded
@@ -278,46 +290,25 @@ func writeBody(w http.ResponseWriter, source string, body []byte) {
 	w.Write(body)
 }
 
-// serveCached is the shared read path: cache lookup, then singleflight
+// serveKeyed is the shared read path: cache lookup, then singleflight
 // dedup around an admission-controlled computation. compute's result is
 // marshaled once; the bytes are cached and every hit or follower receives
 // exactly those bytes, so identical requests are bit-identical responses
-// by construction.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, fwd *forwardSpec, compute func(ctx context.Context) (any, error)) {
-	s.serveKeyed(w, r, key, "", fwd, compute)
-}
-
-// serveKeyed is serveCached with an optional second cache key: rawKey,
-// when non-empty, is the digest of the exact request bytes, attached to
-// the canonical entry as an alias so the next byte-identical request
-// short-circuits in the handler before any JSON decoding or
+// by construction. An error is returned unwritten for the caller to
+// count and render.
+//
+// rawKey, when non-empty, is the digest of the exact request bytes,
+// attached to the canonical entry as an alias so the next byte-identical
+// request short-circuits in the handler before any JSON decoding or
 // canonicalization (the near-zero-alloc hit path). The alias is sound
 // because identical raw bytes always canonicalize to the same key, hence
 // the same body; it shares the entry's LRU slot rather than holding one
 // of its own.
-//
-// With fleet sharding enabled, a local miss on a key owned by another
-// replica is forwarded there (forward.go) instead of computed; the
-// owner's singleflight is the fleet-wide dedup point, so no key is
-// computed by more than one replica.
-func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, key, rawKey string, fwd *forwardSpec, compute func(ctx context.Context) (any, error)) {
-	if body, ok := s.cache.get(key); ok {
-		lookupHit()
-		s.cache.attachAlias(key, rawKey)
-		writeBody(w, "hit", body)
-		return
+func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, key, rawKey string, fwd forward, compute computeFunc) error {
+	if body, source, ok := s.lookup(r, key, rawKey, fwd); ok {
+		writeBody(w, source, body)
+		return nil
 	}
-	if body, upstream, ok := s.tryForward(r, key, fwd); ok {
-		lookupForward()
-		// Byte replication is fine — only computation must be single-
-		// owner — and caching the forwarded bytes locally means repeat
-		// traffic for this key is a local hit on every replica.
-		s.cache.add(key, body)
-		s.cache.attachAlias(key, rawKey)
-		writeBody(w, "forward-"+upstream, body)
-		return
-	}
-	lookupMiss()
 	body, err, shared := s.flight.do(key, func() ([]byte, error) {
 		ctx, cancel := s.requestCtx(r)
 		defer cancel()
@@ -329,21 +320,49 @@ func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, key, rawKey 
 		return s.renderCompute(ctx, key, rawKey, compute)
 	})
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return err
 	}
 	source := "miss"
 	if shared {
 		source = "dedup"
 	}
 	writeBody(w, source, body)
+	return nil
+}
+
+// lookup classifies one keyed lookup as exactly one of hit, forward, or
+// miss (metrics.go), for the standalone handler and every /v1/batch item
+// alike. On a hit or forward it returns the bytes to answer with and
+// their X-Cache provenance; ok=false is a miss the caller computes.
+//
+// With fleet sharding enabled, a local miss on a key owned by another
+// replica is forwarded there (forward.go) instead of computed; the
+// owner's singleflight is the fleet-wide dedup point, so no key is
+// computed by more than one replica.
+func (s *Server) lookup(r *http.Request, key, rawKey string, fwd forward) (body []byte, source string, ok bool) {
+	if body, ok := s.cache.get(key); ok {
+		lookupHit()
+		s.cache.attachAlias(key, rawKey)
+		return body, "hit", true
+	}
+	if body, upstream, ok := s.tryForward(r, key, fwd); ok {
+		lookupForward()
+		// Byte replication is fine — only computation must be single-
+		// owner — and caching the forwarded bytes locally means repeat
+		// traffic for this key is a local hit on every replica.
+		s.cache.add(key, body)
+		s.cache.attachAlias(key, rawKey)
+		return body, "forward-" + upstream, true
+	}
+	lookupMiss()
+	return nil, "", false
 }
 
 // renderCompute runs compute, marshals its result into the final
 // response bytes (one JSON line), and populates the cache. It is the
-// single render point shared by the standalone handlers and /v1/batch,
+// single render point shared by the standalone handler and /v1/batch,
 // which is what makes their bytes bit-identical by construction.
-func (s *Server) renderCompute(ctx context.Context, key, rawKey string, compute func(ctx context.Context) (any, error)) ([]byte, error) {
+func (s *Server) renderCompute(ctx context.Context, key, rawKey string, compute computeFunc) ([]byte, error) {
 	v, err := compute(ctx)
 	if err != nil {
 		return nil, err
@@ -459,49 +478,6 @@ func (s *Server) computeAnalyze(ctx context.Context, p detect.Params, req Analyz
 		resp.PMF = res.PMF
 	}
 	return resp, nil
-}
-
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	// Raw-body fast path: hash the exact request bytes and serve the
-	// rendered response without decoding when a previous byte-identical
-	// request populated the alias. Identical bytes always canonicalize
-	// identically, so this can never serve the wrong entry; bodies that
-	// differ only in whitespace or field order simply fall through to the
-	// canonical key below.
-	const endpoint = "/v1/analyze"
-	sc := bodyPool.Get().(*bodyScratch)
-	defer bodyPool.Put(sc)
-	raw, err := readBody(r, endpoint, sc)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	digest := sha256.Sum256(raw)
-	if body, ok := s.cache.getBytes(digest[:]); ok {
-		lookupHit()
-		writeBody(w, "hit", body)
-		return
-	}
-	lookupMiss()
-	var req AnalyzeRequest
-	if err := decodeBytes(raw[len(endpoint):], &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	p, key, err := s.analyzeKey(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	// The raw bytes outlive this call (the pooled scratch is released on
-	// handler return, after serveKeyed finishes), so the forward spec can
-	// reuse them verbatim.
-	fwd := &forwardSpec{endpoint: endpoint, body: func() ([]byte, error) {
-		return raw[len(endpoint):], nil
-	}}
-	s.serveKeyed(w, r, key, string(digest[:]), fwd, func(ctx context.Context) (any, error) {
-		return s.computeAnalyze(ctx, p, req)
-	})
 }
 
 // ---- /v1/design ----
@@ -622,22 +598,6 @@ func (s *Server) designKey(req *DesignRequest) (detect.Params, string, error) {
 	return p, key, err
 }
 
-func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
-	var req DesignRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	p, key, err := s.designKey(&req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.serveCached(w, r, key, marshalForward("/v1/design", req), func(ctx context.Context) (any, error) {
-		return s.computeDesign(ctx, p, req)
-	})
-}
-
 // ---- /v1/latency ----
 
 // LatencyResponse is the /v1/latency result: the analytical detection
@@ -677,22 +637,6 @@ func (s *Server) latencyKey(req LatencyRequest) (detect.Params, string, error) {
 	}
 	key, err := cacheKey("/v1/latency", latencyCanonical{Scenario: echoParams(p), Options: req.Options}, 0)
 	return p, key, err
-}
-
-func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
-	var req LatencyRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	p, key, err := s.latencyKey(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.serveCached(w, r, key, marshalForward("/v1/latency", req), func(ctx context.Context) (any, error) {
-		return s.computeLatency(ctx, p, req)
-	})
 }
 
 // ---- /v1/simulate ----
@@ -832,22 +776,6 @@ func (s *Server) simulateKey(req SimulateRequest) (detect.Params, string, error)
 	return p, key, err
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	p, key, err := s.simulateKey(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.serveCached(w, r, key, marshalForward("/v1/simulate", req), func(ctx context.Context) (any, error) {
-		return s.computeSimulate(ctx, p, req)
-	})
-}
-
 // ---- /v1/experiments/{id} ----
 
 // TableResponse is a rendered experiment table.
@@ -879,26 +807,28 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	quick := q.Get("quick") != "0" // interactive default: reduced sweeps
 	trials := 0
 	if v := q.Get("trials"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &trials); err != nil || trials < 0 || trials > s.cfg.MaxTrials {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 || n > s.cfg.MaxTrials {
 			s.writeError(w, fmt.Errorf("trials = %q must be an integer in [0, %d]: %w", v, s.cfg.MaxTrials, ErrRequest))
 			return
 		}
+		trials = n
 	}
 	seed := int64(1)
 	if v := q.Get("seed"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &seed); err != nil {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
 			s.writeError(w, fmt.Errorf("seed = %q must be an integer: %w", v, ErrRequest))
 			return
 		}
+		seed = n
 	}
 	key, err := cacheKey("/v1/experiments", experimentCanonical{ID: id, Quick: quick, Trials: trials}, seed)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	// Experiments are GET-with-query (no JSON body to replay), so they are
-	// never peer-forwarded — each replica computes them locally.
-	s.serveCached(w, r, key, nil, func(ctx context.Context) (any, error) {
+	err = s.serveKeyed(w, r, key, "", forward{}, func(ctx context.Context) (any, error) {
 		tbl, err := experiments.RunOne(id, experiments.Options{
 			Trials:       trials,
 			Seed:         seed,
@@ -917,4 +847,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			Columns: tbl.Columns, Rows: tbl.Rows, Notes: tbl.Notes,
 		}, nil
 	})
+	if err != nil {
+		s.writeError(w, err)
+	}
 }

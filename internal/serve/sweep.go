@@ -37,13 +37,21 @@ type SweepRow struct {
 	Error      string    `json:"error,omitempty"`
 }
 
+// validAxis is the sweepable-axis whitelist shared by /v1/sweep and the
+// sweep_point batch op.
+func validAxis(axis SweepAxis) error {
+	switch axis {
+	case AxisN, AxisV, AxisK, AxisM, AxisPd, AxisDeadFrac:
+		return nil
+	}
+	return fmt.Errorf("axis = %q must be one of n, v, k, m, pd, dead_frac: %w", axis, ErrRequest)
+}
+
 // validateSweep checks the request envelope before any streaming starts,
 // so envelope problems still surface as a proper 400.
 func (s *Server) validateSweep(req SweepRequest) error {
-	switch req.Axis {
-	case AxisN, AxisV, AxisK, AxisM, AxisPd, AxisDeadFrac:
-	default:
-		return fmt.Errorf("axis = %q must be one of n, v, k, m, pd, dead_frac: %w", req.Axis, ErrRequest)
+	if err := validAxis(req.Axis); err != nil {
+		return err
 	}
 	if len(req.Values) < 1 || len(req.Values) > s.cfg.MaxSweepPoints {
 		return fmt.Errorf("values must hold between 1 and %d points, got %d: %w", s.cfg.MaxSweepPoints, len(req.Values), ErrRequest)
@@ -181,7 +189,7 @@ func (s *Server) sweepPoint(ctx context.Context, base detect.Params, req SweepRe
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := readJSON(r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
