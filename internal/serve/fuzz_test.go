@@ -29,27 +29,71 @@ func opIndex(t testing.TB, name string) uint8 {
 	return 0
 }
 
-func FuzzEndpoints(f *testing.F) {
-	seeds := []struct{ op, body string }{
-		{"analyze", `{"scenario":{}}`},
-		{"analyze", `{"scenario":{"n":100,"v":5},"options":{"gh":4,"g":4},"h_nodes":2}`},
-		{"analyze", `{"scenario":{"pd":0.9},"rng":"philox"}`},
-		{"analyze", `{"scenario":{"period_seconds":1e308}}`},
-		{"analyze", `not json`},
-		{"analyze", `{"scenario":{"n":-1}}`},
-		{"simulate", `{"scenario":{},"trials":100,"seed":42}`},
-		{"simulate", `{"scenario":{"n":60},"trials":50,"dead_frac":0.2,"comm_range":6000,"per_hop_loss":0.1,"hop_retries":2}`},
-		{"simulate", `{"scenario":{},"trials":1,"rng":"legacy"}`},
-		{"simulate", `{"scenario":{},"trials":-5}`},
-		{"simulate", `{"trials":100}`},
-		{"infer", `{"scenario":{},"trials":100,"seed":42,"dead_frac":0.2}`},
-		{"infer", `{"scenario":{"n":60},"trials":50,"p_deliver":0.9,"beacons":true,"alpha":0.01,"beta":0.01}`},
-		{"infer", `{"scenario":{},"trials":50,"beacons":false,"rng":"philox"}`},
-		{"infer", `{"scenario":{},"trials":50,"p_deliver":0}`},
-		{"infer", `{"scenario":{},"trials":50,"alpha":0.9}`},
+// Seeds per op, shared by the op's own target and by FuzzEndpoints.
+var (
+	analyzeSeeds = []string{
+		`{"scenario":{}}`,
+		`{"scenario":{"n":100,"v":5},"options":{"gh":4,"g":4},"h_nodes":2}`,
+		`{"scenario":{"pd":0.9},"rng":"philox"}`,
+		`{"scenario":{"period_seconds":1e308}}`,
+		`not json`,
+		`{"scenario":{"n":-1}}`,
 	}
-	for _, sd := range seeds {
-		f.Add(opIndex(f, sd.op), []byte(sd.body))
+	simulateSeeds = []string{
+		`{"scenario":{},"trials":100,"seed":42}`,
+		`{"scenario":{"n":60},"trials":50,"dead_frac":0.2,"comm_range":6000,"per_hop_loss":0.1,"hop_retries":2}`,
+		`{"scenario":{},"trials":1,"rng":"legacy"}`,
+		`{"scenario":{},"trials":-5}`,
+		`{"trials":100}`,
+	}
+	inferSeeds = []string{
+		`{"scenario":{},"trials":100,"seed":42,"dead_frac":0.2}`,
+		`{"scenario":{"n":60},"trials":50,"p_deliver":0.9,"beacons":true,"alpha":0.01,"beta":0.01}`,
+		`{"scenario":{},"trials":50,"beacons":false,"rng":"philox"}`,
+		`{"scenario":{},"trials":50,"p_deliver":0}`,
+		`{"scenario":{},"trials":50,"alpha":0.9}`,
+	}
+)
+
+// checkPlan asserts the fuzz properties for one body sent to one op.
+func checkPlan(t *testing.T, e *endpoint, body []byte) {
+	key, _, err := e.plan(fuzzServer, body)
+	if err != nil {
+		if code := errorStatus(err); code < 400 || code > 499 {
+			t.Fatalf("%s rejected %q with status %d: %v", e.name, body, code, err)
+		}
+		return
+	}
+	key2, _, err := e.plan(fuzzServer, body)
+	if err != nil {
+		t.Fatalf("%s keyed %q once but not twice: %v", e.name, body, err)
+	}
+	if key != key2 {
+		t.Errorf("%s: unstable cache key for %q: %q vs %q", e.name, body, key, key2)
+	}
+}
+
+// fuzzOp fuzzes the bodies of one op of the table.
+func fuzzOp(f *testing.F, name string, seeds []string) {
+	e := endpoints[opIndex(f, name)]
+	for _, body := range seeds {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkPlan(t, e, body) })
+}
+
+func FuzzCanonicalizeAnalyze(f *testing.F)  { fuzzOp(f, "analyze", analyzeSeeds) }
+func FuzzCanonicalizeSimulate(f *testing.F) { fuzzOp(f, "simulate", simulateSeeds) }
+func FuzzCanonicalizeInfer(f *testing.F)    { fuzzOp(f, "infer", inferSeeds) }
+
+func FuzzEndpoints(f *testing.F) {
+	for _, sd := range []struct {
+		op    string
+		seeds []string
+	}{{"analyze", analyzeSeeds}, {"simulate", simulateSeeds}, {"infer", inferSeeds}} {
+		for _, body := range sd.seeds {
+			f.Add(opIndex(f, sd.op), []byte(body))
+		}
 	}
 	for _, tc := range goldenCorpus {
 		op, ok := strings.CutPrefix(tc.path, "/v1/")
@@ -68,20 +112,6 @@ func FuzzEndpoints(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
-		e := endpoints[int(op)%len(endpoints)]
-		key, _, err := e.plan(fuzzServer, body)
-		if err != nil {
-			if code := errorStatus(err); code < 400 || code > 499 {
-				t.Fatalf("%s rejected %q with status %d: %v", e.name, body, code, err)
-			}
-			return
-		}
-		key2, _, err := e.plan(fuzzServer, body)
-		if err != nil {
-			t.Fatalf("%s keyed %q once but not twice: %v", e.name, body, err)
-		}
-		if key != key2 {
-			t.Errorf("%s: unstable cache key for %q: %q vs %q", e.name, body, key, key2)
-		}
+		checkPlan(t, endpoints[int(op)%len(endpoints)], body)
 	})
 }
