@@ -9,14 +9,16 @@
 // -compare gates the run against a committed snapshot: if a gated
 // benchmark (SimulationSingleTrial, FaultyTrial, ServedAnalyzeCached)
 // regresses more than 10% in ns/op against the baseline file, the command
-// exits non-zero. CI runs `gbd-bench -compare BENCH_PR12.json` so the
-// headline numbers cannot silently drift back. ServedBatch and PeerForwardedHit
-// track the PR-8 fleet surfaces (informational — HTTP-path variance is
-// too wide to gate on).
+// exits non-zero. Each gated benchmark runs gateRuns times and both the
+// report and the gate keep its fastest run, so one run slowed by a noisy
+// neighbour does not trip the gate. CI runs `gbd-bench -compare
+// BENCH_PR13.json` so the headline numbers cannot silently drift back.
+// ServedBatch and PeerForwardedHit track the fleet surfaces
+// (informational — HTTP-path variance is too wide to gate on).
 //
 // Usage:
 //
-//	gbd-bench [-out BENCH_PR13.json] [-compare BENCH_PR12.json]
+//	gbd-bench [-out BENCH_PR15.json] [-compare BENCH_PR13.json]
 package main
 
 import (
@@ -88,7 +90,7 @@ func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gbd-bench", flag.ContinueOnError)
 	out := fs.String("out", "", "write the JSON report to this file instead of stdout")
 	match := fs.String("bench", "", "run only benchmarks whose name contains this substring")
-	compare := fs.String("compare", "", "baseline JSON report; exit non-zero if a gated benchmark regresses >10% against it")
+	compare := fs.String("compare", "", "baseline JSON report; exit non-zero if a gated benchmark's fastest run regresses >10% against it")
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -105,25 +107,31 @@ func run(args []string) (err error) {
 	// LIFO: RecordOutcome classifies err into the manifest status before
 	// Close stamps and writes the manifest.
 	defer func() { sess.RecordOutcome(err) }()
-	var results []Result
+	var runs []Result
 	for _, bm := range benchmarks {
 		if *match != "" && !strings.Contains(bm.name, *match) {
 			continue
 		}
-		r := testing.Benchmark(bm.fn)
-		results = append(results, Result{
-			Name:        bm.name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			Iterations:  r.N,
-		})
-		fmt.Fprintf(os.Stderr, "%-24s %12.1f ns/op %8d allocs/op (%d iterations)\n",
-			bm.name, float64(r.T.Nanoseconds())/float64(r.N), r.AllocsPerOp(), r.N)
+		reps := 1
+		if gated[bm.name] {
+			reps = gateRuns
+		}
+		for range reps {
+			r := testing.Benchmark(bm.fn)
+			runs = append(runs, Result{
+				Name:        bm.name,
+				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+				AllocsPerOp: r.AllocsPerOp(),
+				Iterations:  r.N,
+			})
+			fmt.Fprintf(os.Stderr, "%-24s %12.1f ns/op %8d allocs/op (%d iterations)\n",
+				bm.name, float64(r.T.Nanoseconds())/float64(r.N), r.AllocsPerOp(), r.N)
+		}
 	}
-	if len(results) == 0 {
+	if len(runs) == 0 {
 		return fmt.Errorf("no benchmark name contains %q", *match)
 	}
-	buf, err := json.MarshalIndent(results, "", "  ")
+	buf, err := json.MarshalIndent(fastest(runs), "", "  ")
 	if err != nil {
 		return err
 	}
@@ -136,9 +144,32 @@ func run(args []string) (err error) {
 		return err
 	}
 	if *compare != "" {
-		return compareBaseline(*compare, results)
+		return compareBaseline(*compare, runs)
 	}
 	return nil
+}
+
+// gateRuns is how many times each gated benchmark runs. Noise on a shared
+// host only ever slows a run down, so the fastest of a few is the stable
+// estimate a tight threshold needs.
+const gateRuns = 3
+
+// fastest keeps one result per benchmark name, its fastest run, in the
+// order the names first appear.
+func fastest(runs []Result) []Result {
+	var out []Result
+	at := make(map[string]int, len(runs))
+	for _, r := range runs {
+		i, seen := at[r.Name]
+		switch {
+		case !seen:
+			at[r.Name] = len(out)
+			out = append(out, r)
+		case r.NsPerOp < out[i].NsPerOp:
+			out[i] = r
+		}
+	}
+	return out
 }
 
 // gated names the benchmarks the -compare regression gate enforces: the
@@ -152,11 +183,11 @@ var gated = map[string]bool{
 	"ServedAnalyzeCached":   true,
 }
 
-// compareBaseline fails if any gated benchmark in results is more than
-// 10% slower (ns/op) than the same-named entry in the baseline report.
-// Gated names missing from either side are an error: a gate that
+// compareBaseline fails if the fastest of a gated benchmark's runs is
+// more than 10% slower (ns/op) than the same-named entry in the baseline
+// report. Gated names missing from either side are an error: a gate that
 // silently skips is not a gate.
-func compareBaseline(path string, results []Result) error {
+func compareBaseline(path string, runs []Result) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("compare: %w", err)
@@ -169,8 +200,8 @@ func compareBaseline(path string, results []Result) error {
 	for _, r := range baseline {
 		base[r.Name] = r
 	}
-	cur := make(map[string]Result, len(results))
-	for _, r := range results {
+	cur := make(map[string]Result, len(runs))
+	for _, r := range fastest(runs) {
 		cur[r.Name] = r
 	}
 	var failed []string

@@ -51,3 +51,43 @@ func TestRunErrors(t *testing.T) {
 		t.Error("bad flag should fail")
 	}
 }
+
+// TestCompareGatesOnFastestRun checks the repeat-and-take-minimum policy:
+// a gated benchmark passes when its fastest run is within 10% of the
+// baseline, however slow its other runs were, and fails only when every
+// run regressed.
+func TestCompareGatesOnFastestRun(t *testing.T) {
+	baseline := []Result{
+		{Name: "SimulationSingleTrial", NsPerOp: 1000},
+		{Name: "FaultyTrial", NsPerOp: 1000},
+		{Name: "ServedAnalyzeCached", NsPerOp: 1000},
+	}
+	blob, err := json.Marshal(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runs := func(faulty ...float64) []Result {
+		rs := []Result{
+			{Name: "SimulationSingleTrial", NsPerOp: 1000},
+			{Name: "ServedAnalyzeCached", NsPerOp: 1000},
+		}
+		for _, ns := range faulty {
+			rs = append(rs, Result{Name: "FaultyTrial", NsPerOp: ns})
+		}
+		return rs
+	}
+	if err := compareBaseline(path, runs(1500, 1050, 1400)); err != nil {
+		t.Errorf("fastest run within 10%% must pass: %v", err)
+	}
+	if err := compareBaseline(path, runs(1500, 1200, 1400)); err == nil {
+		t.Error("every run over 10% must fail the gate")
+	}
+	got := fastest(runs(1500, 1050, 1400))
+	if len(got) != 3 || got[2].Name != "FaultyTrial" || got[2].NsPerOp != 1050 {
+		t.Errorf("fastest = %+v, want one FaultyTrial entry at 1050 ns/op after the other two", got)
+	}
+}

@@ -12,6 +12,12 @@ import (
 // track segment"; the grid limits the exact distance tests to cells whose
 // bounding boxes intersect the inflated segment.
 //
+// The grid always spans the whole field, but only the cells a window
+// overlaps are indexed: a trial whose track crosses a few cells of a large
+// field counts and sorts just those. A query inside the window visits the
+// same cells in the same order, and so returns the same ids in the same
+// order, as it would on an index over the whole field.
+//
 // Cell contents live in one flat array (cellIDs, sliced by cellStart) built
 // with a counting pass, so a Rebuild on a recycled Index allocates nothing
 // once its backing arrays have grown to size.
@@ -20,52 +26,68 @@ type Index struct {
 	cell   float64
 	cols   int
 	rows   int
-	points []geom.Point
-	// cellStart[c]..cellStart[c+1] brackets cell c's ids in cellIDs; ids
-	// are ascending within a cell (the counting pass scans points in
-	// order), matching the append order the per-cell-slice layout had.
+	// The window's cells: grid columns col0..col0+wcols-1 of rows
+	// row0..row0+wrows-1, numbered row-major from 0.
+	col0, row0   int
+	wcols, wrows int
+	points       []geom.Point
+	// cellStart[c]..cellStart[c+1] brackets window cell c's ids in
+	// cellIDs; ids are ascending within a cell (the counting pass scans
+	// points in order). Cells of one row are adjacent, so cellStart[c0]..
+	// cellStart[c1+1] is the one span holding cells c0..c1 of a row.
 	cellStart []int32
 	cellIDs   []int32
-	cellOf    []int32 // per-point cell, cached between Rebuild's two passes
+	cellOf    []int32 // per-point window cell (-1 outside), cached between Rebuild's two passes
 }
 
-// NewIndex builds an index over points with the given cell size. Points
-// outside bounds are clamped into the border cells (deployments generated
-// by this package are always inside).
+// NewIndex builds an index over points with the given cell size, windowed
+// to the whole of bounds. Points outside bounds are clamped into the
+// border cells (deployments generated by this package are always inside).
 func NewIndex(points []geom.Point, bounds geom.Rect, cellSize float64) (*Index, error) {
 	idx := &Index{}
-	if err := idx.Rebuild(points, bounds, cellSize); err != nil {
+	if err := idx.Rebuild(points, bounds, bounds, cellSize); err != nil {
 		return nil, err
 	}
 	return idx, nil
 }
 
 // checkGrid validates Rebuild's grid parameters.
-func checkGrid(bounds geom.Rect, cellSize float64) error {
+func checkGrid(bounds, window geom.Rect, cellSize float64) error {
 	if bounds.Area() <= 0 {
 		return fmt.Errorf("empty bounds %+v: %w", bounds, ErrDeploy)
 	}
 	if cellSize <= 0 || math.IsNaN(cellSize) {
 		return fmt.Errorf("cell size %v: %w", cellSize, ErrDeploy)
 	}
+	for _, v := range [...]float64{window.MinX, window.MinY, window.MaxX, window.MaxY} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("window %+v: %w", window, ErrDeploy)
+		}
+	}
+	if window.MinX > window.MaxX || window.MinY > window.MaxY {
+		return fmt.Errorf("inverted window %+v: %w", window, ErrDeploy)
+	}
 	return nil
 }
 
 // Rebuild re-indexes the index over a new deployment in place, reusing the
-// existing backing arrays. It leaves the index unchanged on error. Pass a
-// recycled Index through a simulation loop to keep indexing off the heap.
-func (idx *Index) Rebuild(points []geom.Point, bounds geom.Rect, cellSize float64) error {
-	if err := checkGrid(bounds, cellSize); err != nil {
+// existing backing arrays. The grid of cellSize cells spans bounds; only
+// points in the cells window overlaps are indexed, so every query must lie
+// inside window (pass bounds itself to index everything). It leaves the
+// index unchanged on error. Pass a recycled Index through a simulation
+// loop to keep indexing off the heap.
+func (idx *Index) Rebuild(points []geom.Point, bounds, window geom.Rect, cellSize float64) error {
+	if err := checkGrid(bounds, window, cellSize); err != nil {
 		return err
 	}
 	idx.points = append(idx.points[:0], points...)
-	idx.reindex(bounds, cellSize)
+	idx.reindex(bounds, window, cellSize)
 	return nil
 }
 
 // reindex rebuilds the grid over idx.points; callers have validated the
 // grid parameters.
-func (idx *Index) reindex(bounds geom.Rect, cellSize float64) {
+func (idx *Index) reindex(bounds, window geom.Rect, cellSize float64) {
 	w := bounds.MaxX - bounds.MinX
 	h := bounds.MaxY - bounds.MinY
 	cols := int(math.Ceil(w / cellSize))
@@ -80,49 +102,67 @@ func (idx *Index) reindex(bounds geom.Rect, cellSize float64) {
 	idx.cell = cellSize
 	idx.cols = cols
 	idx.rows = rows
+	idx.col0, idx.row0 = idx.colOf(window.MinX), idx.rowOf(window.MinY)
+	idx.wcols = idx.colOf(window.MaxX) - idx.col0 + 1
+	idx.wrows = idx.rowOf(window.MaxY) - idx.row0 + 1
 	points := idx.points
 
-	nCells := cols * rows
-	if cap(idx.cellStart) < nCells+1 {
-		idx.cellStart = make([]int32, nCells+1)
-	} else {
-		idx.cellStart = idx.cellStart[:nCells+1]
-		for i := range idx.cellStart {
-			idx.cellStart[i] = 0
-		}
-	}
-	if cap(idx.cellIDs) < len(points) {
-		idx.cellIDs = make([]int32, len(points))
-		idx.cellOf = make([]int32, len(points))
-	} else {
-		idx.cellIDs = idx.cellIDs[:len(points)]
-		idx.cellOf = idx.cellOf[:len(points)]
-	}
+	nCells := idx.wcols * idx.wrows
+	idx.cellStart = resize(idx.cellStart, nCells+1)
+	clear(idx.cellStart)
+	idx.cellOf = resize(idx.cellOf, len(points))
 	// Counting sort: count per cell, prefix-sum into start offsets, then
 	// place ids using cellStart[c] as the fill cursor. After the fill every
 	// cursor sits at its cell's end, i.e. the next cell's start, so one
 	// backward shift restores the offsets.
-	for i, p := range idx.points {
-		c := idx.cellIndex(p)
+	for i, p := range points {
+		// Most points of a large field miss the window: test the row
+		// before paying for the column's division.
+		row := idx.rowOf(p.Y) - idx.row0
+		if uint(row) >= uint(idx.wrows) {
+			idx.cellOf[i] = -1
+			continue
+		}
+		col := idx.colOf(p.X) - idx.col0
+		if uint(col) >= uint(idx.wcols) {
+			idx.cellOf[i] = -1
+			continue
+		}
+		c := row*idx.wcols + col
 		idx.cellOf[i] = int32(c)
 		idx.cellStart[c+1]++
 	}
-	for c := 0; c < nCells; c++ {
-		idx.cellStart[c+1] += idx.cellStart[c]
+	counts := idx.cellStart[1:]
+	var total int32 // in a register: no store-to-load chain through memory
+	for c, n := range counts {
+		total += n
+		counts[c] = total
 	}
-	for i := range idx.points {
-		c := idx.cellOf[i]
-		idx.cellIDs[idx.cellStart[c]] = int32(i)
-		idx.cellStart[c]++
+	idx.cellIDs = resize(idx.cellIDs, int(total))
+	for i, c := range idx.cellOf {
+		if c >= 0 {
+			idx.cellIDs[idx.cellStart[c]] = int32(i)
+			idx.cellStart[c]++
+		}
 	}
 	copy(idx.cellStart[1:], idx.cellStart[:nCells]) // memmove does the backward shift
 	idx.cellStart[0] = 0
 }
 
-// Len returns the number of indexed points.
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// Len returns the number of points given to the last build; ids run
+// from 0 to Len()-1 whether or not the window holds the point.
 func (idx *Index) Len() int { return len(idx.points) }
 
-// Point returns the indexed point with the given id.
+// Point returns the point with the given id.
 func (idx *Index) Point(id int) geom.Point { return idx.points[id] }
 
 func (idx *Index) colOf(x float64) int {
@@ -147,8 +187,23 @@ func (idx *Index) rowOf(y float64) int {
 	return r
 }
 
-func (idx *Index) cellIndex(p geom.Point) int {
-	return idx.rowOf(p.Y)*idx.cols + idx.colOf(p.X)
+// cells returns the window cells the box [minX, maxX] × [minY, maxY]
+// overlaps: window columns c0..c1 of window rows r0..r1, empty (c0 > c1 or
+// r0 > r1) when the box misses the window.
+func (idx *Index) cells(minX, maxX, minY, maxY float64) (c0, c1, r0, r1 int) {
+	c0 = max(idx.colOf(minX)-idx.col0, 0)
+	c1 = min(idx.colOf(maxX)-idx.col0, idx.wcols-1)
+	r0 = max(idx.rowOf(minY)-idx.row0, 0)
+	r1 = min(idx.rowOf(maxY)-idx.row0, idx.wrows-1)
+	return c0, c1, r0, r1
+}
+
+// span returns the cellIDs positions holding window cells c0..c1 of
+// window row row: one contiguous run, since a row's cells are adjacent in
+// cell-scan order.
+func (idx *Index) span(row, c0, c1 int) (lo, hi int32) {
+	base := row * idx.wcols
+	return idx.cellStart[base+c0], idx.cellStart[base+c1+1]
 }
 
 // QuerySegment appends to dst the ids of all points within distance r of
@@ -158,20 +213,20 @@ func (idx *Index) QuerySegment(s geom.Segment, r float64, dst []int) []int {
 	if r < 0 {
 		return dst
 	}
-	minX := math.Min(s.A.X, s.B.X) - r
-	maxX := math.Max(s.A.X, s.B.X) + r
-	minY := math.Min(s.A.Y, s.B.Y) - r
-	maxY := math.Max(s.A.Y, s.B.Y) + r
-	c0, c1 := idx.colOf(minX), idx.colOf(maxX)
-	r0, r1 := idx.rowOf(minY), idx.rowOf(maxY)
+	// The builtin min and max treat NaN and signed zeros as math.Min and
+	// math.Max do, without the call.
+	c0, c1, r0, r1 := idx.cells(
+		min(s.A.X, s.B.X)-r, max(s.A.X, s.B.X)+r,
+		min(s.A.Y, s.B.Y)-r, max(s.A.Y, s.B.Y)+r)
+	if c0 > c1 {
+		return dst
+	}
 	r2 := r * r
 	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
-			c := row*idx.cols + col
-			for _, id := range idx.cellIDs[idx.cellStart[c]:idx.cellStart[c+1]] {
-				if s.Dist2(idx.points[id]) <= r2 {
-					dst = append(dst, int(id))
-				}
+		lo, hi := idx.span(row, c0, c1)
+		for _, id := range idx.cellIDs[lo:hi] {
+			if s.Dist2(idx.points[id]) <= r2 {
+				dst = append(dst, int(id))
 			}
 		}
 	}
@@ -195,23 +250,20 @@ func (idx *Index) Pairs(r float64, dst [][2]int32) [][2]int32 {
 	r2 := r * r
 	for a, i := range idx.cellIDs {
 		p := idx.points[i]
-		c0, c1 := idx.colOf(p.X-r), idx.colOf(p.X+r)
-		r0, r1 := idx.rowOf(p.Y-r), idx.rowOf(p.Y+r)
+		c0, c1, r0, r1 := idx.cells(p.X-r, p.X+r, p.Y-r, p.Y+r)
+		if c0 > c1 {
+			continue
+		}
 		for row := r0; row <= r1; row++ {
-			for col := c0; col <= c1; col++ {
-				c := row*idx.cols + col
-				// Positions ascend with cell id, so clamping the cell's
-				// range to positions after a skips whole earlier cells and
-				// the already-tested prefix of i's own cell.
-				b, hi := idx.cellStart[c], idx.cellStart[c+1]
-				if s := int32(a) + 1; b < s {
-					b = s
-				}
-				for ; b < hi; b++ {
-					j := idx.cellIDs[b]
-					if p.Dist2(idx.points[j]) <= r2 {
-						dst = append(dst, [2]int32{i, j})
-					}
+			// Positions ascend with cell id, so clamping the row's span to
+			// positions after a skips whole earlier cells and the
+			// already-tested prefix of i's own cell.
+			b, hi := idx.span(row, c0, c1)
+			b = max(b, int32(a)+1)
+			for ; b < hi; b++ {
+				j := idx.cellIDs[b]
+				if p.Dist2(idx.points[j]) <= r2 {
+					dst = append(dst, [2]int32{i, j})
 				}
 			}
 		}
@@ -228,16 +280,16 @@ func (idx *Index) QueryCircle(center geom.Point, r float64, dst []int) []int {
 	if r < 0 {
 		return dst
 	}
-	c0, c1 := idx.colOf(center.X-r), idx.colOf(center.X+r)
-	r0, r1 := idx.rowOf(center.Y-r), idx.rowOf(center.Y+r)
+	c0, c1, r0, r1 := idx.cells(center.X-r, center.X+r, center.Y-r, center.Y+r)
+	if c0 > c1 {
+		return dst
+	}
 	r2 := r * r
 	for row := r0; row <= r1; row++ {
-		for col := c0; col <= c1; col++ {
-			c := row*idx.cols + col
-			for _, id := range idx.cellIDs[idx.cellStart[c]:idx.cellStart[c+1]] {
-				if center.Dist2(idx.points[id]) <= r2 {
-					dst = append(dst, int(id))
-				}
+		lo, hi := idx.span(row, c0, c1)
+		for _, id := range idx.cellIDs[lo:hi] {
+			if center.Dist2(idx.points[id]) <= r2 {
+				dst = append(dst, int(id))
 			}
 		}
 	}

@@ -18,13 +18,14 @@ const (
 	philoxW1 = 0xBB67AE85 // sqrt(3)-1
 )
 
-// philoxBlock applies the 10-round Philox4×32 bijection to one counter
-// under one key, returning the four output words. It is the pure keyed
-// permutation — golden-vector tests check it against the Random123
-// known-answer vectors directly.
-func philoxBlock(ctr [4]uint32, key [2]uint32) [4]uint32 {
-	c0, c1, c2, c3 := ctr[0], ctr[1], ctr[2], ctr[3]
-	k0, k1 := key[0], key[1]
+// philoxBlock applies the 10-round Philox4×32 bijection to the counter
+// (c0, c1, c2, c3) under the key (k0, k1), returning the four output
+// words. It is the pure keyed permutation — golden-vector tests check it
+// against the Random123 known-answer vectors directly. It takes and
+// returns scalars because Go's register ABI passes no array longer than
+// one element in registers: [4]uint32 and [2]uint32 would round-trip
+// through the stack on every block.
+func philoxBlock(c0, c1, c2, c3, k0, k1 uint32) (uint32, uint32, uint32, uint32) {
 	// 10 rounds, unrolled in pairs: the round body is four 32×32→64
 	// multiplies' worth of ILP, and unrolling keeps the key schedule in
 	// registers instead of re-entering a loop carried dependence.
@@ -40,7 +41,7 @@ func philoxBlock(ctr [4]uint32, key [2]uint32) [4]uint32 {
 		k0 += philoxW0
 		k1 += philoxW1
 	}
-	return [4]uint32{c0, c1, c2, c3}
+	return c0, c1, c2, c3
 }
 
 // Philox is a Philox4×32-10 stream positioned at one (seed, trial) pair.
@@ -84,9 +85,9 @@ func (p *Philox) Seed(seed int64) { p.Reset(seed, 0) }
 // Uint64 returns the next 64 bits of the stream (rand.Source64).
 func (p *Philox) Uint64() uint64 {
 	if p.i >= 2 {
-		b := philoxBlock(p.ctr, p.key)
-		p.buf[0] = uint64(b[0]) | uint64(b[1])<<32
-		p.buf[1] = uint64(b[2]) | uint64(b[3])<<32
+		b0, b1, b2, b3 := philoxBlock(p.ctr[0], p.ctr[1], p.ctr[2], p.ctr[3], p.key[0], p.key[1])
+		p.buf[0] = uint64(b0) | uint64(b1)<<32
+		p.buf[1] = uint64(b2) | uint64(b3)<<32
 		// 64-bit block-counter increment over ctr[0,1]; a trial would need
 		// 2^65 draws to overflow into the trial-index words.
 		p.ctr[0]++
@@ -129,9 +130,9 @@ func (p *Philox) Float64s(dst []float64) {
 	for k := range dst {
 	draw:
 		if i >= 2 {
-			b := philoxBlock(p.ctr, p.key)
-			buf[0] = uint64(b[0]) | uint64(b[1])<<32
-			buf[1] = uint64(b[2]) | uint64(b[3])<<32
+			b0, b1, b2, b3 := philoxBlock(p.ctr[0], p.ctr[1], p.ctr[2], p.ctr[3], p.key[0], p.key[1])
+			buf[0] = uint64(b0) | uint64(b1)<<32
+			buf[1] = uint64(b2) | uint64(b3)<<32
 			p.ctr[0]++
 			if p.ctr[0] == 0 {
 				p.ctr[1]++

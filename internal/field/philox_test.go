@@ -32,7 +32,8 @@ func TestPhiloxKnownAnswers(t *testing.T) {
 		},
 	}
 	for i, c := range cases {
-		if got := philoxBlock(c.ctr, c.key); got != c.want {
+		b0, b1, b2, b3 := philoxBlock(c.ctr[0], c.ctr[1], c.ctr[2], c.ctr[3], c.key[0], c.key[1])
+		if got := [4]uint32{b0, b1, b2, b3}; got != c.want {
 			t.Errorf("vector %d: philoxBlock(%08x, %08x) = %08x, want %08x",
 				i, c.ctr, c.key, got, c.want)
 		}
@@ -45,11 +46,10 @@ func TestPhiloxKnownAnswers(t *testing.T) {
 func TestPhiloxStreamMatchesBlocks(t *testing.T) {
 	const seed, trial = 42, 7
 	p := NewPhilox(seed, trial)
-	key := [2]uint32{42, 0}
 	for blk := uint32(0); blk < 4; blk++ {
-		b := philoxBlock([4]uint32{blk, 0, 7, 0}, key)
-		want0 := uint64(b[0]) | uint64(b[1])<<32
-		want1 := uint64(b[2]) | uint64(b[3])<<32
+		b0, b1, b2, b3 := philoxBlock(blk, 0, 7, 0, 42, 0)
+		want0 := uint64(b0) | uint64(b1)<<32
+		want1 := uint64(b2) | uint64(b3)<<32
 		if got := p.Uint64(); got != want0 {
 			t.Fatalf("block %d word 0: got %016x, want %016x", blk, got, want0)
 		}
@@ -200,6 +200,18 @@ func BenchmarkPhiloxFloat64(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = p.Float64()
+	}
+}
+
+// BenchmarkPhiloxFloat64s is the deploy stage's bulk fill: 300 draws, the
+// X and Y of 150 sensors.
+func BenchmarkPhiloxFloat64s(b *testing.B) {
+	p := NewPhilox(1, 0)
+	dst := make([]float64, 300)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Reset(1, int64(i))
+		p.Float64s(dst)
 	}
 }
 

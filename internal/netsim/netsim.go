@@ -55,7 +55,7 @@ func New(nodes []geom.Point, commRange float64, bounds geom.Rect) (*Network, err
 	}
 	sc := buildPool.Get().(*buildScratch)
 	defer buildPool.Put(sc)
-	if err := sc.idx.Rebuild(n.nodes, bounds, commRange); err != nil {
+	if err := sc.idx.Rebuild(n.nodes, bounds, bounds, commRange); err != nil {
 		return nil, err
 	}
 	// Enumerate each within-range pair once; the stream's ordering

@@ -74,7 +74,7 @@ func (r *Routing) Rebuild(nodes []geom.Point, commRange float64, bounds geom.Rec
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.idx.Rebuild(nodes, bounds, commRange); err != nil {
+	if err := r.idx.Rebuild(nodes, bounds, bounds, commRange); err != nil {
 		return err
 	}
 	r.commRange = commRange

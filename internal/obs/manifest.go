@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"time"
 )
 
@@ -74,6 +75,11 @@ type buildIdentity struct {
 	goVersion   string
 }
 
+// buildID is the binary's build identity, read once: debug.ReadBuildInfo
+// parses the whole embedded module info on every call, and serve
+// fingerprints every request that misses its raw-digest probe.
+var buildID = sync.OnceValue(readBuildIdentity)
+
 // readBuildIdentity reads the embedded build info — the `git describe`
 // equivalent available without shelling out.
 func readBuildIdentity() buildIdentity {
@@ -99,7 +105,7 @@ func readBuildIdentity() buildIdentity {
 // store it so a resume against different parameters or a different build is
 // refused instead of silently merging incompatible results.
 func Fingerprint(binary, paramsJSON string, seed int64) string {
-	id := readBuildIdentity()
+	id := buildID()
 	h := sha256.New()
 	fmt.Fprintf(h, "v1\x00%s\x00%s\x00%d\x00%s\x00%t\x00%s",
 		binary, paramsJSON, seed, id.vcsRevision, id.vcsModified, id.goVersion)
@@ -108,7 +114,7 @@ func Fingerprint(binary, paramsJSON string, seed int64) string {
 
 // newManifest stamps the static fields of a run manifest.
 func newManifest(binary string, args []string) *Manifest {
-	id := readBuildIdentity()
+	id := buildID()
 	return &Manifest{
 		Version:     ManifestVersion,
 		Binary:      binary,

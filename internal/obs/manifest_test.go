@@ -188,3 +188,16 @@ func TestFingerprintDiscriminates(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprintAllocs bounds Fingerprint's allocations: the hasher, the
+// formatted fields and the hex digest come to 7 (8 under the race
+// detector). Re-reading the build info on every call, which serve's
+// per-request cache key pays, doubles the count.
+func TestFingerprintAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		Fingerprint("gbd-experiments", `{"trials":1000}`, 42)
+	})
+	if allocs > 10 {
+		t.Errorf("Fingerprint allocates %v times per call, want <= 10", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -29,6 +30,8 @@ import (
 //	relay       CommRange: base station and lazy routing table, no draws
 //	track(s)    always: target.Sample per target, resampled until
 //	            separated when several targets share a trial
+//	index       always: one grid index per class over the cells the
+//	            tracks' bounding box, inflated by its Rs, overlaps; no draws
 //	per period, track by track, then sensor by sensor:
 //	  sense         always: 1 draw per alive in-range sensor (none when
 //	                Pd = 1); the dwell model's draw under ExposureLambda
@@ -305,6 +308,9 @@ func (k *kernel) run(trial int, detailed bool) error {
 	if err := k.sampleTracks(); err != nil {
 		return err
 	}
+	if err := k.index(); err != nil {
+		return err
+	}
 
 	k.arrivals = padded(k.arrivals, pl.targets*(mission+1))
 	clear(k.arrivals)
@@ -377,7 +383,7 @@ func (k *kernel) run(trial int, detailed bool) error {
 
 // deploy is the deploy stage: every class uniform over the field,
 // class after class, X then Y per sensor — field.UniformInto's draws, in
-// one bulk Float64s fill under philox — then one spatial index per class.
+// one bulk Float64s fill under philox.
 func (k *kernel) deploy() error {
 	pl := k.pl
 	b := pl.bounds
@@ -394,10 +400,29 @@ func (k *kernel) deploy() error {
 	for i := range k.sensors {
 		k.sensors[i] = geom.Point{X: b.MinX + k.u[2*i]*w, Y: b.MinY + k.u[2*i+1]*h}
 	}
+	return nil
+}
+
+// index is the index stage: one spatial index per class over just the
+// grid cells the tracks' bounding box, inflated by the class's Rs,
+// overlaps. Every segment the sense stage queries lies inside that window,
+// so the queries return what an index over the whole field would, while
+// the build touches a few cells instead of the field's.
+func (k *kernel) index() error {
+	pl := k.pl
+	box := geom.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
+	for _, track := range k.tracks {
+		for _, p := range track {
+			box.MinX, box.MaxX = min(box.MinX, p.X), max(box.MaxX, p.X)
+			box.MinY, box.MaxY = min(box.MinY, p.Y), max(box.MaxY, p.Y)
+		}
+	}
 	k.idx = padded(k.idx, len(pl.classes))
 	for c, cl := range pl.classes {
-		cell := indexCellSize(cl.disk.Rs, pl.cfg.Params.FieldSide)
-		if err := k.idx[c].Rebuild(k.sensors[cl.off:cl.off+cl.count], b, cell); err != nil {
+		rs := cl.disk.Rs
+		win := geom.Rect{MinX: box.MinX - rs, MinY: box.MinY - rs, MaxX: box.MaxX + rs, MaxY: box.MaxY + rs}
+		cell := indexCellSize(rs, pl.cfg.Params.FieldSide)
+		if err := k.idx[c].Rebuild(k.sensors[cl.off:cl.off+cl.count], pl.bounds, win, cell); err != nil {
 			return err
 		}
 	}
