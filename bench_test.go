@@ -5,32 +5,24 @@
 //
 // E1 (Figure 8), E2-E4 (Figure 9a-c), E5 (timing claim), E6 (extension),
 // E7 (k lower bound), A1 (evaluator ablation), A3 (communication check).
+//
+// The hot-path benchmarks that gbd-bench reports and gates on are
+// defined once in internal/benchsuite; the Benchmark functions at the end
+// of this file run those bodies under their usual names.
 package gbd_test
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
-	"context"
-	"path/filepath"
-
 	gbd "github.com/groupdetect/gbd"
+	"github.com/groupdetect/gbd/internal/benchsuite"
 	"github.com/groupdetect/gbd/internal/coverage"
 	"github.com/groupdetect/gbd/internal/detect"
-	"github.com/groupdetect/gbd/internal/fabric"
-	"github.com/groupdetect/gbd/internal/fabric/chaos"
 	"github.com/groupdetect/gbd/internal/falsealarm"
-	"github.com/groupdetect/gbd/internal/faults"
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
-	"github.com/groupdetect/gbd/internal/netsim"
-	"github.com/groupdetect/gbd/internal/serve"
 	"github.com/groupdetect/gbd/internal/sim"
 	"github.com/groupdetect/gbd/internal/system"
 	"github.com/groupdetect/gbd/internal/target"
@@ -111,49 +103,8 @@ func BenchmarkFig9cSimulationRandomWalk(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulationSingleTrial isolates the per-trial cost (deployment,
-// spatial index, 20 sensing periods) under the counter-based RNG scheme —
-// the headline number the PR-7 bench gate tracks. The legacy scheme's
-// per-trial reseed floor is measured separately below.
-func BenchmarkSimulationSingleTrial(b *testing.B) {
-	cfg := sim.Config{Params: detect.Defaults(), Trials: 1, Workers: 1, RNG: field.SchemePhilox}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := sim.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulationSingleTrialLegacy is the same trial under the default
-// legacy scheme, whose ~9 µs rand.Rand.Seed reseed dominates; kept as the
-// before/after contrast and to catch regressions in the compatibility path.
-func BenchmarkSimulationSingleTrialLegacy(b *testing.B) {
-	cfg := sim.Config{Params: detect.Defaults(), Trials: 1, Workers: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := sim.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // E5 / Section 3.4.5: execution-time comparison. The paper reports the
 // S-approach needs days while the M-S-approach finishes within a minute.
-
-// BenchmarkMSApproachConvolution measures the default (convolution)
-// evaluator at the planned 99%-accuracy truncation, N = 240.
-func BenchmarkMSApproachConvolution(b *testing.B) {
-	p := detect.Defaults().WithN(240)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := detect.MSApproach(p, detect.MSOptions{Gh: 6, G: 3}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkMSApproachMatrix measures the paper-faithful Eq. (12) matrix
 // evaluator (ablation A1's other arm).
@@ -229,26 +180,6 @@ func BenchmarkKMin(b *testing.B) {
 	m := falsealarm.Model{N: 120, Pf: 1e-4, M: 20}
 	for i := 0; i < b.N; i++ {
 		if _, err := falsealarm.KMin(m, 1440, 0.01); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCommCheck measures the A3 communication verification: building
-// the 240-node unit-disk graph and evaluating delivery to a central base.
-func BenchmarkCommCheck(b *testing.B) {
-	bounds := geom.Square(32000)
-	pts, err := field.Uniform(240, bounds, field.NewRand(7))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net, err := netsim.New(pts, 6000, bounds)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := net.Delivery(0, 10*time.Second, time.Minute); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -380,251 +311,20 @@ func BenchmarkEndToEndTrial(b *testing.B) {
 	}
 }
 
-// BenchmarkLossyDelivery measures the per-report delivery classification hot
-// path of the fault-injection subsystem: greedy routing plus per-hop
-// Bernoulli retransmission over the ONR-scale network.
-func BenchmarkLossyDelivery(b *testing.B) {
-	bounds := geom.Square(32000)
-	rng := field.NewRand(1)
-	pts, err := field.Uniform(240, bounds, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := netsim.New(pts, 6000, bounds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	loss := netsim.LossModel{
-		PerHopDelivery: 0.8,
-		MaxRetries:     2,
-		PerHop:         10 * time.Second,
-		Backoff:        5 * time.Second,
-		Budget:         time.Minute,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.Send(i%len(pts), 0, loss, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// The gbd-bench suite, in snapshot order (see internal/benchsuite for
+// what each one measures).
 
-// servedAnalyze posts one /v1/analyze request and discards the body.
-func servedAnalyze(url string) error {
-	resp, err := http.Post(url+"/v1/analyze", "application/json",
-		strings.NewReader(`{"scenario":{}}`))
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// BenchmarkServedAnalyzeCold measures a full served analysis with caching
-// disabled: HTTP round trip + canonicalization + admission + the
-// M-S-approach compute, every iteration.
-func BenchmarkServedAnalyzeCold(b *testing.B) {
-	ts := httptest.NewServer(serve.New(serve.Config{CacheEntries: -1}).Handler())
-	defer ts.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := servedAnalyze(ts.URL); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// replayBody is a resettable ReadCloser over fixed bytes, letting one
-// http.Request be replayed without per-iteration allocation.
-type replayBody struct {
-	data []byte
-	off  int
-}
-
-func (rb *replayBody) Read(p []byte) (int, error) {
-	if rb.off >= len(rb.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, rb.data[rb.off:])
-	rb.off += n
-	return n, nil
-}
-
-func (rb *replayBody) Close() error { return nil }
-
-// discardRW is the minimal ResponseWriter: headers land in one reused
-// map, bodies are dropped, and the last status code is kept for checks.
-type discardRW struct {
-	h    http.Header
-	code int
-}
-
-func (w *discardRW) Header() http.Header         { return w.h }
-func (w *discardRW) Write(p []byte) (int, error) { return len(p), nil }
-func (w *discardRW) WriteHeader(code int)        { w.code = code }
-
-// BenchmarkServedAnalyzeCached measures the server-side cache-hit path in
-// isolation — handler dispatch, raw-body digest, LRU lookup, rendered
-// bytes out — by driving the handler directly with a replayed request.
-// The HTTP transport cost lives in the Cold and Concurrent benchmarks;
-// this one is the near-zero-alloc number the PR-7 bench gate tracks.
-func BenchmarkServedAnalyzeCached(b *testing.B) {
-	h := serve.New(serve.Config{}).Handler()
-	body := &replayBody{data: []byte(`{"scenario":{}}`)}
-	req := httptest.NewRequest("POST", "/v1/analyze", body)
-	w := &discardRW{h: make(http.Header)}
-	// Twice: the first populates the canonical entry, the second the
-	// raw-bytes alias.
-	for i := 0; i < 2; i++ {
-		body.off = 0
-		h.ServeHTTP(w, req)
-		if w.code != 0 && w.code != http.StatusOK {
-			b.Fatalf("populate: status %d", w.code)
-		}
-	}
-	if got := w.h.Get("X-Cache"); got != "hit" {
-		b.Fatalf("populate did not reach the hit path: X-Cache %q", got)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body.off = 0
-		h.ServeHTTP(w, req)
-	}
-}
-
-// BenchmarkServedAnalyzeConcurrent measures cached throughput under
-// concurrent clients (RunParallel drives GOMAXPROCS goroutines).
-func BenchmarkServedAnalyzeConcurrent(b *testing.B) {
-	ts := httptest.NewServer(serve.New(serve.Config{}).Handler())
-	defer ts.Close()
-	if err := servedAnalyze(ts.URL); err != nil { // populate
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if err := servedAnalyze(ts.URL); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkFaultyTrial measures one full fault-injection trial: Bernoulli
-// node death plus lossy multi-hop delivery of every report.
-func BenchmarkFaultyTrial(b *testing.B) {
-	cfg := sim.Config{
-		Params:    detect.Defaults(),
-		Trials:    1,
-		Faults:    faults.Bernoulli{DeadFrac: 0.2},
-		CommRange: 6000,
-		Loss: netsim.LossModel{
-			PerHopDelivery: 0.9,
-			MaxRetries:     2,
-			PerHop:         10 * time.Second,
-			Backoff:        5 * time.Second,
-		},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunTrial(cfg, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// coordinatorBench runs one full fan-out campaign (12 points, 4 shards)
-// over the given worker URLs with a fresh ledger per iteration.
-func coordinatorBench(b *testing.B, workers []string) {
-	b.Helper()
-	req := serve.SweepRequest{Axis: serve.AxisN, Trials: 50, Seed: 7}
-	for n := 60; n < 300; n += 20 {
-		req.Values = append(req.Values, float64(n))
-	}
-	dir := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := fabric.Config{
-			Workers:          workers,
-			Request:          req,
-			LedgerPath:       filepath.Join(dir, fmt.Sprintf("ledger-%d.json", i)),
-			ShardSize:        3,
-			Retries:          10,
-			RetryBackoff:     time.Millisecond,
-			StallTimeout:     10 * time.Second,
-			MaxHedges:        0,
-			CircuitThreshold: 2,
-			CircuitCooldown:  10 * time.Millisecond,
-			Tick:             time.Millisecond,
-		}
-		c, err := fabric.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Run(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCoordinatorFanout measures a distributed sweep campaign over a
-// healthy 3-worker fleet: shard dispatch, NDJSON reassembly, and ledger
-// persistence on top of the raw sweep compute.
-func BenchmarkCoordinatorFanout(b *testing.B) {
-	var workers []string
-	for i := 0; i < 3; i++ {
-		ts := httptest.NewServer(serve.New(serve.Config{}).Handler())
-		defer ts.Close()
-		workers = append(workers, ts.URL)
-	}
-	coordinatorBench(b, workers)
-}
-
-// BenchmarkCoordinatorFanoutDegraded is the same campaign with one of the
-// three workers answering 503 on every other request: the price of
-// retries, backoff, and circuit breaking relative to the clean fleet.
-func BenchmarkCoordinatorFanoutDegraded(b *testing.B) {
-	var workers []string
-	for i := 0; i < 3; i++ {
-		ts := httptest.NewServer(serve.New(serve.Config{}).Handler())
-		defer ts.Close()
-		workers = append(workers, ts.URL)
-	}
-	p, err := chaos.Start(chaos.Config{Seed: 5, Target: workers[2], Err503Every: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	workers[2] = p.URL()
-	coordinatorBench(b, workers)
-}
-
-// BenchmarkPlacementGreedy measures one full lazy-greedy placement solve —
-// panel precompute, heap-driven selection, and the placed-vs-uniform
-// comparison — on a small instance (20 sensors, 12x12 grid, 200 trials).
-// The PR-10 headline for the deployment engine; gbd-bench tracks the same
-// body in BENCH_PR10.json.
-func BenchmarkPlacementGreedy(b *testing.B) {
-	cfg := gbd.PlacementConfig{
-		Base:     detect.Defaults().WithN(20),
-		GridCols: 12, GridRows: 12,
-		Trials:  200,
-		Workers: 1,
-		RNG:     gbd.SchemePhilox,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := gbd.Place(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkSimulationSingleTrial(b *testing.B)       { benchsuite.SimulationSingleTrial(b) }
+func BenchmarkSimulationSingleTrialLegacy(b *testing.B) { benchsuite.SimulationSingleTrialLegacy(b) }
+func BenchmarkFaultyTrial(b *testing.B)                 { benchsuite.FaultyTrial(b) }
+func BenchmarkLossyDelivery(b *testing.B)               { benchsuite.LossyDelivery(b) }
+func BenchmarkMSApproachConvolution(b *testing.B)       { benchsuite.MSApproachConvolution(b) }
+func BenchmarkCommCheck(b *testing.B)                   { benchsuite.CommCheck(b) }
+func BenchmarkServedAnalyzeCold(b *testing.B)           { benchsuite.ServedAnalyzeCold(b) }
+func BenchmarkServedAnalyzeCached(b *testing.B)         { benchsuite.ServedAnalyzeCached(b) }
+func BenchmarkServedAnalyzeConcurrent(b *testing.B)     { benchsuite.ServedAnalyzeConcurrent(b) }
+func BenchmarkServedBatch(b *testing.B)                 { benchsuite.ServedBatch(b) }
+func BenchmarkPeerForwardedHit(b *testing.B)            { benchsuite.PeerForwardedHit(b) }
+func BenchmarkCoordinatorFanout(b *testing.B)           { benchsuite.CoordinatorFanout(b) }
+func BenchmarkCoordinatorFanoutDegraded(b *testing.B)   { benchsuite.CoordinatorFanoutDegraded(b) }
+func BenchmarkPlacementGreedy(b *testing.B)             { benchsuite.PlacementGreedy(b) }

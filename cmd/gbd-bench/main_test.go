@@ -4,10 +4,47 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"github.com/groupdetect/gbd/internal/benchsuite"
 	"github.com/groupdetect/gbd/internal/obs"
 )
+
+// TestSuiteMatchesSnapshot pins the suite to the latest committed
+// snapshot: the same names in the same order, no name twice, and every
+// gated name a suite entry. Dropping or renaming a benchmark, or pointing
+// the -compare gate at a name that no longer exists, fails here.
+func TestSuiteMatchesSnapshot(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("..", "..", "BENCH_PR15.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshot []Result
+	if err := json.Unmarshal(blob, &snapshot); err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, r := range snapshot {
+		want = append(want, r.Name)
+	}
+	inSuite := make(map[string]bool, len(benchsuite.All))
+	for _, bm := range benchsuite.All {
+		if inSuite[bm.Name] {
+			t.Errorf("benchmark %q listed twice", bm.Name)
+		}
+		inSuite[bm.Name] = true
+		got = append(got, bm.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("suite names = %v\nsnapshot names = %v", got, want)
+	}
+	for name := range gated {
+		if !inSuite[name] {
+			t.Errorf("gated benchmark %q is not in the suite", name)
+		}
+	}
+}
 
 func TestRunFilteredReport(t *testing.T) {
 	if testing.Short() {

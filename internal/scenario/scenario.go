@@ -5,9 +5,11 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -47,11 +49,18 @@ func Marshal(p detect.Params) ([]byte, error) {
 	return json.MarshalIndent(w, "", "  ")
 }
 
-// Unmarshal decodes and validates a scenario.
+// Unmarshal decodes and validates a scenario. Decoding is strict, as for
+// HTTP request bodies: an unknown key (say the typo "sensor") or trailing
+// data is an ErrScenario, not a silently zero field.
 func Unmarshal(data []byte) (detect.Params, error) {
 	var w wire
-	if err := json.Unmarshal(data, &w); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
 		return detect.Params{}, fmt.Errorf("%w: %v", ErrScenario, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return detect.Params{}, fmt.Errorf("%w: trailing data after the scenario object", ErrScenario)
 	}
 	t, err := time.ParseDuration(w.SensingPeriod)
 	if err != nil {

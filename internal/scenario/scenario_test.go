@@ -35,16 +35,22 @@ func TestMarshalRejectsInvalid(t *testing.T) {
 	}
 }
 
+// unmarshalErrorCases are malformed scenario files; each must be an
+// ErrScenario. FuzzUnmarshal seeds its corpus with them.
+var unmarshalErrorCases = []struct {
+	name string
+	data string
+}{
+	{"bad json", `{`},
+	{"bad duration", `{"sensors":10,"fieldSideMeters":1000,"sensingRangeMeters":10,"targetSpeedMPS":1,"sensingPeriod":"soon","detectionProb":0.9,"windowPeriods":20,"reportThreshold":5}`},
+	{"invalid params", `{"sensors":-1,"fieldSideMeters":1000,"sensingRangeMeters":10,"targetSpeedMPS":1,"sensingPeriod":"1m","detectionProb":0.9,"windowPeriods":20,"reportThreshold":5}`},
+	// A misspelt key used to load as N = 0, which Validate accepts.
+	{"unknown key", `{"sensor":240,"fieldSideMeters":32000,"sensingRangeMeters":1000,"targetSpeedMPS":10,"sensingPeriod":"1m","detectionProb":0.9,"windowPeriods":20,"reportThreshold":5}`},
+	{"trailing data", `{"sensors":240,"fieldSideMeters":32000,"sensingRangeMeters":1000,"targetSpeedMPS":10,"sensingPeriod":"1m","detectionProb":0.9,"windowPeriods":20,"reportThreshold":5}}`},
+}
+
 func TestUnmarshalErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		data string
-	}{
-		{"bad json", `{`},
-		{"bad duration", `{"sensors":10,"fieldSideMeters":1000,"sensingRangeMeters":10,"targetSpeedMPS":1,"sensingPeriod":"soon","detectionProb":0.9,"windowPeriods":20,"reportThreshold":5}`},
-		{"invalid params", `{"sensors":-1,"fieldSideMeters":1000,"sensingRangeMeters":10,"targetSpeedMPS":1,"sensingPeriod":"1m","detectionProb":0.9,"windowPeriods":20,"reportThreshold":5}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range unmarshalErrorCases {
 		if _, err := Unmarshal([]byte(tc.data)); !errors.Is(err, ErrScenario) {
 			t.Errorf("%s: want ErrScenario, got %v", tc.name, err)
 		}
@@ -75,4 +81,38 @@ func TestSaveLoad(t *testing.T) {
 	if err := Save(path, bad); err == nil {
 		t.Error("invalid params should fail to save")
 	}
+}
+
+// FuzzUnmarshal checks that no scenario file panics the decoder, that
+// every rejection is an ErrScenario, and that every accepted scenario
+// survives a Marshal/Unmarshal round trip unchanged.
+func FuzzUnmarshal(f *testing.F) {
+	seed, err := Marshal(detect.Defaults().WithN(240).WithV(4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	for _, tc := range unmarshalErrorCases {
+		f.Add([]byte(tc.data))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Unmarshal(data)
+		if err != nil {
+			if !errors.Is(err, ErrScenario) {
+				t.Fatalf("rejection is not ErrScenario: %v", err)
+			}
+			return
+		}
+		out, err := Marshal(p)
+		if err != nil {
+			t.Fatalf("accepted scenario %+v does not marshal: %v", p, err)
+		}
+		got, err := Unmarshal(out)
+		if err != nil {
+			t.Fatalf("marshaled scenario does not load: %v\n%s", err, out)
+		}
+		if got != p {
+			t.Fatalf("round trip changed params: %+v vs %+v", got, p)
+		}
+	})
 }
