@@ -10,13 +10,13 @@
 // exits non-zero. Each gated benchmark runs gateRuns times and both the
 // report and the gate keep its fastest run, so one run slowed by a noisy
 // neighbour does not trip the gate. CI runs `gbd-bench -compare
-// BENCH_PR13.json` so the headline numbers cannot silently drift back.
+// BENCH_PR15.json` so the headline numbers cannot silently drift back.
 // ServedBatch and PeerForwardedHit track the fleet surfaces
 // (informational — HTTP-path variance is too wide to gate on).
 //
 // Usage:
 //
-//	gbd-bench [-out BENCH_PR15.json] [-compare BENCH_PR13.json]
+//	gbd-bench [-out BENCH_PR18.json] [-compare BENCH_PR15.json]
 package main
 
 import (

@@ -72,7 +72,7 @@ func run(args []string) (err error) {
 		trials  = fs.Int("trials", 0, "Monte Carlo trials per point (0 = paper's 10000)")
 		seed    = fs.Int64("seed", 1, "random seed")
 		quick   = fs.Bool("quick", false, "reduced sweeps and trial counts")
-		rngName = fs.String("rng", "", "trial RNG scheme: legacy (default) or philox (counter-based, batched)")
+		rngName = fs.String("rng", "", "trial RNG scheme: legacy (default) or philox (counter-based, window-local deploy)")
 		csv     = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		plots   = fs.Bool("plot", false, "append ASCII charts for plottable experiments")
 		outDir  = fs.String("out", "", "write per-experiment files into this directory instead of stdout")

@@ -78,7 +78,7 @@ func run(args []string, w io.Writer) (err error) {
 		k       = fs.Int("k", 5, "required reports")
 		trials  = fs.Int("trials", 2000, "Monte Carlo trials per point")
 		seed    = fs.Int64("seed", 1, "random seed")
-		rngName = fs.String("rng", "", "trial RNG scheme: legacy (default) or philox (counter-based, batched)")
+		rngName = fs.String("rng", "", "trial RNG scheme: legacy (default) or philox (counter-based, window-local deploy)")
 		workers = fs.Int("workers", 0, "parallel trial workers per point (0 = all cores)")
 		sweepW  = fs.Int("sweep-workers", 1, "concurrent sweep points (0 = all cores); output is identical at any setting")
 

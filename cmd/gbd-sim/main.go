@@ -53,7 +53,7 @@ func run(args []string) (err error) {
 		fa      = fs.Float64("false-alarm", 0, "per-sensor per-period false alarm probability")
 		lambda  = fs.Float64("exposure", 0, "dwell-model detection rate 1/s (0 = flat Pd model)")
 		config  = fs.String("config", "", "load the scenario from a JSON file (other scenario flags are ignored)")
-		rngName = fs.String("rng", "", "trial RNG scheme: legacy (default) or philox (counter-based, batched)")
+		rngName = fs.String("rng", "", "trial RNG scheme: legacy (default) or philox (counter-based, window-local deploy)")
 	)
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {

@@ -8,6 +8,13 @@ package field
 // computable in O(1) with zero heap state — pointing a pooled scratch at
 // a new trial resets two words instead of running the ~1 KiB lagged-
 // Fibonacci reseed that rand.Rand.Seed performs.
+//
+// The top 8 bits of the 64-bit block index name a stage range:
+// stage s owns blocks [s·2^56, (s+1)·2^56) of the trial. Reset starts at
+// stage 0; Seek jumps to the start of another. A trial draws far fewer
+// than 2^56 blocks from any range, so ranges never overlap, and a caller
+// that draws one stage from a copy of the stream leaves every draw of the
+// others where it was.
 
 // Philox round constants: the two multipliers and the Weyl key schedule
 // increments from the reference Random123 implementation.
@@ -76,6 +83,19 @@ func (p *Philox) Reset(seed, trial int64) {
 	p.ctr[1] = 0
 	p.ctr[2] = uint32(uint64(trial))
 	p.ctr[3] = uint32(uint64(trial) >> 32)
+	p.i = 2
+}
+
+// stageShift is the position of the stage number in ctr[1], the block
+// index's high word: stage s starts at block s<<(32+stageShift).
+const stageShift = 24
+
+// Seek points the stream at the first block of stage range stage of its
+// current (seed, trial): block index stage·2^56. Seek(0) is where Reset
+// leaves the stream. Like Reset it is O(1).
+func (p *Philox) Seek(stage uint8) {
+	p.ctr[0] = 0
+	p.ctr[1] = uint32(stage) << stageShift
 	p.i = 2
 }
 

@@ -160,6 +160,84 @@ func TestPhiloxUniformity(t *testing.T) {
 	}
 }
 
+// TestPhiloxSeekStartsAtStageCounter pins the stage layout: after
+// Seek(s), from any position, the stream's first block is philoxBlock at
+// block index s·2^56 — counter words (0, s<<24, trial) — of the same
+// (seed, trial), and Seek(0) replays Reset.
+func TestPhiloxSeekStartsAtStageCounter(t *testing.T) {
+	const seed, trial = 42, 7
+	for _, s := range []uint8{0, 1, 2, 255} {
+		p := NewPhilox(seed, trial)
+		p.Uint64() // seek from mid-block
+		p.Seek(s)
+		b0, b1, b2, b3 := philoxBlock(0, uint32(s)<<24, trial, 0, seed, 0)
+		if got, want := p.Uint64(), uint64(b0)|uint64(b1)<<32; got != want {
+			t.Errorf("stage %d word 0: got %016x, want %016x", s, got, want)
+		}
+		if got, want := p.Uint64(), uint64(b2)|uint64(b3)<<32; got != want {
+			t.Errorf("stage %d word 1: got %016x, want %016x", s, got, want)
+		}
+	}
+	p, ref := NewPhilox(seed, trial), NewPhilox(seed, trial)
+	p.Float64()
+	p.Seek(0)
+	for i := 0; i < 8; i++ {
+		if a, b := p.Uint64(), ref.Uint64(); a != b {
+			t.Fatalf("Seek(0) draw %d: %016x, Reset %016x", i, a, b)
+		}
+	}
+}
+
+// TestPhiloxStageRangesDisjoint: stage s owns block indices [s·2^56,
+// (s+1)·2^56). Seek lands on the range's first index, ranges sit 2^56
+// apart up to the last index 2^64−1, and the block counter carries from
+// its low word into the high word without touching the stage bits.
+func TestPhiloxStageRangesDisjoint(t *testing.T) {
+	block := func(p *Philox) uint64 { return uint64(p.ctr[1])<<32 | uint64(p.ctr[0]) }
+	var p Philox
+	for s := 0; s < 256; s++ {
+		p.Seek(uint8(s))
+		if got, want := block(&p), uint64(s)<<56; got != want {
+			t.Fatalf("Seek(%d) at block %#x, want %#x", s, got, want)
+		}
+	}
+	if last := uint64(255)<<56 + (1<<56 - 1); last != math.MaxUint64 {
+		t.Fatalf("stage 255 ends at block %#x, not the last block index", last)
+	}
+	p.Seek(1)
+	p.ctr[0] = math.MaxUint32 // the next two blocks cross the low word's carry
+	p.Uint64()
+	p.Uint64()
+	p.Uint64()
+	if got, want := block(&p), uint64(1)<<56+1<<32+1; got != want {
+		t.Fatalf("after the carry the stream is at block %#x, want %#x", got, want)
+	}
+}
+
+// TestPhiloxStageLeavesMainStream: drawing a stage from a copy of the
+// stream, between two draws of the main range, leaves the main range's
+// outputs unchanged — the kernel's out-of-window sensors rely on it.
+func TestPhiloxStageLeavesMainStream(t *testing.T) {
+	ref, p := NewPhilox(5, 9), NewPhilox(5, 9)
+	want := make([]float64, 10)
+	ref.Float64s(want)
+	got := make([]float64, 10)
+	p.Float64s(got[:3]) // stop mid-block
+	rest := *p
+	rest.Seek(1)
+	var buf [17]float64
+	rest.Float64s(buf[:])
+	p.Float64s(got[3:])
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("main draw %d: %v with a stage drawn in between, %v without", i, got[i], want[i])
+		}
+	}
+	if buf[0] == want[3] {
+		t.Fatal("the stage range repeats the main range")
+	}
+}
+
 // TestPhiloxSchemeNames pins the flag/wire names and the zero default.
 func TestPhiloxSchemeNames(t *testing.T) {
 	var zero RNGScheme

@@ -88,7 +88,7 @@ var goldenCorpus = []goldenCase{
 		sum: "90cdd2879efa4f6cbc3a99ea714f9ac150bfd7eb5e97fdb15e1183bee0f4bb39"},
 	{name: "simulate/philox", path: "/v1/simulate", body: `{"scenario":{"n":80},"trials":150,"seed":3,"rng":"philox"}`,
 		key: "c7912e028d65074f3d792af924ed4463381f39d9641e9081e3dbb101d3cf25c1",
-		sum: "58bf8bd05f77005828afd3befd5c1cebc8d4193f31568f5c686f767f824e59d6"},
+		sum: "2e81521251e24c81b587932d76d4fbe60b84b998ba0aab19a0702497e8dd4624"},
 	{name: "simulate/faults", path: "/v1/simulate",
 		body: `{"scenario":{"n":60},"trials":100,"seed":5,"dead_frac":0.2,"comm_range":6000,"per_hop_loss":0.1,"hop_retries":2}`,
 		key:  "ead1a594e295cf47b2133db4dc90cbff940696c8357e8bb89cc3bde2e58ffd28",
@@ -103,7 +103,7 @@ var goldenCorpus = []goldenCase{
 		sum:  "7ce7444e48d2ad87b3e4b9c47863365caf0c8b0a150d75d973f1d4b07846bee2"},
 	{name: "infer/philox", path: "/v1/infer", body: `{"scenario":{},"trials":120,"seed":1,"dead_frac":0.2,"rng":"philox"}`,
 		key: "51ea19bbf89cd30e97629d1d29eb6139193d3d943591a2fe0faca1f13d7c1fd5",
-		sum: "2e31175b5f96877555a2ae25c73c28754a0963727fe2b1b5aad94b4472fe8347"},
+		sum: "8a5d5fc081965392cb768cc7970f08c6b906a48e4298dd95f12c1c5b43876d82"},
 
 	{name: "place/implicit-class", path: "/v1/place", body: `{"scenario":{"n":10},"grid_cols":8,"grid_rows":8,"trials":150,"seed":1}`,
 		key: "fc824058757067d55eb0af5b12f876a0efb134f63392e51adcaba7133038e098",

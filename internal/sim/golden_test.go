@@ -151,10 +151,15 @@ func TestGoldenDetailedFaultyTrial(t *testing.T) {
 }
 
 // TestGoldenPhiloxCampaign pins the counter-based scheme's own stream the
-// same way the legacy goldens pin theirs: the first campaign exercises the
-// batched SoA engine, the second (false alarms enabled) the W=1 philox
-// fallback. Philox trials are seeded by (campaign seed, trial index)
-// alone, so these numbers are worker-count invariant by construction.
+// same way the legacy goldens pin theirs: a plain campaign, then one with
+// false alarms, whose stage walks every sensor of the trial, in-window or
+// not. Philox trials are seeded by (campaign seed, trial index) alone, so
+// these numbers are worker-count invariant by construction.
+//
+// The philox goldens in this file were re-pinned once when the philox
+// deploy became window-local (tracks first, then only the sensors that
+// can see them), after TestPhiloxMatchesLegacyLaw showed the new draws
+// keep the legacy kernel's detection law.
 func TestGoldenPhiloxCampaign(t *testing.T) {
 	res, err := sim.Run(sim.Config{
 		Params: detect.Defaults(), Trials: 400, Seed: 3, Workers: 2,
@@ -163,9 +168,9 @@ func TestGoldenPhiloxCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exacti(t, "Detections", res.Detections, 304)
-	exactf(t, "MeanReports", res.MeanReports, 9.4275000000000002)
-	exactf(t, "Latency.Mean", res.Latency.Mean(), 9.5592105263157894)
+	exacti(t, "Detections", res.Detections, 293)
+	exactf(t, "MeanReports", res.MeanReports, 8.8650000000000002)
+	exactf(t, "Latency.Mean", res.Latency.Mean(), 9.7610921501706489)
 
 	fa, err := sim.Run(sim.Config{
 		Params: detect.Defaults(), Trials: 300, Seed: 9, Workers: 3,
@@ -174,8 +179,8 @@ func TestGoldenPhiloxCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exacti(t, "fa.Detections", fa.Detections, 262)
-	exactf(t, "fa.MeanReports", fa.MeanReports, 10.323333333333334)
+	exacti(t, "fa.Detections", fa.Detections, 267)
+	exactf(t, "fa.MeanReports", fa.MeanReports, 10.446666666666667)
 }
 
 // goldenCampaign pins the three aggregate outputs every campaign golden
@@ -204,15 +209,15 @@ func TestGoldenPhiloxShapes(t *testing.T) {
 		latency     float64
 	}{
 		{"straight", sim.Config{Params: p, Trials: 57, Seed: 11, RNG: field.SchemePhilox},
-			43, 9.3157894736842106, 10.186046511627907},
+			38, 7.9122807017543861, 9.5},
 		{"subpd", sim.Config{Params: subPd, Trials: 57, Seed: 12, RNG: field.SchemePhilox},
-			42, 7.333333333333333, 11.238095238095237},
+			37, 6.807017543859649, 9.7297297297297298},
 		{"walk", sim.Config{Params: p, Trials: 57, Seed: 13, RNG: field.SchemePhilox,
 			Model: target.RandomWalk{Step: p.Vt(), MaxTurn: math.Pi / 4}},
-			42, 8.9473684210526319, 9.9047619047619051},
+			43, 10.017543859649123, 8.2558139534883725},
 		{"confinenone", sim.Config{Params: p, Trials: 57, Seed: 14, RNG: field.SchemePhilox,
 			Confine: sim.ConfineNone},
-			34, 6.9473684210526319, 9.0294117647058822},
+			32, 6.7017543859649127, 9.90625},
 	}
 	for _, s := range shapes {
 		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -239,7 +244,7 @@ func TestGoldenMixedCampaign(t *testing.T) {
 		meanReports, latency float64
 	}{
 		field.SchemeLegacy: {232, 10.356666666666667, 9.6594827586206904},
-		field.SchemePhilox: {216, 10.029999999999999, 9.3101851851851851},
+		field.SchemePhilox: {238, 11.253333333333334, 9.3949579831932777},
 	}
 	for scheme, w := range want {
 		res, err := sim.RunMixed(sim.Config{Params: detect.Defaults(), Trials: 300, Seed: 31, RNG: scheme}, classes)
@@ -261,7 +266,7 @@ func TestGoldenMixedCampaign(t *testing.T) {
 func TestGoldenMultiCampaign(t *testing.T) {
 	want := map[field.RNGScheme][4]float64{ // per-target 0 and 1, all, any
 		field.SchemeLegacy: {0.75, 0.79500000000000004, 0.61499999999999999, 0.93000000000000005},
-		field.SchemePhilox: {0.745, 0.80000000000000004, 0.60499999999999998, 0.93999999999999995},
+		field.SchemePhilox: {0.77000000000000002, 0.80500000000000005, 0.60999999999999999, 0.96499999999999997},
 	}
 	for scheme, w := range want {
 		res, err := sim.RunMulti(sim.Config{Params: detect.Defaults(), Trials: 200, Seed: 41, RNG: scheme}, 2, 2000)

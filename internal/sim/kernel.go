@@ -43,12 +43,35 @@ import (
 //	  infer         Infer: Engine.Observe on what arrived, no draws
 //	window      always: the sliding K-of-M rule per target, no draws
 //
-// A stage that is off draws nothing, so turning a knob on never moves the
-// draws of the stages before it, and each campaign shape keeps the draw
-// order it had when it ran its own loop. Under SchemePhilox the deploy and
-// sense stages draw straight from the concrete Philox — one bulk
-// Float64s fill per deployment, Bernoulli draws without the interface hop
-// — which advance the same stream as the *rand.Rand the other stages use.
+// That is the legacy scheme's order. Under SchemePhilox the track comes
+// first, so that the deploy stage only places the sensors that can see it:
+//
+//	track(s)    as above
+//	deploy      per class: 1 draw for n_in ~ Binomial(count, |W∩F|/|F|),
+//	            W the class's index window and F the field, then 2 draws
+//	            (X, Y) per sensor uniform in W∩F, one bulk Float64s fill
+//	rest        Faults, CommRange, a detailed RunTrial or Visit: the other
+//	            count − n_in sensors of each class, uniform in F \ W by
+//	            rejection — one bulk fill of 2 draws per sensor, then 2 per
+//	            redrawn candidate — from the trial's rest range
+//	            (restStage), so drawing them moves no other draw
+//	alive       as above
+//	relay       as above
+//	index       as above, over the n_in sensors of each class
+//	per period  as above
+//	window      as above
+//
+// Sensor ids stay class after class; within a class the in-window sensors
+// come first. A stage that is off draws nothing, so turning a knob on
+// never moves the draws of the stages before it, and each campaign shape
+// keeps its draw order under the legacy scheme. Under SchemePhilox the
+// deploy and sense stages draw straight from the concrete Philox — bulk
+// Float64s fills, Bernoulli draws without the interface hop — which
+// advance the same stream as the *rand.Rand the other stages use.
+
+// restStage is the Philox stage range (field.Philox.Seek) of the
+// out-of-window sensors; every other draw comes from stage 0.
+const restStage = 1
 
 // class is one sensor class of the deploy and sense stages: sensor ids
 // [off, off+count) of the trial's deployment share its sensing model.
@@ -139,10 +162,12 @@ type kernel struct {
 
 	u         []float64 // the deployment's uniform draws
 	sensors   []geom.Point
+	inWin     []int         // per class: its sensors the index holds, ids [off, off+inWin)
 	idx       []field.Index // one per class
 	tracks    [][]geom.Point
-	arrivals  []int // target j's arrivals per 1-based period, at [j*(mission+1):]
-	buf       []int // spatial-query result buffer
+	box       geom.Rect // the tracks' bounding box
+	arrivals  []int     // target j's arrivals per 1-based period, at [j*(mission+1):]
+	buf       []int     // spatial-query result buffer
 	masks     [][]bool
 	relay     relayState
 	eng       *infer.Engine
@@ -275,7 +300,12 @@ func (k *kernel) run(trial int, detailed bool) error {
 		k.ph = k.stream.Philox()
 	}
 
-	if err := k.deploy(); err != nil {
+	if k.ph != nil {
+		if err := k.sampleTracks(); err != nil {
+			return err
+		}
+		k.deployWindow(detailed || pl.record || pl.relay || cfg.Faults != nil)
+	} else if err := k.deploy(); err != nil {
 		return err
 	}
 	k.masks = nil
@@ -305,8 +335,10 @@ func (k *kernel) run(trial int, detailed bool) error {
 			k.allAlive = bools(k.allAlive, pl.n, true)
 		}
 	}
-	if err := k.sampleTracks(); err != nil {
-		return err
+	if k.ph == nil {
+		if err := k.sampleTracks(); err != nil {
+			return err
+		}
 	}
 	if err := k.index(); err != nil {
 		return err
@@ -381,48 +413,108 @@ func (k *kernel) run(trial int, detailed bool) error {
 	return nil
 }
 
-// deploy is the deploy stage: every class uniform over the field,
-// class after class, X then Y per sensor — field.UniformInto's draws, in
-// one bulk Float64s fill under philox.
+// deploy is the legacy deploy stage: every class uniform over the field,
+// class after class, X then Y per sensor — field.UniformInto's draws.
 func (k *kernel) deploy() error {
 	pl := k.pl
 	b := pl.bounds
 	k.u = padded(k.u, 2*pl.n)
-	if k.ph != nil {
-		k.ph.Float64s(k.u)
-	} else {
-		for i := range k.u {
-			k.u[i] = k.rng.Float64()
-		}
+	for i := range k.u {
+		k.u[i] = k.rng.Float64()
 	}
 	k.sensors = padded(k.sensors, pl.n)
 	w, h := b.MaxX-b.MinX, b.MaxY-b.MinY
 	for i := range k.sensors {
 		k.sensors[i] = geom.Point{X: b.MinX + k.u[2*i]*w, Y: b.MinY + k.u[2*i+1]*h}
 	}
+	k.inWin = padded(k.inWin, len(pl.classes))
+	for c, cl := range pl.classes {
+		k.inWin[c] = cl.count
+	}
 	return nil
 }
 
-// index is the index stage: one spatial index per class over just the
-// grid cells the tracks' bounding box, inflated by the class's Rs,
-// overlaps. Every segment the sense stage queries lies inside that window,
-// so the queries return what an index over the whole field would, while
-// the build touches a few cells instead of the field's.
-func (k *kernel) index() error {
+// deployWindow is the philox deploy stage, run after the track stage. Of a
+// class's count sensors uniform in the field F, the number inside its
+// window W is Binomial(count, |W∩F|/|F|), and given that number they are
+// uniform in W∩F and the others uniform in F \ W: drawing the split and
+// then each side is the same law as drawing every sensor over F. Only
+// sensors in W can sense, so unless rest is set the others are not drawn
+// at all. They come from the rest range, so drawing them or not moves no
+// draw of the main range.
+func (k *kernel) deployWindow(rest bool) {
 	pl := k.pl
-	box := geom.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
-	for _, track := range k.tracks {
-		for _, p := range track {
-			box.MinX, box.MaxX = min(box.MinX, p.X), max(box.MaxX, p.X)
-			box.MinY, box.MaxY = min(box.MinY, p.Y), max(box.MaxY, p.Y)
+	b := pl.bounds
+	k.sensors = padded(k.sensors, pl.n)
+	k.inWin = padded(k.inWin, len(pl.classes))
+	var far field.Philox
+	if rest {
+		far = *k.ph
+		far.Seek(restStage)
+	}
+	for c, cl := range pl.classes {
+		win := k.indexWindow(cl.disk.Rs)
+		in := geom.Rect{
+			MinX: max(win.MinX, b.MinX), MinY: max(win.MinY, b.MinY),
+			MaxX: min(win.MaxX, b.MaxX), MaxY: min(win.MaxY, b.MaxY),
+		}
+		n := field.Binomial(cl.count, in.Area()/b.Area(), k.ph.Float64())
+		k.inWin[c] = n
+		k.u = padded(k.u, 2*n)
+		k.ph.Float64s(k.u)
+		w, h := in.MaxX-in.MinX, in.MaxY-in.MinY
+		sensors := k.sensors[cl.off : cl.off+cl.count]
+		for i := range n {
+			sensors[i] = geom.Point{X: in.MinX + k.u[2*i]*w, Y: in.MinY + k.u[2*i+1]*h}
+		}
+		if !rest {
+			continue
+		}
+		// One bulk fill of candidates over F; each one inside W is redrawn
+		// until it falls outside.
+		k.u = padded(k.u, 2*(cl.count-n))
+		far.Float64s(k.u)
+		w, h = b.MaxX-b.MinX, b.MaxY-b.MinY
+		for i := n; i < cl.count; i++ {
+			p := geom.Point{X: b.MinX + k.u[2*(i-n)]*w, Y: b.MinY + k.u[2*(i-n)+1]*h}
+			for inside(p, win) {
+				p = geom.Point{X: b.MinX + far.Float64()*w, Y: b.MinY + far.Float64()*h}
+			}
+			sensors[i] = p
 		}
 	}
+}
+
+// inside is geom.Rect.Contains for finite coordinates, boundary included,
+// decided by one branch instead of four: r contains p iff none of the four
+// edge distances has its sign bit set. The rejection loop tests every
+// out-of-window candidate, and on uniform points Contains's first
+// comparisons are coin flips the branch predictor cannot learn.
+func inside(p geom.Point, r geom.Rect) bool {
+	return (math.Float64bits(p.X-r.MinX)|math.Float64bits(r.MaxX-p.X)|
+		math.Float64bits(p.Y-r.MinY)|math.Float64bits(r.MaxY-p.Y))>>63 == 0
+}
+
+// indexWindow is the index window of a class with sensing range rs: the
+// tracks' bounding box inflated by rs. Every segment the sense stage
+// queries lies in the box, so every sensor within rs of one lies in the
+// window.
+func (k *kernel) indexWindow(rs float64) geom.Rect {
+	return geom.Rect{MinX: k.box.MinX - rs, MinY: k.box.MinY - rs, MaxX: k.box.MaxX + rs, MaxY: k.box.MaxY + rs}
+}
+
+// index is the index stage: one spatial index per class, over its inWin
+// sensors and just the grid cells its window overlaps. Every segment the
+// sense stage queries lies inside the window, so the queries return what
+// an index over the whole field would, while the build touches a few
+// cells instead of the field's.
+func (k *kernel) index() error {
+	pl := k.pl
 	k.idx = padded(k.idx, len(pl.classes))
 	for c, cl := range pl.classes {
 		rs := cl.disk.Rs
-		win := geom.Rect{MinX: box.MinX - rs, MinY: box.MinY - rs, MaxX: box.MaxX + rs, MaxY: box.MaxY + rs}
 		cell := indexCellSize(rs, pl.cfg.Params.FieldSide)
-		if err := k.idx[c].Rebuild(k.sensors[cl.off:cl.off+cl.count], pl.bounds, win, cell); err != nil {
+		if err := k.idx[c].Rebuild(k.sensors[cl.off:cl.off+k.inWin[c]], pl.bounds, k.indexWindow(rs), cell); err != nil {
 			return err
 		}
 	}
@@ -459,24 +551,31 @@ func (k *kernel) alive() error {
 
 // sampleTracks is the track stage: one track per target, each resampled
 // until it keeps minSep from the tracks already placed (the first always
-// does).
+// does), and the tracks' bounding box.
 func (k *kernel) sampleTracks() error {
 	pl := k.pl
 	confine := pl.cfg.Confine == ConfineRejection
-	k.tracks = padded(k.tracks, pl.targets)[:0]
-	for j := 0; j < pl.targets; j++ {
+	// Each target's track is drawn into the buffer it had last trial.
+	k.tracks = padded(k.tracks, pl.targets)
+	for j := range k.tracks {
 		placed := false
 		for a := 0; a < target.ConfineAttempts && !placed; a++ {
-			track, err := target.Sample(pl.cfg.Model, pl.bounds, pl.cfg.MissionPeriods, confine, k.rng)
+			track, err := target.SampleInto(k.tracks[j], pl.cfg.Model, pl.bounds, pl.cfg.MissionPeriods, confine, k.rng)
 			if err != nil {
 				return err
 			}
-			if placed = tracksSeparated(track, k.tracks, pl.minSep); placed {
-				k.tracks = append(k.tracks, track)
-			}
+			k.tracks[j] = track
+			placed = tracksSeparated(track, k.tracks[:j], pl.minSep)
 		}
 		if !placed {
 			return &separationError{targets: pl.targets, minSep: pl.minSep}
+		}
+	}
+	k.box = geom.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
+	for _, track := range k.tracks {
+		for _, p := range track {
+			k.box.MinX, k.box.MaxX = min(k.box.MinX, p.X), max(k.box.MaxX, p.X)
+			k.box.MinY, k.box.MaxY = min(k.box.MinY, p.Y), max(k.box.MaxY, p.Y)
 		}
 	}
 	return nil
@@ -701,7 +800,7 @@ func (k *kernel) detail() *TrialResult {
 		DetectedAt: o.detectedAt,
 		Reports:    o.reports,
 		PerPeriod:  append([]int(nil), k.arrivals[1:mission+1]...),
-		Track:      k.tracks[0], // freshly drawn by the motion model, not scratch
+		Track:      append([]geom.Point(nil), k.tracks[0]...),
 		Sensors:    append([]geom.Point(nil), k.sensors...),
 		Faults:     k.faults,
 	}

@@ -66,9 +66,10 @@ type Config struct {
 	// stream. The zero value is field.SchemeLegacy — the original
 	// per-trial reseed, preserving every existing golden result.
 	// field.SchemePhilox switches to the counter-based Philox4×32-10
-	// scheme: O(1) stream setup, and deploy and sense stages that draw
-	// from the concrete generator. Draws differ between schemes, so
-	// results are reproducible per scheme.
+	// scheme: O(1) stream setup, the track drawn before the deployment,
+	// and only the sensors that can see it placed unless a stage needs
+	// the whole field (see kernel.go). Draws differ between schemes, so
+	// results are reproducible per scheme; the detection law is the same.
 	RNG field.RNGScheme
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int

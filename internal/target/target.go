@@ -50,7 +50,11 @@ type Straight struct {
 }
 
 // Track implements Model.
-func (s Straight) Track(start geom.Point, theta float64, periods int, _ *rand.Rand) ([]geom.Point, error) {
+func (s Straight) Track(start geom.Point, theta float64, periods int, rng *rand.Rand) ([]geom.Point, error) {
+	return s.trackInto(nil, start, theta, periods, rng)
+}
+
+func (s Straight) trackInto(dst []geom.Point, start geom.Point, theta float64, periods int, _ *rand.Rand) ([]geom.Point, error) {
 	if err := checkStep(s.Step); err != nil {
 		return nil, err
 	}
@@ -58,7 +62,7 @@ func (s Straight) Track(start geom.Point, theta float64, periods int, _ *rand.Ra
 		return nil, err
 	}
 	step := geom.Heading(theta).Scale(s.Step)
-	track := make([]geom.Point, periods+1)
+	track := resize(dst, periods+1)
 	track[0] = start
 	for i := 1; i <= periods; i++ {
 		track[i] = track[i-1].Add(step)
@@ -81,6 +85,10 @@ type RandomWalk struct {
 
 // Track implements Model.
 func (w RandomWalk) Track(start geom.Point, theta float64, periods int, rng *rand.Rand) ([]geom.Point, error) {
+	return w.trackInto(nil, start, theta, periods, rng)
+}
+
+func (w RandomWalk) trackInto(dst []geom.Point, start geom.Point, theta float64, periods int, rng *rand.Rand) ([]geom.Point, error) {
 	if err := checkStep(w.Step); err != nil {
 		return nil, err
 	}
@@ -90,7 +98,7 @@ func (w RandomWalk) Track(start geom.Point, theta float64, periods int, rng *ran
 	if err := checkPeriods(periods); err != nil {
 		return nil, err
 	}
-	track := make([]geom.Point, periods+1)
+	track := resize(dst, periods+1)
 	track[0] = start
 	heading := theta
 	for i := 1; i <= periods; i++ {
@@ -117,7 +125,11 @@ type Waypoints struct {
 }
 
 // Track implements Model.
-func (w Waypoints) Track(_ geom.Point, _ float64, periods int, _ *rand.Rand) ([]geom.Point, error) {
+func (w Waypoints) Track(start geom.Point, theta float64, periods int, rng *rand.Rand) ([]geom.Point, error) {
+	return w.trackInto(nil, start, theta, periods, rng)
+}
+
+func (w Waypoints) trackInto(dst []geom.Point, _ geom.Point, _ float64, periods int, _ *rand.Rand) ([]geom.Point, error) {
 	if err := checkStep(w.Step); err != nil {
 		return nil, err
 	}
@@ -127,7 +139,7 @@ func (w Waypoints) Track(_ geom.Point, _ float64, periods int, _ *rand.Rand) ([]
 	if err := checkPeriods(periods); err != nil {
 		return nil, err
 	}
-	track := make([]geom.Point, periods+1)
+	track := resize(dst, periods+1)
 	pos := w.Points[0]
 	track[0] = pos
 	next := 1 // index of the waypoint currently steered toward
@@ -164,6 +176,10 @@ type VariableSpeed struct {
 
 // Track implements Model.
 func (v VariableSpeed) Track(start geom.Point, theta float64, periods int, rng *rand.Rand) ([]geom.Point, error) {
+	return v.trackInto(nil, start, theta, periods, rng)
+}
+
+func (v VariableSpeed) trackInto(dst []geom.Point, start geom.Point, theta float64, periods int, rng *rand.Rand) ([]geom.Point, error) {
 	if err := checkStep(v.MinStep); err != nil {
 		return nil, err
 	}
@@ -174,7 +190,7 @@ func (v VariableSpeed) Track(start geom.Point, theta float64, periods int, rng *
 		return nil, err
 	}
 	dir := geom.Heading(theta)
-	track := make([]geom.Point, periods+1)
+	track := resize(dst, periods+1)
 	track[0] = start
 	for i := 1; i <= periods; i++ {
 		step := v.MinStep + rng.Float64()*(v.MaxStep-v.MinStep)
@@ -204,6 +220,17 @@ const ConfineAttempts = 10000
 // ConfineAttempts tries; without it the first track is returned even if
 // it leaves the field.
 func Sample(m Model, bounds geom.Rect, periods int, confine bool, rng *rand.Rand) ([]geom.Point, error) {
+	return SampleInto(nil, m, bounds, periods, confine, rng)
+}
+
+// SampleInto is Sample drawing into dst's backing array (grown as needed)
+// when m is one of this package's models, so a simulation loop can
+// resample tracks without allocating. The draws are identical to
+// Sample's. Another Model's tracks come from its Track, as Sample's do.
+func SampleInto(dst []geom.Point, m Model, bounds geom.Rect, periods int, confine bool, rng *rand.Rand) ([]geom.Point, error) {
+	into, _ := m.(interface {
+		trackInto(dst []geom.Point, start geom.Point, theta float64, periods int, rng *rand.Rand) ([]geom.Point, error)
+	})
 	attempts := 1
 	if confine {
 		attempts = ConfineAttempts
@@ -214,15 +241,29 @@ func Sample(m Model, bounds geom.Rect, periods int, confine bool, rng *rand.Rand
 			Y: bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY),
 		}
 		theta := rng.Float64() * 2 * math.Pi
-		track, err := m.Track(start, theta, periods, rng)
+		var err error
+		if into != nil {
+			dst, err = into.trackInto(dst, start, theta, periods, rng)
+		} else {
+			dst, err = m.Track(start, theta, periods, rng)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if !confine || InBounds(track, bounds) {
-			return track, nil
+		if !confine || InBounds(dst, bounds) {
+			return dst, nil
 		}
 	}
 	return nil, fmt.Errorf("%d attempts: %w", ConfineAttempts, ErrConfinement)
+}
+
+// resize returns dst with length n, reusing its backing array when it is
+// large enough.
+func resize(dst []geom.Point, n int) []geom.Point {
+	if cap(dst) < n {
+		return make([]geom.Point, n)
+	}
+	return dst[:n]
 }
 
 // InBounds reports whether every period-boundary position of the track lies

@@ -197,3 +197,59 @@ func TestSampleConfinement(t *testing.T) {
 		t.Errorf("unconfined track = %v, %v; want the first 11-point draw, leaving the field", track, err)
 	}
 }
+
+// trackOnly is a Model from outside the package: SampleInto must fall
+// back to its Track.
+type trackOnly struct{ s Straight }
+
+func (m trackOnly) Track(start geom.Point, theta float64, periods int, rng *rand.Rand) ([]geom.Point, error) {
+	return m.s.Track(start, theta, periods, rng)
+}
+
+func (m trackOnly) StepLen() float64 { return m.s.Step }
+
+// TestSampleIntoMatchesSample: for every model, drawing into a reused
+// buffer gives Sample's tracks and leaves the stream where Sample leaves
+// it, and for this package's models a warm buffer allocates nothing.
+func TestSampleIntoMatchesSample(t *testing.T) {
+	bounds := geom.Square(2000)
+	models := []Model{
+		Straight{Step: 60},
+		RandomWalk{Step: 60, MaxTurn: math.Pi / 4},
+		Waypoints{Step: 60, Points: []geom.Point{{X: 100, Y: 100}, {X: 900, Y: 400}}},
+		VariableSpeed{MinStep: 40, MaxStep: 80},
+		trackOnly{Straight{Step: 60}},
+	}
+	for _, m := range models {
+		a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+		var buf []geom.Point
+		for i := 0; i < 30; i++ {
+			want, err := Sample(m, bounds, 12, true, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if buf, err = SampleInto(buf, m, bounds, 12, true, b); err != nil {
+				t.Fatal(err)
+			}
+			if len(buf) != len(want) {
+				t.Fatalf("%T draw %d: %d points, want %d", m, i, len(buf), len(want))
+			}
+			for j := range want {
+				if buf[j] != want[j] {
+					t.Fatalf("%T draw %d point %d: %v, want %v", m, i, j, buf[j], want[j])
+				}
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("%T: SampleInto left the stream elsewhere than Sample", m)
+		}
+		if _, foreign := m.(trackOnly); foreign {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			buf, _ = SampleInto(buf, m, bounds, 12, true, b)
+		}); allocs != 0 {
+			t.Errorf("%T: SampleInto into a warm buffer: %v allocs, want 0", m, allocs)
+		}
+	}
+}
