@@ -64,3 +64,55 @@ func Check(t *testing.T, cases []Case, run func(args []string) (string, error)) 
 		}
 	}
 }
+
+// Flags runs a command with -h and returns its flag set as one
+// "-name type default" line per flag, read from the usage text that
+// flag.PrintDefaults writes to os.Stderr. The usage sentences are
+// dropped, so a pin on the result holds each flag's name, kind and
+// default while leaving the help wording free to change. A flag whose
+// default is its type's zero value has no default column.
+func Flags(t testing.TB, run func(args []string) error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	done := make(chan []byte)
+	go func() {
+		var buf bytes.Buffer
+		if _, err := io.Copy(&buf, r); err != nil {
+			t.Error(err)
+		}
+		done <- buf.Bytes()
+	}()
+	runErr := run([]string{"-h"})
+	os.Stderr = saved
+	w.Close()
+	usage := string(<-done)
+	r.Close()
+	if runErr == nil {
+		t.Fatal("-h: want flag.ErrHelp, got nil")
+	}
+	var entries []string
+	for _, line := range strings.Split(usage, "\n") {
+		switch {
+		case strings.HasPrefix(line, "  -"):
+			entries = append(entries, line[2:])
+		case len(entries) > 0:
+			entries[len(entries)-1] += "\n" + line
+		}
+	}
+	var out strings.Builder
+	for _, e := range entries {
+		head, _, _ := strings.Cut(e, "\n")
+		head, _, _ = strings.Cut(head, "\t")
+		out.WriteString(head)
+		if i := strings.LastIndex(e, " (default "); i >= 0 && strings.HasSuffix(strings.TrimRight(e, "\n"), ")") {
+			out.WriteString(" " + strings.TrimSuffix(strings.TrimRight(e, "\n")[i+len(" (default "):], ")"))
+		}
+		out.WriteString("\n")
+	}
+	return out.String()
+}
