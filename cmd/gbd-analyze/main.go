@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	gbd "github.com/groupdetect/gbd"
 	"github.com/groupdetect/gbd/internal/obs"
@@ -33,15 +32,8 @@ func main() {
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gbd-analyze", flag.ContinueOnError)
+	flagParams := scenario.BindFlags(fs, scenario.AllFlags...)
 	var (
-		n       = fs.Int("n", 120, "number of sensors")
-		side    = fs.Float64("side", 32000, "field side length (m)")
-		rs      = fs.Float64("rs", 1000, "sensing range (m)")
-		v       = fs.Float64("v", 10, "target speed (m/s)")
-		period  = fs.Duration("t", time.Minute, "sensing period")
-		pd      = fs.Float64("pd", 0.9, "in-range detection probability")
-		m       = fs.Int("m", 20, "detection window (periods)")
-		k       = fs.Int("k", 5, "required reports")
 		method  = fs.String("method", "ms", "analysis method: ms, ms-matrix, s, s-literal, single")
 		gh      = fs.Int("gh", 0, "head truncation bound (0 = plan automatically)")
 		g       = fs.Int("g", 0, "body/tail or S-approach truncation bound (0 = plan)")
@@ -68,10 +60,7 @@ func run(args []string) (err error) {
 	// LIFO: RecordOutcome classifies err into the manifest status before
 	// Close stamps and writes the manifest.
 	defer func() { sess.RecordOutcome(err) }()
-	p := gbd.Params{
-		N: *n, FieldSide: *side, Rs: *rs, V: *v, T: *period,
-		Pd: *pd, M: *m, K: *k,
-	}
+	p := *flagParams
 	if *config != "" {
 		loaded, err := scenario.Load(*config)
 		if err != nil {

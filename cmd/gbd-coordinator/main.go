@@ -45,6 +45,7 @@ import (
 	"github.com/groupdetect/gbd/internal/fabric"
 	"github.com/groupdetect/gbd/internal/fabric/chaos"
 	"github.com/groupdetect/gbd/internal/obs"
+	"github.com/groupdetect/gbd/internal/scenario"
 	"github.com/groupdetect/gbd/internal/serve"
 )
 
@@ -61,7 +62,7 @@ func run(args []string, w io.Writer) (err error) {
 		workers  = fs.String("workers", "", "comma-separated gbd-server base URLs (required)")
 		axis     = fs.String("axis", "n", "swept parameter (n, v, k, m, pd, dead_frac)")
 		values   = fs.String("values", "", "comma-separated axis values (required)")
-		scenario = fs.String("scenario", "{}", "scenario overrides as JSON (e.g. '{\"k\":3}')")
+		scenJSON = fs.String("scenario", "{}", "scenario overrides as JSON (e.g. '{\"k\":3}')")
 		trials   = fs.Int("trials", 0, "Monte Carlo trials per point (0 = analysis only)")
 		seed     = fs.Int64("seed", 1, "campaign seed")
 		keep     = fs.Bool("keep-going", false, "finish past point failures, emitting error rows")
@@ -108,11 +109,11 @@ func run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	var scen serve.Scenario
-	dec := json.NewDecoder(strings.NewReader(*scenario))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&scen); err != nil {
-		return fmt.Errorf("-scenario: %v", err)
+	// The base scenario is checked here, before any ledger or dispatch: a
+	// malformed or invalid one would fail on every worker anyway.
+	scen, err := scenario.Decode([]byte(*scenJSON))
+	if err != nil {
+		return fmt.Errorf("-scenario: %w", err)
 	}
 	if *ledger == "" {
 		return fmt.Errorf("-ledger is required (the work ledger is what makes re-dispatch idempotent)")
@@ -120,12 +121,6 @@ func run(args []string, w io.Writer) (err error) {
 	scheme, err := gbd.ParseRNGScheme(*rngName)
 	if err != nil {
 		return err
-	}
-	// Legacy travels as the empty string so the ledger fingerprint — and
-	// every worker's cache key — matches pre-scheme campaigns.
-	rngWire := ""
-	if scheme != gbd.SchemeLegacy {
-		rngWire = scheme.String()
 	}
 
 	sess, err := obsFlags.Start("gbd-coordinator", args)
@@ -177,7 +172,7 @@ func run(args []string, w io.Writer) (err error) {
 			Trials:    *trials,
 			Seed:      *seed,
 			KeepGoing: *keep,
-			RNG:       rngWire,
+			RNG:       scheme.Canonical(),
 		},
 		LedgerPath:           *ledger,
 		Resume:               *resume,

@@ -64,6 +64,27 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestScenarioCheckedLocally: a -scenario value with trailing data or an
+// invalid parameter fails before any ledger is written or shard
+// dispatched. The worker URL points at a closed port, so a run that got
+// as far as dispatch would fail with a connection error instead.
+func TestScenarioCheckedLocally(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	url := dead.URL
+	dead.Close()
+	for _, scen := range []string{`{"k":3} trailing`, `{"k":0}`, `{"period_seconds":-1}`} {
+		ledger := filepath.Join(t.TempDir(), "ledger.json")
+		err := run([]string{"-workers", url, "-values", "60", "-ledger", ledger,
+			"-retries", "-1", "-scenario", scen}, io.Discard)
+		if err == nil || !strings.HasPrefix(err.Error(), "-scenario: ") {
+			t.Errorf("-scenario %s: err = %v, want a -scenario error", scen, err)
+		}
+		if _, serr := os.Stat(ledger); !os.IsNotExist(serr) {
+			t.Errorf("-scenario %s: ledger file exists (stat err %v)", scen, serr)
+		}
+	}
+}
+
 // TestCampaignEndToEnd drives the full CLI path: a 2-worker fleet, a
 // merged output file byte-identical to a single-machine stream, a
 // campaign report, and a valid run manifest carrying the fabric metrics.

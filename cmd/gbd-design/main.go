@@ -43,6 +43,7 @@ import (
 	"github.com/groupdetect/gbd/internal/geom"
 	"github.com/groupdetect/gbd/internal/netsim"
 	"github.com/groupdetect/gbd/internal/obs"
+	"github.com/groupdetect/gbd/internal/scenario"
 )
 
 func main() {
@@ -54,13 +55,8 @@ func main() {
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gbd-design", flag.ContinueOnError)
+	flagParams := scenario.BindFlags(fs, "side", "rs", "v", "t", "pd", "m")
 	var (
-		side      = fs.Float64("side", 32000, "field side length (m)")
-		rs        = fs.Float64("rs", 1000, "sensing range (m)")
-		v         = fs.Float64("v", 10, "design target speed (m/s)")
-		period    = fs.Duration("t", time.Minute, "sensing period")
-		pd        = fs.Float64("pd", 0.9, "in-range detection probability")
-		m         = fs.Int("m", 20, "detection window (periods)")
 		targetP   = fs.Float64("target", 0.9, "required detection probability")
 		nMax      = fs.Int("n-max", 1000, "largest fleet considered")
 		fa        = fs.Float64("fa", 1e-4, "per-sensor per-period false alarm probability")
@@ -106,10 +102,7 @@ func run(args []string) (err error) {
 	defer func() { sess.RecordOutcome(err) }()
 	sess.SetSeed(*seed)
 
-	p := gbd.Params{
-		N: 1, FieldSide: *side, Rs: *rs, V: *v, T: *period,
-		Pd: *pd, M: *m, K: 1,
-	}
+	p := *flagParams
 
 	if *place {
 		ctx, cancel := sess.SignalContext(context.Background())
@@ -128,36 +121,17 @@ func run(args []string) (err error) {
 		return pc.runOnce(ctx, sess)
 	}
 
-	// 1. Report threshold from the false alarm budget (needs N; iterate:
-	// K depends weakly on N through the union bound, so fix K after
-	// sizing with a provisional K, then re-size).
+	// 1. Report threshold from the false alarm budget and the fleet size
+	// from the detection requirement (K depends weakly on N through the
+	// union bound, so SizeFleet re-checks K at the sized fleet).
 	fmt.Printf("scenario: %.0f m field, Rs=%.0f m, V=%.1f m/s, t=%v, Pd=%.2f, M=%d\n",
 		p.FieldSide, p.Rs, p.V, p.T, p.Pd, p.M)
 
-	provisionalN := 120
-	k, err := gbd.MinK(p.WithN(provisionalN), *fa, *horizon, *budget)
+	p, err = gbd.SizeFleet(p, *fa, *horizon, *budget, *targetP, *nMax)
 	if err != nil {
 		return err
 	}
-	p = p.WithK(k)
-	n, err := gbd.RequiredSensors(p, *targetP, *nMax, gbd.MSOptions{})
-	if err != nil {
-		return fmt.Errorf("sizing the fleet: %w", err)
-	}
-	// Re-check K at the sized fleet (more sensors emit more false alarms).
-	k2, err := gbd.MinK(p.WithN(n), *fa, *horizon, *budget)
-	if err != nil {
-		return err
-	}
-	if k2 != k {
-		p = p.WithK(k2)
-		n, err = gbd.RequiredSensors(p, *targetP, *nMax, gbd.MSOptions{})
-		if err != nil {
-			return fmt.Errorf("re-sizing the fleet for K=%d: %w", k2, err)
-		}
-		k = k2
-	}
-	p = p.WithN(n)
+	k, n := p.K, p.N
 	sess.SetParams(p)
 	fmt.Printf("\nrule:  K = %d of M = %d (false-alarm budget %.2g over %d periods at Pf=%.0e)\n",
 		k, p.M, *budget, *horizon, *fa)
@@ -412,39 +386,22 @@ func (c placeCmd) runSweep(ctx context.Context, sess *obs.Session) (err error) {
 			fmt.Fprintf(os.Stderr, "point %s attempt %d failed: %v\n", point, attempt+1, perr)
 		},
 	}
-	if c.resume && c.ckptPath == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
+	fp, err := checkpoint.Fingerprint("gbd-design-place",
+		placeSweepParams{Trials: c.trials, Quick: c.quick, RNG: c.rng.Canonical()}, c.seed)
+	if err != nil {
+		return err
 	}
-	if c.ckptPath != "" {
-		rngName := ""
-		if c.rng != gbd.SchemeLegacy {
-			rngName = c.rng.String()
-		}
-		fp, err := checkpoint.Fingerprint("gbd-design-place",
-			placeSweepParams{Trials: c.trials, Quick: c.quick, RNG: rngName}, c.seed)
-		if err != nil {
-			return err
-		}
-		var store *checkpoint.Store
-		if c.resume {
-			store, err = checkpoint.Resume(c.ckptPath, fp)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "resuming: %d completed points restored from %s\n", store.Len(), c.ckptPath)
-		} else {
-			store, err = checkpoint.Create(c.ckptPath, fp)
-			if err != nil {
-				return err
-			}
-		}
-		opt.Checkpoint = store
-		defer func() {
-			if ferr := store.Flush(); err == nil {
-				err = ferr
-			}
-		}()
+	if opt.Checkpoint, err = checkpoint.Open(c.ckptPath, fp, c.resume); err != nil {
+		return err
 	}
+	if c.resume {
+		fmt.Fprintf(os.Stderr, "resuming: %d completed points restored from %s\n", opt.Checkpoint.Len(), c.ckptPath)
+	}
+	defer func() {
+		if ferr := opt.Checkpoint.Flush(); err == nil {
+			err = ferr
+		}
+	}()
 	tbl, err := experiments.RunOne("placement", opt)
 	if err != nil {
 		return err

@@ -34,15 +34,6 @@ import (
 	"github.com/groupdetect/gbd/internal/obs"
 )
 
-// canonSchemeName is the scheme's checkpoint spelling: empty for legacy
-// (keeps pre-scheme checkpoints resumable), the name otherwise.
-func canonSchemeName(s field.RNGScheme) string {
-	if s == field.SchemeLegacy {
-		return ""
-	}
-	return s.String()
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "gbd-experiments:", err)
@@ -133,35 +124,22 @@ func run(args []string) (err error) {
 	sess.SetParams(opt)
 	sess.SetSeed(*seed)
 
-	if *resume && *ckptPath == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
+	fp, err := checkpoint.Fingerprint("gbd-experiments",
+		campaignParams{Trials: *trials, Quick: *quick, RNG: scheme.Canonical()}, *seed)
+	if err != nil {
+		return err
 	}
-	if *ckptPath != "" {
-		fp, err := checkpoint.Fingerprint("gbd-experiments",
-			campaignParams{Trials: *trials, Quick: *quick, RNG: canonSchemeName(scheme)}, *seed)
-		if err != nil {
-			return err
-		}
-		var store *checkpoint.Store
-		if *resume {
-			store, err = checkpoint.Resume(*ckptPath, fp)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "resuming: %d completed points restored from %s\n", store.Len(), *ckptPath)
-		} else {
-			store, err = checkpoint.Create(*ckptPath, fp)
-			if err != nil {
-				return err
-			}
-		}
-		opt.Checkpoint = store
-		defer func() {
-			if ferr := store.Flush(); err == nil {
-				err = ferr
-			}
-		}()
+	if opt.Checkpoint, err = checkpoint.Open(*ckptPath, fp, *resume); err != nil {
+		return err
 	}
+	if *resume {
+		fmt.Fprintf(os.Stderr, "resuming: %d completed points restored from %s\n", opt.Checkpoint.Len(), *ckptPath)
+	}
+	defer func() {
+		if ferr := opt.Checkpoint.Flush(); err == nil {
+			err = ferr
+		}
+	}()
 
 	var tables []*experiments.Table
 	if *exp == "all" {

@@ -30,13 +30,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"strconv"
 	"time"
 
 	gbd "github.com/groupdetect/gbd"
@@ -45,6 +43,7 @@ import (
 	"github.com/groupdetect/gbd/internal/faults"
 	"github.com/groupdetect/gbd/internal/netsim"
 	"github.com/groupdetect/gbd/internal/obs"
+	"github.com/groupdetect/gbd/internal/scenario"
 	"github.com/groupdetect/gbd/internal/sweep"
 )
 
@@ -55,27 +54,27 @@ func main() {
 	}
 }
 
-// sweepEnv carries the resilience machinery (context, policy, checkpoint,
-// failure observer) from flag parsing into the sweep runners.
+// sweepEnv carries the resilience machinery (context, fault policy,
+// checkpoint, failure observer) from flag parsing into the sweep runners.
 type sweepEnv struct {
 	ctx     context.Context
-	workers int
 	policy  sweep.Options
 	store   *checkpoint.Store
 	onError func(point string, attempt int, err error)
 }
 
+// runPoints runs the named sweep through sweep.Resumable under env,
+// reporting each failed attempt by its point key ("dead/3").
+func runPoints[T, R any](env sweepEnv, name string, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, []bool, error) {
+	opt := env.policy
+	opt.OnPointError = func(i, attempt int, err error) { env.onError(sweep.PointKey(name, i), attempt, err) }
+	return sweep.Resumable(env.ctx, opt, env.store, name, items, fn)
+}
+
 func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("gbd-faults", flag.ContinueOnError)
+	flagParams := scenario.BindFlags(fs, scenario.AllFlags...)
 	var (
-		n       = fs.Int("n", 120, "number of sensors")
-		side    = fs.Float64("side", 32000, "field side length (m)")
-		rs      = fs.Float64("rs", 1000, "sensing range (m)")
-		v       = fs.Float64("v", 10, "target speed (m/s)")
-		period  = fs.Duration("t", time.Minute, "sensing period")
-		pd      = fs.Float64("pd", 0.9, "in-range detection probability")
-		m       = fs.Int("m", 20, "detection window (periods)")
-		k       = fs.Int("k", 5, "required reports")
 		trials  = fs.Int("trials", 2000, "Monte Carlo trials per point")
 		seed    = fs.Int64("seed", 1, "random seed")
 		rngName = fs.String("rng", "", "trial RNG scheme: legacy (default) or philox (counter-based, window-local deploy)")
@@ -139,10 +138,7 @@ func run(args []string, w io.Writer) (err error) {
 	ctx, cancel := sess.SignalContext(context.Background())
 	defer cancel()
 
-	p := gbd.Params{
-		N: *n, FieldSide: *side, Rs: *rs, V: *v, T: *period,
-		Pd: *pd, M: *m, K: *k,
-	}
+	p := *flagParams
 	sess.SetParams(p)
 	sess.SetSeed(*seed)
 	base := gbd.SimConfig{
@@ -164,9 +160,9 @@ func run(args []string, w io.Writer) (err error) {
 	}
 
 	env := sweepEnv{
-		ctx:     ctx,
-		workers: *sweepW,
+		ctx: ctx,
 		policy: sweep.Options{
+			Workers:      *sweepW,
 			Retries:      pointRetries,
 			Backoff:      *retryBackoff,
 			PointTimeout: *pointTimeout,
@@ -177,58 +173,44 @@ func run(args []string, w io.Writer) (err error) {
 			fmt.Fprintf(os.Stderr, "point %s attempt %d failed: %v\n", point, attempt+1, perr)
 		},
 	}
-	if *resume && *ckptPath == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
+	// Everything that shapes results goes into the checkpoint identity;
+	// execution knobs (workers, retry policy, keep-going) deliberately do
+	// not.
+	inferPD := 0.0
+	if *inferMode {
+		inferPD = *pDeliver
 	}
-	if *ckptPath != "" {
-		// Everything that shapes results goes into the identity; execution
-		// knobs (workers, retry policy, keep-going) deliberately do not.
-		rngID := ""
-		if scheme != gbd.SchemeLegacy {
-			rngID = scheme.String()
-		}
-		inferPD := 0.0
-		if *inferMode {
-			inferPD = *pDeliver
-		}
-		fp, err := checkpoint.Fingerprint("gbd-faults", struct {
-			Params    gbd.Params
-			Trials    int
-			MaxDead   float64
-			DeadSteps int
-			LossSweep bool
-			MaxLoss   float64
-			CommRange float64
-			Loss      netsim.LossModel
-			// RNG changes every simulated value; omitempty keeps legacy
-			// checkpoints from before the scheme flag resumable.
-			RNG string `json:",omitempty"`
-			// Infer/InferPDeliver identify the closed-loop mode; omitempty
-			// keeps pre-inference checkpoints resumable.
-			Infer         bool    `json:",omitempty"`
-			InferPDeliver float64 `json:",omitempty"`
-		}{p, *trials, *maxDead, *deadSteps, *lossSweep, *maxLoss, *commRange, loss, rngID, *inferMode, inferPD}, *seed)
-		if err != nil {
-			return err
-		}
-		if *resume {
-			env.store, err = checkpoint.Resume(*ckptPath, fp)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "resuming: %d completed points restored from %s\n", env.store.Len(), *ckptPath)
-		} else {
-			env.store, err = checkpoint.Create(*ckptPath, fp)
-			if err != nil {
-				return err
-			}
-		}
-		defer func() {
-			if ferr := env.store.Flush(); err == nil {
-				err = ferr
-			}
-		}()
+	fp, err := checkpoint.Fingerprint("gbd-faults", struct {
+		Params    gbd.Params
+		Trials    int
+		MaxDead   float64
+		DeadSteps int
+		LossSweep bool
+		MaxLoss   float64
+		CommRange float64
+		Loss      netsim.LossModel
+		// RNG changes every simulated value; omitempty keeps legacy
+		// checkpoints from before the scheme flag resumable.
+		RNG string `json:",omitempty"`
+		// Infer/InferPDeliver identify the closed-loop mode; omitempty
+		// keeps pre-inference checkpoints resumable.
+		Infer         bool    `json:",omitempty"`
+		InferPDeliver float64 `json:",omitempty"`
+	}{p, *trials, *maxDead, *deadSteps, *lossSweep, *maxLoss, *commRange, loss, scheme.Canonical(), *inferMode, inferPD}, *seed)
+	if err != nil {
+		return err
 	}
+	if env.store, err = checkpoint.Open(*ckptPath, fp, *resume); err != nil {
+		return err
+	}
+	if *resume {
+		fmt.Fprintf(os.Stderr, "resuming: %d completed points restored from %s\n", env.store.Len(), *ckptPath)
+	}
+	defer func() {
+		if ferr := env.store.Flush(); err == nil {
+			err = ferr
+		}
+	}()
 
 	switch {
 	case *hazard > 0:
@@ -244,66 +226,6 @@ func run(args []string, w io.Writer) (err error) {
 	default:
 		return runDeadSweep(env, w, base, *maxDead, *deadSteps)
 	}
-}
-
-// resilientSweep runs fn over items under env's fault policy: checkpointed
-// points are restored without executing, completed points persist before
-// the sweep moves on, and in Degrade mode failures leave their done flag
-// false instead of aborting. Results come back in input order either way.
-func resilientSweep[T, R any](env sweepEnv, name string, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, []bool, error) {
-	key := func(i int) string { return name + "/" + strconv.Itoa(i) }
-	results := make([]R, len(items))
-	done := make([]bool, len(items))
-	var pending []int
-	for i := range items {
-		if env.store != nil {
-			ok, err := env.store.Get(key(i), &results[i])
-			if err != nil {
-				return results, done, err
-			}
-			if ok {
-				done[i] = true
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return results, done, env.ctx.Err()
-	}
-	sopt := env.policy
-	sopt.Workers = env.workers
-	if env.onError != nil {
-		sopt.OnPointError = func(j, attempt int, err error) {
-			env.onError(key(pending[j]), attempt, err)
-		}
-	}
-	rep, err := sweep.Run(env.ctx, sopt, pending, func(ctx context.Context, _ int, i int) (R, error) {
-		r, err := fn(ctx, i, items[i])
-		if err != nil {
-			return r, err
-		}
-		if env.store != nil {
-			if perr := env.store.Put(key(i), r); perr != nil {
-				return r, fmt.Errorf("persist %s: %w", key(i), perr)
-			}
-		}
-		return r, nil
-	})
-	for j, i := range pending {
-		if rep.Done[j] {
-			results[i] = rep.Results[j]
-			done[i] = true
-		}
-	}
-	if err != nil {
-		var pe *sweep.PointError
-		if errors.As(err, &pe) {
-			return results, done, fmt.Errorf("%s: %w", key(pending[pe.Index]), pe.Err)
-		}
-		return results, done, err
-	}
-	return results, done, nil
 }
 
 // deadPoint is one row of the dead-fraction sweep. Fields are exported so
@@ -328,7 +250,7 @@ func runDeadSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, maxDead float64
 	for i := range fracs {
 		fracs[i] = maxDead * float64(i) / float64(steps)
 	}
-	points, done, err := resilientSweep(env, "dead", fracs, func(ctx context.Context, _ int, f float64) (deadPoint, error) {
+	points, done, err := runPoints(env, "dead", fracs, func(ctx context.Context, _ int, f float64) (deadPoint, error) {
 		ana, err := detect.Degraded(base.Params, f, 1, detect.MSOptions{})
 		if err != nil {
 			return deadPoint{}, err
@@ -405,7 +327,7 @@ func runLossSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, loss netsim.Los
 	for i := range rates {
 		rates[i] = maxLoss * float64(i) / float64(steps)
 	}
-	points, done, err := resilientSweep(env, "loss", rates, func(ctx context.Context, _ int, rate float64) (lossPoint, error) {
+	points, done, err := runPoints(env, "loss", rates, func(ctx context.Context, _ int, rate float64) (lossPoint, error) {
 		cfg := base
 		cfg.CommRange = commRange
 		cfg.Loss = loss
@@ -478,7 +400,7 @@ func runInferSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, pDeliver, maxD
 	for i := range fracs {
 		fracs[i] = maxDead * float64(i) / float64(steps)
 	}
-	points, done, err := resilientSweep(env, "infer", fracs, func(ctx context.Context, _ int, f float64) (inferPoint, error) {
+	points, done, err := runPoints(env, "infer", fracs, func(ctx context.Context, _ int, f float64) (inferPoint, error) {
 		cfg := base
 		cfg.PDeliver = pDeliver
 		cfg.Beacons = true

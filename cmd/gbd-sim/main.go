@@ -35,15 +35,8 @@ func main() {
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gbd-sim", flag.ContinueOnError)
+	flagParams := scenario.BindFlags(fs, scenario.AllFlags...)
 	var (
-		n       = fs.Int("n", 120, "number of sensors")
-		side    = fs.Float64("side", 32000, "field side length (m)")
-		rs      = fs.Float64("rs", 1000, "sensing range (m)")
-		v       = fs.Float64("v", 10, "target speed (m/s)")
-		period  = fs.Duration("t", time.Minute, "sensing period")
-		pd      = fs.Float64("pd", 0.9, "in-range detection probability")
-		m       = fs.Int("m", 20, "detection window (periods)")
-		k       = fs.Int("k", 5, "required reports")
 		trials  = fs.Int("trials", 10000, "Monte Carlo trials")
 		seed    = fs.Int64("seed", 1, "random seed")
 		workers = fs.Int("workers", 0, "parallel workers (0 = all cores)")
@@ -73,10 +66,7 @@ func run(args []string) (err error) {
 	defer func() { sess.RecordOutcome(err) }()
 	ctx, cancel := sess.SignalContext(context.Background())
 	defer cancel()
-	p := gbd.Params{
-		N: *n, FieldSide: *side, Rs: *rs, V: *v, T: *period,
-		Pd: *pd, M: *m, K: *k,
-	}
+	p := *flagParams
 	if *config != "" {
 		loaded, err := scenario.Load(*config)
 		if err != nil {

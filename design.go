@@ -75,6 +75,37 @@ func SimulateSystem(cfg SystemConfig) (*SystemResult, error) {
 	return system.Run(cfg)
 }
 
+// SizeFleet runs the sizing loop of the §6 design workflow. It picks K
+// from the false-alarm budget (union-bound MinK) at a provisional fleet of
+// 120, then the smallest N in [1, nMax] whose detection probability
+// reaches targetProb under that K. More sensors emit more false alarms,
+// so it re-checks K at the sized fleet and re-sizes N if K moved. It
+// returns p with the sized N and K.
+func SizeFleet(p Params, falseAlarmP float64, horizon int, budget, targetProb float64, nMax int) (Params, error) {
+	const provisionalN = 120
+	k, err := MinK(p.WithN(provisionalN), falseAlarmP, horizon, budget)
+	if err != nil {
+		return p, err
+	}
+	p = p.WithK(k)
+	n, err := RequiredSensors(p, targetProb, nMax, MSOptions{})
+	if err != nil {
+		return p, fmt.Errorf("sizing the fleet: %w", err)
+	}
+	k2, err := MinK(p.WithN(n), falseAlarmP, horizon, budget)
+	if err != nil {
+		return p, err
+	}
+	if k2 != k {
+		p = p.WithK(k2)
+		n, err = RequiredSensors(p, targetProb, nMax, MSOptions{})
+		if err != nil {
+			return p, fmt.Errorf("re-sizing the fleet for K=%d: %w", k2, err)
+		}
+	}
+	return p.WithN(n), nil
+}
+
 // CalibratePd maps the dwell-time (exposure) sensing model of the paper's
 // footnote 1 back onto the flat per-period Pd the analysis uses: it returns
 // the average per-period detection probability of a sensor placed uniformly

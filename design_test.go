@@ -124,3 +124,24 @@ func TestCalibratePdFacade(t *testing.T) {
 		t.Error("zero samples should fail")
 	}
 }
+
+// TestSizeFleet: at target 0.99 the union bound picks K = 5 at the
+// provisional fleet of 120, which needs N = 277; K re-checked there is 7,
+// so the loop re-sizes N for K = 7. The result meets the budget at its
+// own fleet size.
+func TestSizeFleet(t *testing.T) {
+	p := gbd.Defaults()
+	sized, err := gbd.SizeFleet(p, 1e-4, 1440, 0.01, 0.99, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sized.K != 7 || sized.N != 323 {
+		t.Errorf("sized K = %d, N = %d; want 7, 323", sized.K, sized.N)
+	}
+	if k, err := gbd.MinK(sized, 1e-4, 1440, 0.01); err != nil || k != sized.K {
+		t.Errorf("K at the sized fleet = %d, %v; want %d", k, err, sized.K)
+	}
+	if _, err := gbd.SizeFleet(p, 1e-4, 1440, 0.01, 0.99, 50); err == nil {
+		t.Error("a fleet cap below the requirement should fail")
+	}
+}

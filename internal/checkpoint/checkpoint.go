@@ -90,6 +90,22 @@ func Create(path, fingerprint string) (*Store, error) {
 	}, nil
 }
 
+// Open opens the checkpoint a run asks for with its -checkpoint path and
+// -resume flag: Resume when resume is set, Create otherwise, and a nil
+// Store when path is empty (no checkpointing). Resuming without a path
+// is an error.
+func Open(path, fingerprint string, resume bool) (*Store, error) {
+	switch {
+	case path == "" && resume:
+		return nil, errors.New("-resume requires -checkpoint")
+	case path == "":
+		return nil, nil
+	case resume:
+		return Resume(path, fingerprint)
+	}
+	return Create(path, fingerprint)
+}
+
 // Resume opens an existing checkpoint at path, validating the file and
 // the fingerprint. A missing, corrupt, or stale checkpoint is an error —
 // a resumed run must never silently recompute or merge.
@@ -207,8 +223,12 @@ func (s *Store) Put(key string, v any) error {
 
 // Flush rewrites the checkpoint file from the in-memory state. Put already
 // persists on every call; Flush exists for shutdown paths that want one
-// final guaranteed write.
+// final guaranteed write. Flushing a nil Store (a run without a
+// checkpoint, see Open) does nothing.
 func (s *Store) Flush() error {
+	if s == nil {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.persistLocked()

@@ -223,3 +223,36 @@ func TestStoreConcurrentPuts(t *testing.T) {
 		t.Errorf("resumed %d keys, want 8", re.Len())
 	}
 }
+
+// TestOpen: no path is no checkpoint (and a nil Store flushes as a
+// no-op), resume needs a path, and otherwise Open creates or resumes.
+func TestOpen(t *testing.T) {
+	s, err := Open("", "fp", false)
+	if err != nil || s != nil {
+		t.Fatalf("Open without a path = %v, %v; want nil, nil", s, err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Errorf("nil Store Flush: %v", err)
+	}
+	if _, err := Open("", "fp", true); err == nil || err.Error() != "-resume requires -checkpoint" {
+		t.Errorf("resume without a path: err = %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, err := Open(path, "fp", true); err == nil {
+		t.Error("resuming a missing checkpoint should fail")
+	}
+	s, err = Open(path, "fp", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("a/0", point{V: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path, "fp", true)
+	if err != nil || s.Len() != 1 {
+		t.Fatalf("resumed %v points, err %v; want 1", s.Len(), err)
+	}
+	if _, err := Open(path, "other", true); !errors.Is(err, ErrFingerprint) {
+		t.Errorf("resuming another campaign: err = %v, want ErrFingerprint", err)
+	}
+}

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -70,13 +71,12 @@ func TestConcurrentSweepCacheConsistency(t *testing.T) {
 	pts := cacheHammerGrid()
 	run := func(workers int) []float64 {
 		t.Helper()
-		out, err := sweep.Map(workers, pts, func(_ int, pt sweepPoint) (float64, error) {
-			return analyzePoint(pt)
-		})
+		rep, err := sweep.Run(context.Background(), sweep.Options{Workers: workers}, pts,
+			func(_ context.Context, _ int, pt sweepPoint) (float64, error) { return analyzePoint(pt) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return rep.Results
 	}
 
 	seq := run(1)

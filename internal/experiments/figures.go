@@ -225,10 +225,3 @@ func Fig9c(opt Options) (*Table, error) {
 		"analysis should upper-bound the random walk: %d/%d points above analysis by >1%%", above, len(points)))
 	return t, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

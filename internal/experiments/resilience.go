@@ -2,44 +2,15 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strconv"
 
 	"github.com/groupdetect/gbd/internal/sweep"
 )
 
-// pointKey names sweep point i of experiment exp inside checkpoints,
-// manifests, and error messages: "<exp>/<i>".
-func pointKey(exp string, i int) string {
-	return exp + "/" + strconv.Itoa(i)
-}
-
-// sweepPoints is the resilient sweep every experiment runner goes through:
-// points already present in the checkpoint are restored without executing,
-// the rest run under the Options fault policy (context, retries, backoff,
-// per-point deadline), and each completed point is persisted before the
-// sweep moves on. Results come back in input order regardless of restore
-// or execution order — each point derives its rng stream from its own
-// parameters, so a resumed sweep is bit-identical to an uninterrupted one.
+// sweepPoints runs an experiment's sweep through sweep.Resumable under
+// the Options fault policy (context, retries, backoff, per-point
+// deadline) and checkpoint. Points are keyed "<exp>/<i>".
 func sweepPoints[T, R any](opt Options, exp string, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	results := make([]R, len(items))
-	var pending []int
-	for i := range items {
-		if opt.Checkpoint != nil {
-			ok, err := opt.Checkpoint.Get(pointKey(exp, i), &results[i])
-			if err != nil {
-				return results, err
-			}
-			if ok {
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return results, opt.ctx().Err()
-	}
 	sopt := sweep.Options{
 		Workers:      opt.SweepWorkers,
 		Retries:      opt.Retries,
@@ -47,35 +18,13 @@ func sweepPoints[T, R any](opt Options, exp string, items []T, fn func(ctx conte
 		PointTimeout: opt.PointTimeout,
 	}
 	if opt.OnPointError != nil {
-		sopt.OnPointError = func(j, attempt int, err error) {
-			opt.OnPointError(pointKey(exp, pending[j]), attempt, err)
+		sopt.OnPointError = func(i, attempt int, err error) {
+			opt.OnPointError(sweep.PointKey(exp, i), attempt, err)
 		}
 	}
-	rep, err := sweep.Run(opt.ctx(), sopt, pending, func(ctx context.Context, _ int, i int) (R, error) {
-		r, err := fn(ctx, i, items[i])
-		if err != nil {
-			return r, err
-		}
-		if opt.Checkpoint != nil {
-			if perr := opt.Checkpoint.Put(pointKey(exp, i), r); perr != nil {
-				return r, fmt.Errorf("experiments: persist %s: %w", pointKey(exp, i), perr)
-			}
-		}
-		return r, nil
-	})
-	for j, i := range pending {
-		if rep.Done[j] {
-			results[i] = rep.Results[j]
-		}
+	results, _, err := sweep.Resumable(opt.ctx(), sopt, opt.Checkpoint, exp, items, fn)
+	if err != nil && opt.ctx().Err() == nil {
+		err = fmt.Errorf("experiments: %w", err)
 	}
-	if err != nil {
-		var pe *sweep.PointError
-		if errors.As(err, &pe) {
-			// Name the point by its original index, not its position in the
-			// pending sub-slice.
-			return results, fmt.Errorf("experiments: %s: %w", pointKey(exp, pending[pe.Index]), pe.Err)
-		}
-		return results, err
-	}
-	return results, nil
+	return results, err
 }

@@ -38,6 +38,7 @@ import (
 
 	"github.com/groupdetect/gbd/internal/checkpoint"
 	"github.com/groupdetect/gbd/internal/peer"
+	"github.com/groupdetect/gbd/internal/scenario"
 	"github.com/groupdetect/gbd/internal/serve"
 	"github.com/groupdetect/gbd/internal/sweep"
 )
@@ -168,7 +169,7 @@ func (c Config) withDefaults() Config {
 // URLs, shard size, and fault policy deliberately stay out — they change
 // how the campaign runs, not what it computes.
 type campaignKey struct {
-	Scenario  serve.Scenario       `json:"scenario"`
+	Scenario  scenario.Scenario    `json:"scenario"`
 	Options   serve.AnalyzeOptions `json:"options"`
 	Axis      serve.SweepAxis      `json:"axis"`
 	Values    []float64            `json:"values"`

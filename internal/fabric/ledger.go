@@ -40,13 +40,7 @@ func rowKey(i int) string { return fmt.Sprintf("row/%d", i) }
 // file for a campaign of n points. Resumed rows are loaded eagerly so
 // shard planning can skip completed work.
 func openLedger(path, fingerprint string, n int, resume bool) (*ledger, error) {
-	var store *checkpoint.Store
-	var err error
-	if resume {
-		store, err = checkpoint.Resume(path, fingerprint)
-	} else {
-		store, err = checkpoint.Create(path, fingerprint)
-	}
+	store, err := checkpoint.Open(path, fingerprint, resume)
 	if err != nil {
 		return nil, err
 	}

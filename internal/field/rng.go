@@ -43,6 +43,17 @@ func (s RNGScheme) String() string {
 	return fmt.Sprintf("rngscheme(%d)", int(s))
 }
 
+// Canonical is the scheme's spelling in cache keys, checkpoint
+// fingerprints and the requests a coordinator forwards: empty for legacy,
+// so keys and checkpoints from before the scheme existed stay valid, and
+// the scheme name otherwise.
+func (s RNGScheme) Canonical() string {
+	if s == SchemeLegacy {
+		return ""
+	}
+	return s.String()
+}
+
 // Validate rejects scheme values outside the known set.
 func (s RNGScheme) Validate() error {
 	switch s {

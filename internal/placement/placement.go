@@ -85,8 +85,10 @@ type Config struct {
 	FABudget    float64
 }
 
-// withDefaults resolves defaults and validates; total is the fleet size.
-func (c Config) withDefaults() (Config, int, error) {
+// Resolve fills every defaulted field (32x32 grid, 2000 trials,
+// GOMAXPROCS workers, Pf 1e-4 over 1440 periods within 0.01, one class
+// drawn from Base) and validates the result. The int is the fleet size.
+func (c Config) Resolve() (Config, int, error) {
 	if c.GridCols == 0 {
 		c.GridCols = 32
 	}
@@ -155,7 +157,7 @@ func (c Config) withDefaults() (Config, int, error) {
 
 // Validate checks the configuration without running it.
 func (c Config) Validate() error {
-	_, _, err := c.withDefaults()
+	_, _, err := c.Resolve()
 	return err
 }
 
@@ -219,7 +221,7 @@ func Place(cfg Config) (*Result, error) {
 // and the greedy loop within a bounded amount of work. A run that
 // completes is bit-identical to one under Place.
 func PlaceCtx(ctx context.Context, cfg Config) (*Result, error) {
-	cfg, total, err := cfg.withDefaults()
+	cfg, total, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}

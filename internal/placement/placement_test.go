@@ -122,7 +122,7 @@ func TestLazyGreedyMatchesPlainGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		full, total, err := cfg.withDefaults()
+		full, total, err := cfg.Resolve()
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -196,7 +196,7 @@ func TestGreedyNearOptimalOnBruteForceableInstances(t *testing.T) {
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
-		full, total, err := cfg.withDefaults()
+		full, total, err := cfg.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,6 +17,7 @@ import (
 	"net/http"
 
 	"github.com/groupdetect/gbd/internal/detect"
+	"github.com/groupdetect/gbd/internal/scenario"
 )
 
 // BatchRequest is the /v1/batch body: an ordered list of operations.
@@ -39,21 +40,21 @@ type BatchItem struct {
 // still merge rows byte-identically with a single-machine stream. Index
 // is the campaign-global row index to echo (the stream's index_base + i).
 type SweepPointRequest struct {
-	Scenario Scenario       `json:"scenario"`
-	Options  AnalyzeOptions `json:"options,omitempty"`
-	Axis     SweepAxis      `json:"axis"`
-	Value    float64        `json:"value"`
-	Index    int            `json:"index,omitempty"`
-	Trials   int            `json:"trials,omitempty"`
-	Seed     int64          `json:"seed,omitempty"`
-	RNG      string         `json:"rng,omitempty"`
+	Scenario scenario.Scenario `json:"scenario"`
+	Options  AnalyzeOptions    `json:"options,omitempty"`
+	Axis     SweepAxis         `json:"axis"`
+	Value    float64           `json:"value"`
+	Index    int               `json:"index,omitempty"`
+	Trials   int               `json:"trials,omitempty"`
+	Seed     int64             `json:"seed,omitempty"`
+	RNG      string            `json:"rng,omitempty"`
 }
 
 // sweepPointCanonical is the fingerprinted form of a SweepPointRequest.
 // Index participates: the row's bytes echo it, and cached bytes must be
 // exact.
 type sweepPointCanonical struct {
-	Scenario scenarioEcho   `json:"scenario"`
+	Scenario scenario.Echo  `json:"scenario"`
 	Options  AnalyzeOptions `json:"options"`
 	Axis     SweepAxis      `json:"axis"`
 	Value    float64        `json:"value"`
@@ -75,7 +76,7 @@ func (s *Server) sweepPointKey(req SweepPointRequest) (detect.Params, string, er
 	if req.Index < 0 {
 		return p, "", fmt.Errorf("index = %d must be >= 0: %w", req.Index, ErrRequest)
 	}
-	p, err := req.Scenario.params()
+	p, err := req.Scenario.Params()
 	if err != nil {
 		return p, "", err
 	}
@@ -84,9 +85,9 @@ func (s *Server) sweepPointKey(req SweepPointRequest) (detect.Params, string, er
 		return p, "", err
 	}
 	canon := sweepPointCanonical{
-		Scenario: echoParams(p), Options: req.Options,
+		Scenario: scenario.NewEcho(p), Options: req.Options,
 		Axis: req.Axis, Value: req.Value, Index: req.Index,
-		Trials: req.Trials, RNG: canonRNG(scheme),
+		Trials: req.Trials, RNG: scheme.Canonical(),
 	}
 	key, err := cacheKey("/v1/batch/sweep_point", canon, req.Seed)
 	return p, key, err

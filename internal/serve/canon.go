@@ -13,14 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sync"
-	"time"
 
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/obs"
+	"github.com/groupdetect/gbd/internal/scenario"
 )
 
 // ErrRequest reports an invalid API request; handlers map it to 400.
@@ -32,79 +31,6 @@ var ErrTooLarge = errors.New("serve: request too large")
 
 // maxBodyBytes bounds request bodies; scenario + options JSON is tiny.
 const maxBodyBytes = 1 << 20
-
-// Scenario is the wire form of detect.Params. Every field is optional;
-// omitted fields take the paper's ONR defaults (gbd.Defaults), so a
-// minimal request is `{"scenario":{}}`. Pointers distinguish "omitted"
-// from an explicit zero, which is rejected by parameter validation rather
-// than silently replaced.
-type Scenario struct {
-	N             *int     `json:"n,omitempty"`
-	FieldSide     *float64 `json:"field_side,omitempty"`
-	Rs            *float64 `json:"rs,omitempty"`
-	V             *float64 `json:"v,omitempty"`
-	PeriodSeconds *float64 `json:"period_seconds,omitempty"`
-	Pd            *float64 `json:"pd,omitempty"`
-	M             *int     `json:"m,omitempty"`
-	K             *int     `json:"k,omitempty"`
-}
-
-// params resolves the scenario against the defaults and validates it.
-func (s Scenario) params() (detect.Params, error) {
-	p := detect.Defaults()
-	if s.N != nil {
-		p.N = *s.N
-	}
-	if s.FieldSide != nil {
-		p.FieldSide = *s.FieldSide
-	}
-	if s.Rs != nil {
-		p.Rs = *s.Rs
-	}
-	if s.V != nil {
-		p.V = *s.V
-	}
-	if s.PeriodSeconds != nil {
-		sec := *s.PeriodSeconds
-		if !(sec > 0) || math.IsInf(sec, 0) || math.IsNaN(sec) {
-			return p, fmt.Errorf("period_seconds = %v must be positive and finite: %w", sec, ErrRequest)
-		}
-		p.T = time.Duration(sec * float64(time.Second))
-	}
-	if s.Pd != nil {
-		p.Pd = *s.Pd
-	}
-	if s.M != nil {
-		p.M = *s.M
-	}
-	if s.K != nil {
-		p.K = *s.K
-	}
-	if err := p.Validate(); err != nil {
-		return p, err
-	}
-	return p, nil
-}
-
-// scenarioEcho is the fully resolved scenario as echoed in responses and
-// used in canonical fingerprints: every field concrete, fixed order.
-type scenarioEcho struct {
-	N             int     `json:"n"`
-	FieldSide     float64 `json:"field_side"`
-	Rs            float64 `json:"rs"`
-	V             float64 `json:"v"`
-	PeriodSeconds float64 `json:"period_seconds"`
-	Pd            float64 `json:"pd"`
-	M             int     `json:"m"`
-	K             int     `json:"k"`
-}
-
-func echoParams(p detect.Params) scenarioEcho {
-	return scenarioEcho{
-		N: p.N, FieldSide: p.FieldSide, Rs: p.Rs, V: p.V,
-		PeriodSeconds: p.T.Seconds(), Pd: p.Pd, M: p.M, K: p.K,
-	}
-}
 
 // AnalyzeOptions is the wire form of detect.MSOptions plus response
 // shaping. Zero values mean "plan automatically", like the CLI flags.
@@ -135,9 +61,9 @@ func (o AnalyzeOptions) msOptions() detect.MSOptions {
 // AnalyzeRequest is the /v1/analyze body: a scenario, analysis options,
 // and an optional >= h distinct-nodes extension.
 type AnalyzeRequest struct {
-	Scenario Scenario       `json:"scenario"`
-	Options  AnalyzeOptions `json:"options,omitempty"`
-	HNodes   int            `json:"h_nodes,omitempty"`
+	Scenario scenario.Scenario `json:"scenario"`
+	Options  AnalyzeOptions    `json:"options,omitempty"`
+	HNodes   int               `json:"h_nodes,omitempty"`
 	// RNG selects the simulator's RNG scheme ("legacy" or "philox");
 	// empty inherits the server default. Analysis itself draws nothing,
 	// but the scheme still partitions the cache so a deployment flipping
@@ -148,7 +74,7 @@ type AnalyzeRequest struct {
 // DesignRequest is the /v1/design body: the deployment-design workflow
 // inputs (the scenario's N and K are outputs here, not inputs).
 type DesignRequest struct {
-	Scenario Scenario `json:"scenario"`
+	Scenario scenario.Scenario `json:"scenario"`
 	// TargetProb is the required detection probability (default 0.9).
 	TargetProb float64 `json:"target_prob,omitempty"`
 	// FalseAlarmP is the per-sensor per-period false alarm probability
@@ -163,15 +89,15 @@ type DesignRequest struct {
 
 // LatencyRequest is the /v1/latency body.
 type LatencyRequest struct {
-	Scenario Scenario       `json:"scenario"`
-	Options  AnalyzeOptions `json:"options,omitempty"`
+	Scenario scenario.Scenario `json:"scenario"`
+	Options  AnalyzeOptions    `json:"options,omitempty"`
 }
 
 // SimulateRequest is the /v1/simulate body: a bounded Monte Carlo
 // campaign, optionally with fault injection (Bernoulli node death and/or
 // lossy multi-hop delivery — the gbd-faults vocabulary).
 type SimulateRequest struct {
-	Scenario Scenario `json:"scenario"`
+	Scenario scenario.Scenario `json:"scenario"`
 	// Trials must be in [1, Config.MaxTrials].
 	Trials int   `json:"trials"`
 	Seed   int64 `json:"seed,omitempty"`
@@ -209,12 +135,12 @@ const (
 // gbd-experiments -retries / gbd-faults -point-retries); nil Retries
 // inherits the server default.
 type SweepRequest struct {
-	Scenario Scenario       `json:"scenario"`
-	Options  AnalyzeOptions `json:"options,omitempty"`
-	Axis     SweepAxis      `json:"axis"`
-	Values   []float64      `json:"values"`
-	Trials   int            `json:"trials,omitempty"`
-	Seed     int64          `json:"seed,omitempty"`
+	Scenario scenario.Scenario `json:"scenario"`
+	Options  AnalyzeOptions    `json:"options,omitempty"`
+	Axis     SweepAxis         `json:"axis"`
+	Values   []float64         `json:"values"`
+	Trials   int               `json:"trials,omitempty"`
+	Seed     int64             `json:"seed,omitempty"`
 	// Retries / RetryBackoffMS / PointTimeoutMS override the server's
 	// default sweep fault policy for this request.
 	Retries        *int  `json:"retries,omitempty"`
@@ -322,16 +248,6 @@ func (s *Server) resolveRNG(name string) (field.RNGScheme, error) {
 		return 0, fmt.Errorf("%v: %w", err, ErrRequest)
 	}
 	return scheme, nil
-}
-
-// canonRNG is the scheme's canonical wire spelling: empty for legacy so
-// that pre-scheme cache keys (and clients) are undisturbed, the scheme
-// name otherwise.
-func canonRNG(scheme field.RNGScheme) string {
-	if scheme == field.SchemeLegacy {
-		return ""
-	}
-	return scheme.String()
 }
 
 // cacheKey fingerprints a canonical request value for one endpoint. The

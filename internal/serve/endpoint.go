@@ -85,8 +85,8 @@ var endpoints = []*endpoint{
 		return key, func(ctx context.Context) (any, error) { return s.computeInfer(ctx, p, *req, cfg) }, err
 	}),
 	op("place", "/v1/place", func(s *Server, req *PlaceRequest) (string, computeFunc, error) {
-		cfg, classes, key, err := s.placeKey(*req)
-		return key, func(ctx context.Context) (any, error) { return s.computePlace(ctx, cfg, classes) }, err
+		cfg, total, key, err := s.placeKey(*req)
+		return key, func(ctx context.Context) (any, error) { return s.computePlace(ctx, cfg, total) }, err
 	}),
 	op("sweep_point", "", func(s *Server, req *SweepPointRequest) (string, computeFunc, error) {
 		p, key, err := s.sweepPointKey(*req)

@@ -19,6 +19,7 @@ import (
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/faults"
 	"github.com/groupdetect/gbd/internal/infer"
+	"github.com/groupdetect/gbd/internal/scenario"
 	"github.com/groupdetect/gbd/internal/sim"
 )
 
@@ -26,7 +27,7 @@ import (
 // (Bernoulli node death over a flat lossy uplink with liveness beacons)
 // plus the SPRT error budget.
 type InferRequest struct {
-	Scenario Scenario `json:"scenario"`
+	Scenario scenario.Scenario `json:"scenario"`
 	// Trials must be in [1, Config.MaxTrials].
 	Trials int   `json:"trials"`
 	Seed   int64 `json:"seed,omitempty"`
@@ -54,8 +55,8 @@ type InferRequest struct {
 // InferResponse is the /v1/infer result: inference accuracy against
 // ground truth and the closed-loop degradation pair.
 type InferResponse struct {
-	Scenario scenarioEcho `json:"scenario"`
-	Trials   int          `json:"trials"`
+	Scenario scenario.Echo `json:"scenario"`
+	Trials   int           `json:"trials"`
 	// Precision/Recall score the end-of-mission inferred mask with
 	// "dead" as the positive class; MeanTTD is the mean periods from
 	// true death to declaration over detected deaths.
@@ -82,14 +83,14 @@ type InferResponse struct {
 // inferCanonical is the fully resolved, fixed-order form of an
 // InferRequest, the value fingerprinted into the cache key.
 type inferCanonical struct {
-	Scenario scenarioEcho `json:"scenario"`
-	Trials   int          `json:"trials"`
-	DeadFrac float64      `json:"dead_frac"`
-	PDeliver float64      `json:"p_deliver"`
-	Beacons  bool         `json:"beacons"`
-	Alpha    float64      `json:"alpha"`
-	Beta     float64      `json:"beta"`
-	RNG      string       `json:"rng,omitempty"`
+	Scenario scenario.Echo `json:"scenario"`
+	Trials   int           `json:"trials"`
+	DeadFrac float64       `json:"dead_frac"`
+	PDeliver float64       `json:"p_deliver"`
+	Beacons  bool          `json:"beacons"`
+	Alpha    float64       `json:"alpha"`
+	Beta     float64       `json:"beta"`
+	RNG      string        `json:"rng,omitempty"`
 }
 
 // inferConfig validates an InferRequest and translates it into the
@@ -147,7 +148,7 @@ func (s *Server) inferConfig(p detect.Params, req InferRequest) (sim.Config, err
 // inferKey validates an InferRequest and returns its resolved parameters,
 // simulator configuration, and cache key.
 func (s *Server) inferKey(req InferRequest) (detect.Params, sim.Config, string, error) {
-	p, err := req.Scenario.params()
+	p, err := req.Scenario.Params()
 	if err != nil {
 		return p, sim.Config{}, "", err
 	}
@@ -156,10 +157,10 @@ func (s *Server) inferKey(req InferRequest) (detect.Params, sim.Config, string, 
 		return p, cfg, "", err
 	}
 	canon := inferCanonical{
-		Scenario: echoParams(p), Trials: req.Trials,
+		Scenario: scenario.NewEcho(p), Trials: req.Trials,
 		DeadFrac: req.DeadFrac, PDeliver: cfg.PDeliver,
 		Beacons: cfg.Beacons, Alpha: req.Alpha, Beta: req.Beta,
-		RNG: canonRNG(cfg.RNG),
+		RNG: cfg.RNG.Canonical(),
 	}
 	key, err := cacheKey("/v1/infer", canon, req.Seed)
 	return p, cfg, key, err
@@ -177,7 +178,7 @@ func (s *Server) computeInfer(ctx context.Context, p detect.Params, req InferReq
 		return nil, err
 	}
 	return &InferResponse{
-		Scenario:         echoParams(p),
+		Scenario:         scenario.NewEcho(p),
 		Trials:           res.Trials,
 		Precision:        st.Precision(),
 		Recall:           st.Recall(),

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"github.com/groupdetect/gbd/internal/placement"
+	"github.com/groupdetect/gbd/internal/scenario"
 )
 
 // placeMaxGrid bounds each candidate-grid axis; placeMaxCells bounds
@@ -20,21 +21,14 @@ const (
 	placeMaxCells   = 1 << 24
 )
 
-// PlaceClass is the wire form of one homogeneous sub-fleet to place.
-type PlaceClass struct {
-	Count int     `json:"count"`
-	Rs    float64 `json:"rs"`
-	Pd    float64 `json:"pd"`
-}
-
 // PlaceRequest is the /v1/place body: the scenario (its N is the
 // placement budget unless classes are given), the candidate grid, the
 // Monte Carlo panel, and the §6 false-alarm model attached to the result.
 type PlaceRequest struct {
-	Scenario Scenario `json:"scenario"`
+	Scenario scenario.Scenario `json:"scenario"`
 	// Classes is the heterogeneous fleet to place; empty means one class
 	// of scenario.n sensors at the scenario's rs and pd.
-	Classes []PlaceClass `json:"classes,omitempty"`
+	Classes []placement.Class `json:"classes,omitempty"`
 	// GridCols and GridRows shape the candidate lattice (default 32x32,
 	// max 128 per axis).
 	GridCols int `json:"grid_cols,omitempty"`
@@ -64,26 +58,26 @@ type PlacedSensor struct {
 // PlaceResponse is the /v1/place result: the layout, the placed-vs-
 // uniform comparison, and the §6 thresholds for the placed fleet.
 type PlaceResponse struct {
-	Scenario        scenarioEcho   `json:"scenario"` // N = total placed fleet
-	Classes         []PlaceClass   `json:"classes"`
-	GridCols        int            `json:"grid_cols"`
-	GridRows        int            `json:"grid_rows"`
-	Trials          int            `json:"trials"`
-	Candidates      int            `json:"candidates"`
-	Sensors         []PlacedSensor `json:"sensors"`
-	PlacedProb      float64        `json:"placed_prob"`
-	PlacedCILo      float64        `json:"placed_ci_lo"`
-	PlacedCIHi      float64        `json:"placed_ci_hi"`
-	UniformProb     float64        `json:"uniform_prob"`
-	UniformCILo     float64        `json:"uniform_ci_lo"`
-	UniformCIHi     float64        `json:"uniform_ci_hi"`
-	UniformAnalysis float64        `json:"uniform_analysis"`
-	AbsGain         float64        `json:"abs_gain"`
-	RelGain         float64        `json:"rel_gain"`
-	Evals           int64          `json:"evals"`
-	LazyHits        int64          `json:"lazy_hits"`
-	KMin            int            `json:"k_min"`
-	KMinExact       int            `json:"k_min_exact"`
+	Scenario        scenario.Echo     `json:"scenario"` // N = total placed fleet
+	Classes         []placement.Class `json:"classes"`
+	GridCols        int               `json:"grid_cols"`
+	GridRows        int               `json:"grid_rows"`
+	Trials          int               `json:"trials"`
+	Candidates      int               `json:"candidates"`
+	Sensors         []PlacedSensor    `json:"sensors"`
+	PlacedProb      float64           `json:"placed_prob"`
+	PlacedCILo      float64           `json:"placed_ci_lo"`
+	PlacedCIHi      float64           `json:"placed_ci_hi"`
+	UniformProb     float64           `json:"uniform_prob"`
+	UniformCILo     float64           `json:"uniform_ci_lo"`
+	UniformCIHi     float64           `json:"uniform_ci_hi"`
+	UniformAnalysis float64           `json:"uniform_analysis"`
+	AbsGain         float64           `json:"abs_gain"`
+	RelGain         float64           `json:"rel_gain"`
+	Evals           int64             `json:"evals"`
+	LazyHits        int64             `json:"lazy_hits"`
+	KMin            int               `json:"k_min"`
+	KMinExact       int               `json:"k_min_exact"`
 }
 
 // placeCanonical is the fingerprinted form of a PlaceRequest: scenario
@@ -91,43 +85,45 @@ type PlaceResponse struct {
 // list always explicit (a nil list resolves to the single scenario-derived
 // class), every knob concrete. Seed rides the fingerprint's seed slot.
 type placeCanonical struct {
-	Scenario    scenarioEcho `json:"scenario"`
-	Classes     []PlaceClass `json:"classes"`
-	GridCols    int          `json:"grid_cols"`
-	GridRows    int          `json:"grid_rows"`
-	Trials      int          `json:"trials"`
-	FalseAlarmP float64      `json:"false_alarm_p"`
-	Budget      float64      `json:"budget"`
-	Horizon     int          `json:"horizon"`
-	RNG         string       `json:"rng,omitempty"`
+	Scenario    scenario.Echo     `json:"scenario"`
+	Classes     []placement.Class `json:"classes"`
+	GridCols    int               `json:"grid_cols"`
+	GridRows    int               `json:"grid_rows"`
+	Trials      int               `json:"trials"`
+	FalseAlarmP float64           `json:"false_alarm_p"`
+	Budget      float64           `json:"budget"`
+	Horizon     int               `json:"horizon"`
+	RNG         string            `json:"rng,omitempty"`
 }
 
-// placeConfig translates a PlaceRequest into a fully resolved placement
-// configuration (every default spelled out, so the canonical form below
-// is a direct copy of its fields) plus the resolved wire-form class list.
-// Workers is pinned to 1: intra-request parallelism is the admission
-// pool's job, and placement results are worker-count-independent anyway.
-func (s *Server) placeConfig(req PlaceRequest) (placement.Config, []PlaceClass, error) {
-	p, err := req.Scenario.params()
+// placeConfig translates a PlaceRequest into a placement configuration
+// resolved by the placement package (every default spelled out, so the
+// canonical form below is a direct copy of its fields) and its fleet
+// size. Workers is pinned to 1: intra-request parallelism is the
+// admission pool's job, and placement results are worker-count-
+// independent anyway.
+func (s *Server) placeConfig(req PlaceRequest) (placement.Config, int, error) {
+	p, err := req.Scenario.Params()
 	if err != nil {
-		return placement.Config{}, nil, err
+		return placement.Config{}, 0, err
 	}
 	if req.GridCols < 0 || req.GridCols > placeMaxGrid || req.GridRows < 0 || req.GridRows > placeMaxGrid {
-		return placement.Config{}, nil, fmt.Errorf("grid %dx%d: each axis must be in [1, %d]: %w",
+		return placement.Config{}, 0, fmt.Errorf("grid %dx%d: each axis must be in [1, %d]: %w",
 			req.GridCols, req.GridRows, placeMaxGrid, ErrRequest)
 	}
 	if len(req.Classes) > placeMaxClasses {
-		return placement.Config{}, nil, fmt.Errorf("%d classes, limit %d: %w", len(req.Classes), placeMaxClasses, ErrTooLarge)
+		return placement.Config{}, 0, fmt.Errorf("%d classes, limit %d: %w", len(req.Classes), placeMaxClasses, ErrTooLarge)
 	}
 	if req.Trials < 0 || req.Trials > s.cfg.MaxTrials {
-		return placement.Config{}, nil, fmt.Errorf("trials = %d must be in [0, %d]: %w", req.Trials, s.cfg.MaxTrials, ErrRequest)
+		return placement.Config{}, 0, fmt.Errorf("trials = %d must be in [0, %d]: %w", req.Trials, s.cfg.MaxTrials, ErrRequest)
 	}
 	scheme, err := s.resolveRNG(req.RNG)
 	if err != nil {
-		return placement.Config{}, nil, err
+		return placement.Config{}, 0, err
 	}
-	cfg := placement.Config{
+	cfg, total, err := placement.Config{
 		Base:        p,
+		Classes:     req.Classes,
 		GridCols:    req.GridCols,
 		GridRows:    req.GridRows,
 		Trials:      req.Trials,
@@ -137,81 +133,47 @@ func (s *Server) placeConfig(req PlaceRequest) (placement.Config, []PlaceClass, 
 		FalseAlarmP: req.FalseAlarmP,
 		FAHorizon:   req.Horizon,
 		FABudget:    req.Budget,
-	}
-	if cfg.GridCols == 0 {
-		cfg.GridCols = 32
-	}
-	if cfg.GridRows == 0 {
-		cfg.GridRows = 32
-	}
-	if cfg.Trials == 0 {
-		cfg.Trials = 2000
-	}
-	if cfg.FalseAlarmP == 0 {
-		cfg.FalseAlarmP = 1e-4
-	}
-	if cfg.FAHorizon == 0 {
-		cfg.FAHorizon = 1440
-	}
-	if cfg.FABudget == 0 {
-		cfg.FABudget = 0.01
-	}
-	classes := req.Classes
-	if len(classes) == 0 {
-		classes = []PlaceClass{{Count: p.N, Rs: p.Rs, Pd: p.Pd}}
-	}
-	cfg.Classes = make([]placement.Class, len(classes))
-	for i, cl := range classes {
-		cfg.Classes[i] = placement.Class{Count: cl.Count, Rs: cl.Rs, Pd: cl.Pd}
-	}
-	if err := cfg.Validate(); err != nil {
-		return placement.Config{}, nil, err
+	}.Resolve()
+	if err != nil {
+		return placement.Config{}, 0, err
 	}
 	// The report-count matrix is trials x classes x cells of uint16; cap
 	// its area so one request cannot pin unbounded memory.
-	if cells := int64(cfg.GridCols) * int64(cfg.GridRows) * int64(len(classes)) * int64(cfg.Trials); cells > placeMaxCells {
-		return placement.Config{}, nil, fmt.Errorf("grid x classes x trials = %d cells, limit %d: %w",
+	if cells := int64(cfg.GridCols) * int64(cfg.GridRows) * int64(len(cfg.Classes)) * int64(cfg.Trials); cells > placeMaxCells {
+		return placement.Config{}, 0, fmt.Errorf("grid x classes x trials = %d cells, limit %d: %w",
 			cells, placeMaxCells, ErrTooLarge)
 	}
-	return cfg, classes, nil
+	return cfg, total, nil
 }
 
-// placeKey validates a PlaceRequest and returns its placement config,
-// resolved class list, and cache key.
-func (s *Server) placeKey(req PlaceRequest) (placement.Config, []PlaceClass, string, error) {
-	cfg, classes, err := s.placeConfig(req)
+// placeKey validates a PlaceRequest and returns its resolved placement
+// config, fleet size, and cache key.
+func (s *Server) placeKey(req PlaceRequest) (placement.Config, int, string, error) {
+	cfg, total, err := s.placeConfig(req)
 	if err != nil {
-		return cfg, nil, "", err
-	}
-	total := 0
-	for _, cl := range classes {
-		total += cl.Count
+		return cfg, 0, "", err
 	}
 	// Canonicalize: N is the fleet size whether it arrived via scenario.n
 	// or a class list, and every default is spelled out.
-	echo := echoParams(cfg.Base)
+	echo := scenario.NewEcho(cfg.Base)
 	echo.N = total
 	canon := placeCanonical{
-		Scenario: echo, Classes: classes,
+		Scenario: echo, Classes: cfg.Classes,
 		GridCols: cfg.GridCols, GridRows: cfg.GridRows, Trials: cfg.Trials,
 		FalseAlarmP: cfg.FalseAlarmP, Budget: cfg.FABudget, Horizon: cfg.FAHorizon,
-		RNG: canonRNG(cfg.RNG),
+		RNG: cfg.RNG.Canonical(),
 	}
 	key, err := cacheKey("/v1/place", canon, req.Seed)
-	return cfg, classes, key, err
+	return cfg, total, key, err
 }
 
 // computePlace runs the placement engine for a validated request.
-func (s *Server) computePlace(ctx context.Context, cfg placement.Config, classes []PlaceClass) (*PlaceResponse, error) {
+func (s *Server) computePlace(ctx context.Context, cfg placement.Config, total int) (*PlaceResponse, error) {
 	res, err := placement.PlaceCtx(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, cl := range classes {
-		total += cl.Count
-	}
-	echo := echoParams(cfg.Base)
+	echo := scenario.NewEcho(cfg.Base)
 	echo.N = total
 	sensors := make([]PlacedSensor, len(res.Sensors))
 	for i, sn := range res.Sensors {
@@ -219,7 +181,7 @@ func (s *Server) computePlace(ctx context.Context, cfg placement.Config, classes
 	}
 	c := res.VsUniform
 	return &PlaceResponse{
-		Scenario: echo, Classes: classes,
+		Scenario: echo, Classes: cfg.Classes,
 		GridCols: cfg.GridCols, GridRows: cfg.GridRows,
 		Trials: res.Trials, Candidates: res.Candidates,
 		Sensors:    sensors,

@@ -74,7 +74,7 @@ func TestConcurrentBitIdentical(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
 			t.Fatal(err)
 		}
-		base, err := req.Scenario.params()
+		base, err := req.Scenario.Params()
 		if err != nil {
 			t.Fatal(err)
 		}

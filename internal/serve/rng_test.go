@@ -8,6 +8,7 @@ import (
 
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/field"
+	"github.com/groupdetect/gbd/internal/scenario"
 	"github.com/groupdetect/gbd/internal/sim"
 )
 
@@ -138,7 +139,7 @@ func TestSimulateRNGScheme(t *testing.T) {
 
 func mustParams(t *testing.T) detect.Params {
 	t.Helper()
-	p, err := Scenario{}.params()
+	p, err := scenario.Scenario{}.Params()
 	if err != nil {
 		t.Fatal(err)
 	}

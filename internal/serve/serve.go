@@ -48,6 +48,7 @@ import (
 	"github.com/groupdetect/gbd/internal/obs"
 	"github.com/groupdetect/gbd/internal/peer"
 	"github.com/groupdetect/gbd/internal/placement"
+	"github.com/groupdetect/gbd/internal/scenario"
 	"github.com/groupdetect/gbd/internal/sim"
 )
 
@@ -405,21 +406,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // AnalyzeResponse is the /v1/analyze result.
 type AnalyzeResponse struct {
-	Scenario          scenarioEcho `json:"scenario"`
-	HNodes            int          `json:"h_nodes,omitempty"`
-	DetectionProb     float64      `json:"detection_prob"`
-	RawTail           float64      `json:"raw_tail"`
-	Mass              float64      `json:"mass"`
-	Gh                int          `json:"gh"`
-	G                 int          `json:"g"`
-	PredictedAccuracy float64      `json:"predicted_accuracy,omitempty"`
-	PMF               []float64    `json:"pmf,omitempty"`
+	Scenario          scenario.Echo `json:"scenario"`
+	HNodes            int           `json:"h_nodes,omitempty"`
+	DetectionProb     float64       `json:"detection_prob"`
+	RawTail           float64       `json:"raw_tail"`
+	Mass              float64       `json:"mass"`
+	Gh                int           `json:"gh"`
+	G                 int           `json:"g"`
+	PredictedAccuracy float64       `json:"predicted_accuracy,omitempty"`
+	PMF               []float64     `json:"pmf,omitempty"`
 }
 
 // analyzeCanonical is the canonical (fully resolved, fixed-order) form of
 // an AnalyzeRequest, the value that is fingerprinted into the cache key.
 type analyzeCanonical struct {
-	Scenario scenarioEcho   `json:"scenario"`
+	Scenario scenario.Echo  `json:"scenario"`
 	Options  AnalyzeOptions `json:"options"`
 	HNodes   int            `json:"h_nodes"`
 	// RNG is the resolved scheme's canonical spelling; omitempty keeps
@@ -431,7 +432,7 @@ type analyzeCanonical struct {
 // analyzeKey canonicalizes an AnalyzeRequest into its resolved parameters
 // and cache key.
 func (s *Server) analyzeKey(req AnalyzeRequest) (detect.Params, string, error) {
-	p, err := req.Scenario.params()
+	p, err := req.Scenario.Params()
 	if err != nil {
 		return p, "", err
 	}
@@ -443,8 +444,8 @@ func (s *Server) analyzeKey(req AnalyzeRequest) (detect.Params, string, error) {
 		return p, "", err
 	}
 	key, err := cacheKey("/v1/analyze", analyzeCanonical{
-		Scenario: echoParams(p), Options: req.Options, HNodes: req.HNodes,
-		RNG: canonRNG(scheme),
+		Scenario: scenario.NewEcho(p), Options: req.Options, HNodes: req.HNodes,
+		RNG: scheme.Canonical(),
 	}, 0)
 	return p, key, err
 }
@@ -459,7 +460,7 @@ func (s *Server) computeAnalyze(ctx context.Context, p detect.Params, req Analyz
 			return nil, err
 		}
 		return &AnalyzeResponse{
-			Scenario: echoParams(p), HNodes: req.HNodes,
+			Scenario: scenario.NewEcho(p), HNodes: req.HNodes,
 			DetectionProb: res.DetectionProb, RawTail: res.RawTail,
 			Mass: res.Mass, Gh: res.Gh, G: res.G,
 		}, nil
@@ -469,7 +470,7 @@ func (s *Server) computeAnalyze(ctx context.Context, p detect.Params, req Analyz
 		return nil, err
 	}
 	resp := &AnalyzeResponse{
-		Scenario:      echoParams(p),
+		Scenario:      scenario.NewEcho(p),
 		DetectionProb: res.DetectionProb, RawTail: res.RawTail,
 		Mass: res.Mass, Gh: res.Gh, G: res.G,
 		PredictedAccuracy: res.PredictedAccuracy,
@@ -484,14 +485,14 @@ func (s *Server) computeAnalyze(ctx context.Context, p detect.Params, req Analyz
 
 // DesignResponse is the /v1/design result: the sized rule and fleet.
 type DesignResponse struct {
-	Scenario      scenarioEcho `json:"scenario"` // with the designed N and K
-	K             int          `json:"k"`
-	N             int          `json:"n"`
-	DetectionProb float64      `json:"detection_prob"`
-	TargetProb    float64      `json:"target_prob"`
-	FalseAlarmP   float64      `json:"false_alarm_p"`
-	Budget        float64      `json:"budget"`
-	Horizon       int          `json:"horizon"`
+	Scenario      scenario.Echo `json:"scenario"` // with the designed N and K
+	K             int           `json:"k"`
+	N             int           `json:"n"`
+	DetectionProb float64       `json:"detection_prob"`
+	TargetProb    float64       `json:"target_prob"`
+	FalseAlarmP   float64       `json:"false_alarm_p"`
+	Budget        float64       `json:"budget"`
+	Horizon       int           `json:"horizon"`
 	// KMinExact is the §6 exact scan-statistic lower bound on K for the
 	// sized fleet — never larger than K, which is sized from the union
 	// bound. 0 when the exact chain exceeds its tractability guard.
@@ -501,12 +502,12 @@ type DesignResponse struct {
 // designCanonical omits the scenario's N and K: they are outputs of the
 // design workflow, so requests differing only there must share a key.
 type designCanonical struct {
-	Scenario    scenarioEcho `json:"scenario"`
-	TargetProb  float64      `json:"target_prob"`
-	FalseAlarmP float64      `json:"false_alarm_p"`
-	Budget      float64      `json:"budget"`
-	Horizon     int          `json:"horizon"`
-	NMax        int          `json:"n_max"`
+	Scenario    scenario.Echo `json:"scenario"`
+	TargetProb  float64       `json:"target_prob"`
+	FalseAlarmP float64       `json:"false_alarm_p"`
+	Budget      float64       `json:"budget"`
+	Horizon     int           `json:"horizon"`
+	NMax        int           `json:"n_max"`
 }
 
 func (r *DesignRequest) withDefaults() {
@@ -527,42 +528,22 @@ func (r *DesignRequest) withDefaults() {
 	}
 }
 
-// computeDesign sizes the rule and fleet: K from the false-alarm budget
-// (union-bound MinK), N from the detection requirement, then a K re-check
-// at the sized fleet — the analytical core of the gbd-design workflow.
+// computeDesign sizes the rule and fleet with gbd.SizeFleet, the
+// analytical core of the gbd-design workflow.
 func (s *Server) computeDesign(ctx context.Context, p detect.Params, req DesignRequest) (*DesignResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	const provisionalN = 120
-	k, err := gbd.MinK(p.WithN(provisionalN), req.FalseAlarmP, req.Horizon, req.Budget)
+	p, err := gbd.SizeFleet(p, req.FalseAlarmP, req.Horizon, req.Budget, req.TargetProb, req.NMax)
 	if err != nil {
 		return nil, err
 	}
-	p = p.WithK(k)
-	n, err := gbd.RequiredSensors(p, req.TargetProb, req.NMax, gbd.MSOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("sizing the fleet: %w", err)
-	}
-	k2, err := gbd.MinK(p.WithN(n), req.FalseAlarmP, req.Horizon, req.Budget)
-	if err != nil {
-		return nil, err
-	}
-	if k2 != k {
-		p = p.WithK(k2)
-		n, err = gbd.RequiredSensors(p, req.TargetProb, req.NMax, gbd.MSOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("re-sizing the fleet for K=%d: %w", k2, err)
-		}
-		k = k2
-	}
-	p = p.WithN(n)
 	ana, err := gbd.AnalyzeCtx(ctx, p, gbd.MSOptions{})
 	if err != nil {
 		return nil, err
 	}
 	resp := &DesignResponse{
-		Scenario: echoParams(p), K: k, N: n,
+		Scenario: scenario.NewEcho(p), K: p.K, N: p.N,
 		DetectionProb: ana.DetectionProb,
 		TargetProb:    req.TargetProb, FalseAlarmP: req.FalseAlarmP,
 		Budget: req.Budget, Horizon: req.Horizon,
@@ -581,12 +562,12 @@ func (s *Server) computeDesign(ctx context.Context, p detect.Params, req DesignR
 // returns its scenario parameters and cache key.
 func (s *Server) designKey(req *DesignRequest) (detect.Params, string, error) {
 	req.withDefaults()
-	p, err := req.Scenario.params()
+	p, err := req.Scenario.Params()
 	if err != nil {
 		return p, "", err
 	}
 	canon := designCanonical{
-		Scenario:    echoParams(p),
+		Scenario:    scenario.NewEcho(p),
 		TargetProb:  req.TargetProb,
 		FalseAlarmP: req.FalseAlarmP,
 		Budget:      req.Budget,
@@ -604,14 +585,14 @@ func (s *Server) designKey(req *DesignRequest) (detect.Params, string, error) {
 // latency CDF over sensing periods 1..M. DetectionProb is the CDF's last
 // point — the paper's end-of-window detection probability.
 type LatencyResponse struct {
-	Scenario      scenarioEcho `json:"scenario"`
-	FirstPeriod   int          `json:"first_period"`
-	P             []float64    `json:"p"`
-	DetectionProb float64      `json:"detection_prob"`
+	Scenario      scenario.Echo `json:"scenario"`
+	FirstPeriod   int           `json:"first_period"`
+	P             []float64     `json:"p"`
+	DetectionProb float64       `json:"detection_prob"`
 }
 
 type latencyCanonical struct {
-	Scenario scenarioEcho   `json:"scenario"`
+	Scenario scenario.Echo  `json:"scenario"`
 	Options  AnalyzeOptions `json:"options"`
 }
 
@@ -621,7 +602,7 @@ func (s *Server) computeLatency(ctx context.Context, p detect.Params, req Latenc
 		return nil, err
 	}
 	return &LatencyResponse{
-		Scenario:      echoParams(p),
+		Scenario:      scenario.NewEcho(p),
 		FirstPeriod:   cdf.FirstPeriod,
 		P:             cdf.P,
 		DetectionProb: cdf.P[len(cdf.P)-1],
@@ -631,11 +612,11 @@ func (s *Server) computeLatency(ctx context.Context, p detect.Params, req Latenc
 // latencyKey canonicalizes a LatencyRequest into its resolved parameters
 // and cache key.
 func (s *Server) latencyKey(req LatencyRequest) (detect.Params, string, error) {
-	p, err := req.Scenario.params()
+	p, err := req.Scenario.Params()
 	if err != nil {
 		return p, "", err
 	}
-	key, err := cacheKey("/v1/latency", latencyCanonical{Scenario: echoParams(p), Options: req.Options}, 0)
+	key, err := cacheKey("/v1/latency", latencyCanonical{Scenario: scenario.NewEcho(p), Options: req.Options}, 0)
 	return p, key, err
 }
 
@@ -655,7 +636,7 @@ type FaultSummary struct {
 
 // SimulateResponse is the /v1/simulate result.
 type SimulateResponse struct {
-	Scenario      scenarioEcho  `json:"scenario"`
+	Scenario      scenario.Echo `json:"scenario"`
 	Trials        int           `json:"trials"`
 	Detections    int           `json:"detections"`
 	DetectionProb float64       `json:"detection_prob"`
@@ -666,12 +647,12 @@ type SimulateResponse struct {
 }
 
 type simulateCanonical struct {
-	Scenario   scenarioEcho `json:"scenario"`
-	Trials     int          `json:"trials"`
-	DeadFrac   float64      `json:"dead_frac"`
-	CommRange  float64      `json:"comm_range"`
-	PerHopLoss float64      `json:"per_hop_loss"`
-	HopRetries int          `json:"hop_retries"`
+	Scenario   scenario.Echo `json:"scenario"`
+	Trials     int           `json:"trials"`
+	DeadFrac   float64       `json:"dead_frac"`
+	CommRange  float64       `json:"comm_range"`
+	PerHopLoss float64       `json:"per_hop_loss"`
+	HopRetries int           `json:"hop_retries"`
 	// RNG is the resolved scheme's canonical spelling ("" for legacy):
 	// campaigns under different schemes are different results and must
 	// never share a cache entry.
@@ -731,7 +712,7 @@ func (s *Server) computeSimulate(ctx context.Context, p detect.Params, req Simul
 		return nil, err
 	}
 	resp := &SimulateResponse{
-		Scenario:      echoParams(p),
+		Scenario:      scenario.NewEcho(p),
 		Trials:        res.Trials,
 		Detections:    res.Detections,
 		DetectionProb: res.DetectionProb,
@@ -755,7 +736,7 @@ func (s *Server) computeSimulate(ctx context.Context, p detect.Params, req Simul
 // seed slot: campaigns are deterministic per (config, seed), so caching
 // them is sound.
 func (s *Server) simulateKey(req SimulateRequest) (detect.Params, string, error) {
-	p, err := req.Scenario.params()
+	p, err := req.Scenario.Params()
 	if err != nil {
 		return p, "", err
 	}
@@ -767,10 +748,10 @@ func (s *Server) simulateKey(req SimulateRequest) (detect.Params, string, error)
 		return p, "", err
 	}
 	canon := simulateCanonical{
-		Scenario: echoParams(p), Trials: req.Trials,
+		Scenario: scenario.NewEcho(p), Trials: req.Trials,
 		DeadFrac: req.DeadFrac, CommRange: req.CommRange,
 		PerHopLoss: req.PerHopLoss, HopRetries: req.HopRetries,
-		RNG: canonRNG(scheme),
+		RNG: scheme.Canonical(),
 	}
 	key, err := cacheKey("/v1/simulate", canon, req.Seed)
 	return p, key, err

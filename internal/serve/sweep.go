@@ -197,7 +197,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	base, err := req.Scenario.params()
+	base, err := req.Scenario.Params()
 	if err != nil {
 		s.writeError(w, err)
 		return

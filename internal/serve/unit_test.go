@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/groupdetect/gbd/internal/scenario"
 )
 
 func TestCacheLRU(t *testing.T) {
@@ -231,7 +233,7 @@ func TestAdmissionRelease(t *testing.T) {
 }
 
 func TestApplyAxis(t *testing.T) {
-	base, err := Scenario{}.params()
+	base, err := scenario.Scenario{}.Params()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@
 // context, panics are isolated into point failures, transient failures are
 // retried with jittered exponential backoff under an optional per-point
 // deadline, and Degrade mode finishes every healthy point instead of
-// aborting the sweep at the first failure. Map is the plain wrapper that
-// keeps the original sequential-equivalent contract.
+// aborting the sweep at the first failure. Resumable adds a checkpoint:
+// restored points skip execution and completed ones persist as they land.
 package sweep
 
 import (
@@ -95,30 +95,6 @@ func (r *Report[R]) Err() error {
 		return nil
 	}
 	return r.Failed[0]
-}
-
-// Map applies fn to every item with at most workers concurrent calls and
-// returns the results in input order. workers <= 0 means GOMAXPROCS.
-//
-// fn receives the item's index and value. If any call fails, Map returns
-// the error of the lowest-indexed failing item — exactly what a sequential
-// loop would have returned — alongside the results of every point that
-// completed before the sweep stopped (failed and skipped slots hold zero
-// values). Items after a failure that have not started yet are skipped;
-// every item at a lower index than a failure has already been dispatched,
-// so the lowest-index selection never misses an earlier error.
-func Map[T, R any](workers int, items []T, fn func(int, T) (R, error)) ([]R, error) {
-	rep, err := Run(context.Background(), Options{Workers: workers}, items,
-		func(_ context.Context, i int, item T) (R, error) { return fn(i, item) })
-	if err != nil {
-		// Unwrap to the caller's own error: Map predates PointError and its
-		// callers match on sentinel errors directly.
-		var pe *PointError
-		if errors.As(err, &pe) {
-			err = pe.Err
-		}
-	}
-	return rep.Results, err
 }
 
 // Run applies fn to every item under the given execution policy and

@@ -10,6 +10,19 @@ import (
 	"time"
 )
 
+// runPlain runs fn through Run with only a worker bound and returns the
+// results and the cause of the lowest-index failure: the
+// sequential-equivalent contract a plain parallel loop keeps.
+func runPlain[T, R any](workers int, items []T, fn func(int, T) (R, error)) ([]R, error) {
+	rep, err := Run(context.Background(), Options{Workers: workers}, items,
+		func(_ context.Context, i int, item T) (R, error) { return fn(i, item) })
+	var pe *PointError
+	if errors.As(err, &pe) {
+		err = pe.Err
+	}
+	return rep.Results, err
+}
+
 // TestMapOrdersResults checks output order matches input order no matter
 // how the scheduler interleaves the workers.
 func TestMapOrdersResults(t *testing.T) {
@@ -18,7 +31,7 @@ func TestMapOrdersResults(t *testing.T) {
 		items[i] = i
 	}
 	for _, workers := range []int{0, 1, 3, 16, 64} {
-		got, err := Map(workers, items, func(i, v int) (string, error) {
+		got, err := runPlain(workers, items, func(i, v int) (string, error) {
 			if i%7 == 0 {
 				time.Sleep(time.Millisecond) // perturb completion order
 			}
@@ -43,7 +56,7 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	wantErr := errors.New("boom 3")
 	for _, workers := range []int{1, 4} {
-		_, err := Map(workers, items, func(i, v int) (int, error) {
+		_, err := runPlain(workers, items, func(i, v int) (int, error) {
 			switch i {
 			case 3:
 				return 0, wantErr
@@ -75,7 +88,7 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 func TestMapSkipsAfterFailure(t *testing.T) {
 	var ran atomic.Int64
 	items := make([]int, 1000)
-	_, err := Map(2, items, func(i, v int) (int, error) {
+	_, err := runPlain(2, items, func(i, v int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errors.New("early failure")
@@ -93,11 +106,11 @@ func TestMapSkipsAfterFailure(t *testing.T) {
 
 // TestMapEmptyAndBounds covers the degenerate inputs.
 func TestMapEmptyAndBounds(t *testing.T) {
-	got, err := Map(4, nil, func(i, v int) (int, error) { return v, nil })
+	got, err := runPlain(4, nil, func(i, v int) (int, error) { return v, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty input: got %v, %v", got, err)
 	}
-	got, err = Map(100, []int{7}, func(i, v int) (int, error) { return v * 2, nil })
+	got, err = runPlain(100, []int{7}, func(i, v int) (int, error) { return v * 2, nil })
 	if err != nil || len(got) != 1 || got[0] != 14 {
 		t.Fatalf("single item: got %v, %v", got, err)
 	}
@@ -111,7 +124,7 @@ func TestMapConcurrencyBounded(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int64
 	items := make([]int, 60)
-	_, err := Map(workers, items, func(i, v int) (int, error) {
+	_, err := runPlain(workers, items, func(i, v int) (int, error) {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -136,7 +149,7 @@ func TestMapConcurrencyBounded(t *testing.T) {
 func TestMapKeepsPartialResults(t *testing.T) {
 	items := []int{10, 20, 30, 40}
 	boom := errors.New("boom")
-	got, err := Map(1, items, func(i, v int) (int, error) {
+	got, err := runPlain(1, items, func(i, v int) (int, error) {
 		if i == 2 {
 			return 0, boom
 		}
