@@ -165,6 +165,41 @@ func TestSimulateEndpoint(t *testing.T) {
 	}
 }
 
+// TestSweepZeroDeadFracMatchesSimulate: a dead_frac sweep row at 0 is the
+// fault-free campaign, so its simulation column and Wilson interval are
+// exactly /v1/simulate's for the same scenario, trials and seed — on the
+// stream and on the sweep_point batch op alike.
+func TestSweepZeroDeadFracMatchesSimulate(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	code, _, body := post(t, ts, "/v1/simulate", `{"scenario":{},"trials":2000,"seed":4}`)
+	if code != http.StatusOK {
+		t.Fatalf("simulate: status %d: %s", code, body)
+	}
+	var want SimulateResponse
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/sweep", `{"scenario":{},"axis":"dead_frac","values":[0],"trials":2000,"seed":4}`},
+		{"/v1/batch", `{"items":[{"op":"sweep_point","request":{"scenario":{},"axis":"dead_frac","value":0,"trials":2000,"seed":4}}]}`},
+	} {
+		code, _, body := post(t, ts, tc.path, tc.body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.path, code, body)
+		}
+		rows := parseRows(t, body)
+		if len(rows) != 1 || rows[0].Simulation == nil {
+			t.Fatalf("%s: want one row with a simulation column, got %s", tc.path, body)
+		}
+		row := rows[0]
+		if *row.Simulation != want.DetectionProb || *row.CILo != want.CILo || *row.CIHi != want.CIHi {
+			t.Errorf("%s: dead_frac 0 row = %v [%v, %v], /v1/simulate = %v [%v, %v]", tc.path,
+				*row.Simulation, *row.CILo, *row.CIHi, want.DetectionProb, want.CILo, want.CIHi)
+		}
+	}
+}
+
 func TestSweepStream(t *testing.T) {
 	ts := httptest.NewServer(New(Config{SweepWorkers: 2}).Handler())
 	defer ts.Close()
