@@ -26,11 +26,11 @@ func TestRunMethods(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
-		{"-n", "-5"},         // invalid params
-		{"-method", "bogus"}, // unknown method
+		{"-n", "-5"},                           // invalid params
+		{"-method", "bogus"},                   // unknown method
 		{"-m", "2", "-method", "s", "-g", "4"}, // S-approach needs M > ms
-		{"-accuracy", "1.5"}, // invalid accuracy target
-		{"-badflag"},         // flag parse error
+		{"-accuracy", "1.5"},                   // invalid accuracy target
+		{"-badflag"},                           // flag parse error
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -43,6 +43,7 @@ import (
 	"github.com/groupdetect/gbd/internal/geom"
 	"github.com/groupdetect/gbd/internal/netsim"
 	"github.com/groupdetect/gbd/internal/obs"
+	"github.com/groupdetect/gbd/internal/placement"
 	"github.com/groupdetect/gbd/internal/scenario"
 )
 
@@ -57,20 +58,20 @@ func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gbd-design", flag.ContinueOnError)
 	flagParams := scenario.BindFlags(fs, "side", "rs", "v", "t", "pd", "m")
 	var (
-		targetP   = fs.Float64("target", 0.9, "required detection probability")
-		nMax      = fs.Int("n-max", 1000, "largest fleet considered")
-		fa        = fs.Float64("fa", 1e-4, "per-sensor per-period false alarm probability")
-		budget    = fs.Float64("budget", 0.01, "system false-alarm budget over the horizon")
-		horizon   = fs.Int("horizon", 1440, "false-alarm horizon (periods)")
+		targetP   = fs.Float64("target", scenario.DesignTarget, "required detection probability")
+		nMax      = fs.Int("n-max", scenario.DesignNMax, "largest fleet considered")
+		fa        = fs.Float64("fa", falsealarm.DefaultPf, "per-sensor per-period false alarm probability")
+		budget    = fs.Float64("budget", falsealarm.DefaultBudget, "system false-alarm budget over the horizon")
+		horizon   = fs.Int("horizon", falsealarm.DefaultHorizon, "false-alarm horizon (periods)")
 		commRange = fs.Float64("comm", 6000, "communication range (m)")
 		perHop    = fs.Duration("hop", 10*time.Second, "per-hop forwarding latency")
 		seed      = fs.Int64("seed", 1, "random seed for deployment audits")
 
 		place       = fs.Bool("place", false, "run the placement engine: where do my N sensors go")
 		placeN      = fs.Int("place-n", 120, "placement budget (ignored when -classes is set)")
-		gridSpec    = fs.String("grid", "32x32", "candidate grid as COLSxROWS")
+		gridSpec    = fs.String("grid", fmt.Sprintf("%dx%d", placement.DefaultGrid, placement.DefaultGrid), "candidate grid as COLSxROWS")
 		classSpec   = fs.String("classes", "", "heterogeneous fleet as count:rs:pd,... (overrides -place-n)")
-		placeTrials = fs.Int("place-trials", 2000, "Monte Carlo track panel size for -place")
+		placeTrials = fs.Int("place-trials", placement.DefaultTrials, "Monte Carlo track panel size for -place")
 		rngName     = fs.String("rng", "", "placement RNG scheme: legacy (default) or philox")
 		minGain     = fs.Float64("min-gain", math.Inf(-1), "fail unless placed beats uniform by at least this absolute gain")
 		placeOut    = fs.String("place-out", "", "write the placed layout as JSON to this file")

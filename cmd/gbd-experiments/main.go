@@ -54,6 +54,13 @@ type campaignParams struct {
 	// existed — valid. A resume across schemes fails the fingerprint
 	// check instead of silently mixing two different random universes.
 	RNG string `json:",omitempty"`
+	// Points versions what a checkpointed point means. Since version 2
+	// the fault rows are internal/experiments' shared point types (the
+	// degradation point's alive fraction is "Alive", not "AliveFrac")
+	// and a zero dead fraction is the fault-free campaign. An older
+	// checkpoint has no Points field, so its fingerprint differs and it
+	// is refused as stale instead of restoring renamed fields as zero.
+	Points int
 }
 
 func run(args []string) (err error) {
@@ -125,7 +132,7 @@ func run(args []string) (err error) {
 	sess.SetSeed(*seed)
 
 	fp, err := checkpoint.Fingerprint("gbd-experiments",
-		campaignParams{Trials: *trials, Quick: *quick, RNG: scheme.Canonical()}, *seed)
+		campaignParams{Trials: *trials, Quick: *quick, RNG: scheme.Canonical(), Points: 2}, *seed)
 	if err != nil {
 		return err
 	}

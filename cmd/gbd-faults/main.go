@@ -40,6 +40,7 @@ import (
 	gbd "github.com/groupdetect/gbd"
 	"github.com/groupdetect/gbd/internal/checkpoint"
 	"github.com/groupdetect/gbd/internal/detect"
+	"github.com/groupdetect/gbd/internal/experiments"
 	"github.com/groupdetect/gbd/internal/faults"
 	"github.com/groupdetect/gbd/internal/netsim"
 	"github.com/groupdetect/gbd/internal/obs"
@@ -118,6 +119,10 @@ func run(args []string, w io.Writer) (err error) {
 	}
 	if pointRetries < 0 {
 		return fmt.Errorf("point-retries = %d must be >= 0", pointRetries)
+	}
+	// A zero-trial dead-fraction point would render the analysis alone.
+	if *trials < 1 {
+		return fmt.Errorf("trials = %d must be >= 1", *trials)
 	}
 	scheme, err := gbd.ParseRNGScheme(*rngName)
 	if err != nil {
@@ -228,10 +233,13 @@ func run(args []string, w io.Writer) (err error) {
 	}
 }
 
-// deadPoint is one row of the dead-fraction sweep. Fields are exported so
-// the point survives a checkpoint JSON round-trip.
-type deadPoint struct {
-	Alive, Ana, Sim float64
+// sweepGrid returns the steps+1 evenly spaced sweep values 0..maxV.
+func sweepGrid(maxV float64, steps int) []float64 {
+	vals := make([]float64, steps+1)
+	for i := range vals {
+		vals[i] = maxV * float64(i) / float64(steps)
+	}
+	return vals
 }
 
 // runDeadSweep prints the degradation curve over the node-failure fraction:
@@ -246,36 +254,16 @@ func runDeadSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, maxDead float64
 	}
 	fmt.Fprintf(w, "degradation curve: Bernoulli node death, %d trials/point\n", base.Trials)
 	fmt.Fprintf(w, "%-10s  %-10s  %-9s  %-9s  %-7s\n", "dead_frac", "alive_frac", "analysis", "sim", "diff")
-	fracs := make([]float64, steps+1)
-	for i := range fracs {
-		fracs[i] = maxDead * float64(i) / float64(steps)
-	}
-	points, done, err := runPoints(env, "dead", fracs, func(ctx context.Context, _ int, f float64) (deadPoint, error) {
-		ana, err := detect.Degraded(base.Params, f, 1, detect.MSOptions{})
-		if err != nil {
-			return deadPoint{}, err
-		}
-		cfg := base
-		if f > 0 {
-			cfg.Faults = faults.Bernoulli{DeadFrac: f}
-		}
-		res, err := gbd.SimulateCtx(ctx, cfg)
-		if err != nil {
-			return deadPoint{}, err
-		}
-		alive := 1.0
-		if f > 0 {
-			alive = res.Faults.MeanAliveFrac
-		}
-		return deadPoint{Alive: alive, Ana: ana.DetectionProb, Sim: res.DetectionProb}, nil
+	fracs := sweepGrid(maxDead, steps)
+	points, done, err := runPoints(env, "dead", fracs, func(ctx context.Context, _ int, f float64) (experiments.DeadPoint, error) {
+		return experiments.DeadFracPoint(ctx, base, f, detect.MSOptions{})
 	})
 	if err != nil {
 		return err
 	}
 	// The running summary is order-dependent, so it walks the ordered
 	// results after the parallel collection.
-	maxDiff, prev := 0.0, math.Inf(1)
-	monotone := true
+	var agree experiments.Agreement
 	failed := 0
 	for i, pt := range points {
 		if !done[i] {
@@ -283,30 +271,20 @@ func runDeadSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, maxDead float64
 			failed++
 			continue
 		}
-		diff := math.Abs(pt.Ana - pt.Sim)
-		if diff > maxDiff {
-			maxDiff = diff
-		}
-		if pt.Sim > prev+0.02 {
-			monotone = false
-		}
-		prev = pt.Sim
 		fmt.Fprintf(w, "%-10.2f  %-10.4f  %-9.4f  %-9.4f  %-7.4f\n",
-			fracs[i], pt.Alive, pt.Ana, pt.Sim, diff)
+			fracs[i], pt.Alive, pt.Ana, pt.Sim, agree.Add(pt.Ana, pt.Sim))
 	}
-	fmt.Fprintf(w, "max |analysis - sim| = %.4f\n", maxDiff)
-	fmt.Fprintf(w, "sim detection monotone non-increasing: %v\n", monotone)
-	if failed > 0 {
-		fmt.Fprintf(w, "WARNING: %d of %d points failed and were skipped (-keep-going)\n", failed, len(points))
-	}
+	fmt.Fprintf(w, "max |analysis - sim| = %.4f\n", agree.MaxDiff)
+	fmt.Fprintf(w, "sim detection monotone non-increasing: %v\n", agree.Monotone())
+	warnFailed(w, failed, len(points))
 	return nil
 }
 
-// lossPoint is one row of the per-hop loss sweep. Fields are exported so
-// the point survives a checkpoint JSON round-trip.
-type lossPoint struct {
-	Arrived, Ana, Sim float64
-	Rerouted          int
+// warnFailed notes the points a -keep-going sweep skipped.
+func warnFailed(w io.Writer, failed, total int) {
+	if failed > 0 {
+		fmt.Fprintf(w, "WARNING: %d of %d points failed and were skipped (-keep-going)\n", failed, total)
+	}
 }
 
 // runLossSweep prints the degradation curve over the per-hop loss rate. The
@@ -323,30 +301,17 @@ func runLossSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, loss netsim.Los
 		commRange, loss.MaxRetries, base.Trials)
 	fmt.Fprintf(w, "%-9s  %-12s  %-8s  %-9s  %-9s  %-7s\n",
 		"hop_loss", "arrived_frac", "rerouted", "analysis", "sim", "diff")
-	rates := make([]float64, steps+1)
-	for i := range rates {
-		rates[i] = maxLoss * float64(i) / float64(steps)
-	}
-	points, done, err := runPoints(env, "loss", rates, func(ctx context.Context, _ int, rate float64) (lossPoint, error) {
-		cfg := base
-		cfg.CommRange = commRange
-		cfg.Loss = loss
-		cfg.Loss.PerHopDelivery = 1 - rate
-		res, err := gbd.SimulateCtx(ctx, cfg)
-		if err != nil {
-			return lossPoint{}, err
-		}
-		arrived := res.Faults.ArrivedFrac()
-		ana, err := detect.Degraded(base.Params, 0, arrived, detect.MSOptions{})
-		if err != nil {
-			return lossPoint{}, err
-		}
-		return lossPoint{Arrived: arrived, Ana: ana.DetectionProb, Sim: res.DetectionProb, Rerouted: res.Faults.Rerouted}, nil
+	rates := sweepGrid(maxLoss, steps)
+	cfg := base
+	cfg.CommRange = commRange
+	cfg.Loss = loss
+	points, done, err := runPoints(env, "loss", rates, func(ctx context.Context, _ int, rate float64) (experiments.LossPoint, error) {
+		return experiments.HopLossPoint(ctx, cfg, rate, detect.MSOptions{})
 	})
 	if err != nil {
 		return err
 	}
-	maxDiff := 0.0
+	var agree experiments.Agreement
 	failed := 0
 	for i, pt := range points {
 		if !done[i] {
@@ -354,26 +319,12 @@ func runLossSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, loss netsim.Los
 			failed++
 			continue
 		}
-		diff := math.Abs(pt.Ana - pt.Sim)
-		if diff > maxDiff {
-			maxDiff = diff
-		}
 		fmt.Fprintf(w, "%-9.2f  %-12.4f  %-8d  %-9.4f  %-9.4f  %-7.4f\n",
-			rates[i], pt.Arrived, pt.Rerouted, pt.Ana, pt.Sim, diff)
+			rates[i], pt.Arrived, pt.Rerouted, pt.Ana, pt.Sim, agree.Add(pt.Ana, pt.Sim))
 	}
-	fmt.Fprintf(w, "max |analysis - sim| = %.4f (analysis uses measured arrived_frac)\n", maxDiff)
-	if failed > 0 {
-		fmt.Fprintf(w, "WARNING: %d of %d points failed and were skipped (-keep-going)\n", failed, len(points))
-	}
+	fmt.Fprintf(w, "max |analysis - sim| = %.4f (analysis uses measured arrived_frac)\n", agree.MaxDiff)
+	warnFailed(w, failed, len(points))
 	return nil
-}
-
-// inferPoint is one row of the closed-loop inference sweep. Fields are
-// exported so the point survives a checkpoint JSON round-trip.
-type inferPoint struct {
-	Precision, Recall, MeanTTD       float64
-	InferredFrac, PDeliverHat        float64
-	TruthProb, InferredProb, AbsDiff float64
 }
 
 // runInferSweep runs the closed-loop mode: at each dead fraction the
@@ -396,38 +347,13 @@ func runInferSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, pDeliver, maxD
 		pDeliver, base.Trials)
 	fmt.Fprintf(w, "%-10s  %-9s  %-7s  %-8s  %-13s  %-10s  %-10s  %-9s  %-7s\n",
 		"dead_frac", "precision", "recall", "mean_ttd", "inferred_frac", "p_del_hat", "truth_prob", "inf_prob", "gap")
-	fracs := make([]float64, steps+1)
-	for i := range fracs {
-		fracs[i] = maxDead * float64(i) / float64(steps)
-	}
-	points, done, err := runPoints(env, "infer", fracs, func(ctx context.Context, _ int, f float64) (inferPoint, error) {
-		cfg := base
-		cfg.PDeliver = pDeliver
-		cfg.Beacons = true
-		cfg.Infer = &gbd.InferOptions{}
-		if f > 0 {
-			cfg.Faults = faults.Bernoulli{DeadFrac: f}
-		}
-		res, err := gbd.SimulateCtx(ctx, cfg)
-		if err != nil {
-			return inferPoint{}, err
-		}
-		st := res.Infer
-		pair, err := gbd.ClosedLoopPoint(base.Params, st.TruthDeadFrac(), st.InferredDeadFrac(),
-			pDeliver, st.PDeliverObserved(), detect.MSOptions{})
-		if err != nil {
-			return inferPoint{}, err
-		}
-		return inferPoint{
-			Precision:    st.Precision(),
-			Recall:       st.Recall(),
-			MeanTTD:      st.MeanTimeToDetect(),
-			InferredFrac: st.InferredDeadFrac(),
-			PDeliverHat:  st.PDeliverObserved(),
-			TruthProb:    pair.TruthProb,
-			InferredProb: pair.InferredProb,
-			AbsDiff:      pair.AbsDiff(),
-		}, nil
+	fracs := sweepGrid(maxDead, steps)
+	cfg := base
+	cfg.PDeliver = pDeliver
+	cfg.Beacons = true
+	cfg.Infer = &gbd.InferOptions{}
+	points, done, err := runPoints(env, "infer", fracs, func(ctx context.Context, _ int, f float64) (experiments.InferPoint, error) {
+		return experiments.InferencePoint(ctx, cfg, f, detect.MSOptions{})
 	})
 	if err != nil {
 		return err
@@ -442,17 +368,13 @@ func runInferSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, pDeliver, maxD
 			continue
 		}
 		lastDone = i
-		if pt.AbsDiff > maxGap {
-			maxGap = pt.AbsDiff
-		}
+		maxGap = max(maxGap, pt.AbsDiff)
 		fmt.Fprintf(w, "%-10.2f  %-9.4f  %-7.4f  %-8.2f  %-13.4f  %-10.4f  %-10.4f  %-9.4f  %-7.4f\n",
 			fracs[i], pt.Precision, pt.Recall, pt.MeanTTD, pt.InferredFrac,
 			pt.PDeliverHat, pt.TruthProb, pt.InferredProb, pt.AbsDiff)
 	}
 	fmt.Fprintf(w, "max |truth - inferred| detection gap = %.4f\n", maxGap)
-	if failed > 0 {
-		fmt.Fprintf(w, "WARNING: %d of %d points failed and were skipped (-keep-going)\n", failed, len(points))
-	}
+	warnFailed(w, failed, len(points))
 	// Accuracy gate: judged on the final completed row — the largest dead
 	// fraction, where both precision and recall are meaningful. (At tiny
 	// dead fractions precision is dominated by the handful of tail false

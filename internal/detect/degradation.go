@@ -9,9 +9,9 @@ import (
 // thins the deployment to an effective density n' = n*(1-deadFrac), and
 // lossy report delivery thins the per-sensor report probability to
 // Pd' = Pd*pDeliver. Both effective parameters feed straight through the
-// unmodified M-S-approach, giving degradation curves (system detection
-// probability versus failure fraction or loss rate) without touching the
-// Markov machinery.
+// unmodified M-S-approach (Degraded) without touching the Markov
+// machinery. The degradation rows that set this mirror against the
+// fault-injection simulator live in internal/experiments.
 
 // checkFrac validates a probability-like knob.
 func checkFrac(name string, v float64) error {
@@ -74,92 +74,4 @@ func Degraded(p Params, deadFrac, pDeliver float64, opt MSOptions) (*MSResult, e
 		return &MSResult{Params: dp, Mass: 1}, nil
 	}
 	return MSApproach(dp, opt)
-}
-
-// DegradationPoint is one point of a degradation curve.
-type DegradationPoint struct {
-	// DeadFrac and PDeliver are the failure knobs at this point.
-	DeadFrac, PDeliver float64
-	// EffN and EffPd are the effective parameters actually analyzed.
-	EffN  int
-	EffPd float64
-	// DetectionProb is the analytical system detection probability.
-	DetectionProb float64
-}
-
-// DegradationCurve sweeps the dead fraction at a fixed delivery
-// probability: the analytical graceful-degradation profile that the
-// fault-injection simulator validates. Fractions may be any values in
-// [0, 1] and are evaluated in the order given.
-func DegradationCurve(p Params, deadFracs []float64, pDeliver float64, opt MSOptions) ([]DegradationPoint, error) {
-	if len(deadFracs) == 0 {
-		return nil, fmt.Errorf("no dead fractions: %w", ErrParams)
-	}
-	points := make([]DegradationPoint, 0, len(deadFracs))
-	for _, f := range deadFracs {
-		res, err := Degraded(p, f, pDeliver, opt)
-		if err != nil {
-			return nil, fmt.Errorf("dead fraction %v: %w", f, err)
-		}
-		points = append(points, DegradationPoint{
-			DeadFrac:      f,
-			PDeliver:      pDeliver,
-			EffN:          res.Params.N,
-			EffPd:         res.Params.Pd,
-			DetectionProb: res.DetectionProb,
-		})
-	}
-	return points, nil
-}
-
-// LossCurve sweeps the delivery probability at a fixed dead fraction — the
-// other axis of the degradation surface.
-func LossCurve(p Params, deadFrac float64, pDelivers []float64, opt MSOptions) ([]DegradationPoint, error) {
-	if len(pDelivers) == 0 {
-		return nil, fmt.Errorf("no delivery probabilities: %w", ErrParams)
-	}
-	points := make([]DegradationPoint, 0, len(pDelivers))
-	for _, pd := range pDelivers {
-		res, err := Degraded(p, deadFrac, pd, opt)
-		if err != nil {
-			return nil, fmt.Errorf("delivery probability %v: %w", pd, err)
-		}
-		points = append(points, DegradationPoint{
-			DeadFrac:      deadFrac,
-			PDeliver:      pd,
-			EffN:          res.Params.N,
-			EffPd:         res.Params.Pd,
-			DetectionProb: res.DetectionProb,
-		})
-	}
-	return points, nil
-}
-
-// CriticalDeadFrac returns the largest dead fraction (on a grid of `steps`
-// uniform increments of 1/steps) whose analytical detection probability
-// still meets requirement — the deployment's failure headroom.
-func CriticalDeadFrac(p Params, requirement float64, steps int, opt MSOptions) (float64, error) {
-	if requirement <= 0 || requirement > 1 {
-		return 0, fmt.Errorf("requirement %v must be in (0, 1]: %w", requirement, ErrParams)
-	}
-	if steps < 1 {
-		return 0, fmt.Errorf("steps = %d must be >= 1: %w", steps, ErrParams)
-	}
-	best := -1.0
-	for i := 0; i <= steps; i++ {
-		f := float64(i) / float64(steps)
-		res, err := Degraded(p, f, 1, opt)
-		if err != nil {
-			return 0, err
-		}
-		if res.DetectionProb >= requirement {
-			best = f
-		} else {
-			break // detection is monotone non-increasing in f
-		}
-	}
-	if best < 0 {
-		return 0, fmt.Errorf("requirement %v unmet even with no failures: %w", requirement, ErrParams)
-	}
-	return best, nil
 }

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -103,25 +104,28 @@ func TestThinnedTracksDegraded(t *testing.T) {
 // non-increasing in the node-failure fraction.
 func TestDegradationCurveMonotoneInDeadFrac(t *testing.T) {
 	p := Defaults()
-	fracs := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.75, 1}
-	curve, err := DegradationCurve(p, fracs, 1, MSOptions{Gh: 5, G: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != len(fracs) {
-		t.Fatalf("curve has %d points, want %d", len(curve), len(fracs))
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].DetectionProb > curve[i-1].DetectionProb+1e-9 {
-			t.Errorf("detection rose at f=%v: %v -> %v",
-				curve[i].DeadFrac, curve[i-1].DetectionProb, curve[i].DetectionProb)
+	prev := 2.0
+	var first, last *MSResult
+	for _, f := range []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.75, 1} {
+		res, err := Degraded(p, f, 1, MSOptions{Gh: 5, G: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.DetectionProb > prev+1e-9 {
+			t.Errorf("detection rose at f=%v: %v -> %v", f, prev, res.DetectionProb)
+		}
+		prev = res.DetectionProb
+		if first == nil {
+			first = res
+		}
+		last = res
 	}
-	if curve[0].DetectionProb <= curve[len(curve)-1].DetectionProb {
+	if first.DetectionProb <= last.DetectionProb {
 		t.Error("curve should actually decrease over [0, 1]")
 	}
-	if last := curve[len(curve)-1]; last.DetectionProb != 0 || last.EffN != 0 {
-		t.Errorf("f=1 point = %+v, want zero detection and zero sensors", last)
+	if last.DetectionProb != 0 || last.Params.N != 0 {
+		t.Errorf("f=1 point = %v with %d sensors, want zero detection and zero sensors",
+			last.DetectionProb, last.Params.N)
 	}
 }
 
@@ -130,22 +134,25 @@ func TestDegradationCurveMonotoneInDeadFrac(t *testing.T) {
 // in the loss rate).
 func TestLossCurveMonotoneInDeliveryProb(t *testing.T) {
 	p := Defaults()
-	delivers := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9, 1}
-	curve, err := LossCurve(p, 0, delivers, MSOptions{Gh: 5, G: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].DetectionProb < curve[i-1].DetectionProb-1e-9 {
-			t.Errorf("detection fell as delivery improved at pDeliver=%v: %v -> %v",
-				curve[i].PDeliver, curve[i-1].DetectionProb, curve[i].DetectionProb)
+	prev := -1.0
+	for _, pd := range []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9, 1} {
+		res, err := Degraded(p, 0, pd, MSOptions{Gh: 5, G: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if curve[0].DetectionProb != 0 {
-		t.Errorf("zero delivery should zero detection, got %v", curve[0].DetectionProb)
+		if pd == 0 && res.DetectionProb != 0 {
+			t.Errorf("zero delivery should zero detection, got %v", res.DetectionProb)
+		}
+		if res.DetectionProb < prev-1e-9 {
+			t.Errorf("detection fell as delivery improved at pDeliver=%v: %v -> %v", pd, prev, res.DetectionProb)
+		}
+		prev = res.DetectionProb
 	}
 }
 
+// TestCriticalDeadFrac: the failure headroom down to half the fault-free
+// detection probability, found on a 1/20 grid of dead fractions, is
+// interior, and the next grid step falls below the requirement.
 func TestCriticalDeadFrac(t *testing.T) {
 	p := Defaults()
 	opt := MSOptions{Gh: 5, G: 4}
@@ -153,43 +160,38 @@ func TestCriticalDeadFrac(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Headroom down to half the fault-free detection probability.
-	crit, err := CriticalDeadFrac(p, base.DetectionProb/2, 20, opt)
-	if err != nil {
-		t.Fatal(err)
+	req := base.DetectionProb / 2
+	crit := -1.0
+	for i := 0; i <= 20; i++ {
+		f := float64(i) / 20
+		res, err := Degraded(p, f, 1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DetectionProb < req {
+			break
+		}
+		crit = f
 	}
 	if crit <= 0 || crit >= 1 {
 		t.Fatalf("critical fraction %v out of range", crit)
-	}
-	at, err := Degraded(p, crit, 1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at.DetectionProb < base.DetectionProb/2 {
-		t.Errorf("detection %v at critical fraction %v below requirement %v",
-			at.DetectionProb, crit, base.DetectionProb/2)
 	}
 	beyond, err := Degraded(p, crit+0.05, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if beyond.DetectionProb >= base.DetectionProb/2 {
+	if beyond.DetectionProb >= req {
 		t.Errorf("detection %v just past critical fraction still meets requirement", beyond.DetectionProb)
-	}
-	if _, err := CriticalDeadFrac(p, 0.999999, 10, opt); err == nil {
-		t.Error("unreachable requirement should fail")
 	}
 }
 
+// TestDegradationCurveValidation: out-of-range failure knobs are
+// parameter errors.
 func TestDegradationCurveValidation(t *testing.T) {
 	p := Defaults()
-	if _, err := DegradationCurve(p, nil, 1, MSOptions{}); err == nil {
-		t.Error("empty sweep should fail")
-	}
-	if _, err := LossCurve(p, 0, nil, MSOptions{}); err == nil {
-		t.Error("empty sweep should fail")
-	}
-	if _, err := DegradationCurve(p, []float64{2}, 1, MSOptions{}); err == nil {
-		t.Error("out-of-range fraction should fail")
+	for _, knobs := range [][2]float64{{2, 1}, {-0.1, 1}, {0, 1.5}, {0, -1}} {
+		if _, err := Degraded(p, knobs[0], knobs[1], MSOptions{}); !errors.Is(err, ErrParams) {
+			t.Errorf("Degraded(f=%v, pDeliver=%v) = %v, want ErrParams", knobs[0], knobs[1], err)
+		}
 	}
 }

@@ -24,6 +24,17 @@ import (
 	"github.com/groupdetect/gbd/internal/track"
 )
 
+// The §6 design workflow's false-alarm defaults: a per-sensor per-period
+// false alarm probability Pf, the horizon in sensing periods (a day of
+// one-minute periods), and the system false-alarm budget over it. The
+// gbd-design flags, the /v1/design request and the placement engine all
+// default to these.
+const (
+	DefaultPf      = 1e-4
+	DefaultHorizon = 1440
+	DefaultBudget  = 0.01
+)
+
 // ErrModel reports invalid false-alarm model parameters.
 var ErrModel = errors.New("falsealarm: invalid model")
 

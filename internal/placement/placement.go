@@ -53,6 +53,13 @@ type Class struct {
 	Pd float64 `json:"pd"`
 }
 
+// Defaults of the placement problem: a DefaultGrid x DefaultGrid candidate
+// lattice and a DefaultTrials-track Monte Carlo panel.
+const (
+	DefaultGrid   = 32
+	DefaultTrials = 2000
+)
+
 // Config describes a placement problem.
 type Config struct {
 	// Base is the scenario: field, target kinematics, and the K-of-M rule.
@@ -64,10 +71,10 @@ type Config struct {
 	// class drawn from Base.
 	Classes []Class
 	// GridCols and GridRows shape the candidate lattice (cell centers of a
-	// GridCols x GridRows grid over the field). 0 defaults to 32.
+	// GridCols x GridRows grid over the field). 0 defaults to DefaultGrid.
 	GridCols int
 	GridRows int
-	// Trials sizes the Monte Carlo track panel (default 2000).
+	// Trials sizes the Monte Carlo track panel (0 defaults to DefaultTrials).
 	Trials int
 	// Seed makes the whole run reproducible.
 	Seed int64
@@ -78,28 +85,28 @@ type Config struct {
 	// Results are bit-identical at any setting.
 	Workers int
 	// FalseAlarmP, FAHorizon and FABudget parameterize the §6 report
-	// thresholds attached to the result (defaults 1e-4, 1440, 0.01 — the
-	// design-workflow defaults).
+	// thresholds attached to the result (0 defaults to the design
+	// workflow's falsealarm.DefaultPf, DefaultHorizon and DefaultBudget).
 	FalseAlarmP float64
 	FAHorizon   int
 	FABudget    float64
 }
 
-// Resolve fills every defaulted field (32x32 grid, 2000 trials,
-// GOMAXPROCS workers, Pf 1e-4 over 1440 periods within 0.01, one class
-// drawn from Base) and validates the result. The int is the fleet size.
+// Resolve fills every defaulted field (the default grid and trials,
+// GOMAXPROCS workers, the design workflow's false-alarm defaults, one
+// class drawn from Base) and validates the result. The int is the fleet size.
 func (c Config) Resolve() (Config, int, error) {
 	if c.GridCols == 0 {
-		c.GridCols = 32
+		c.GridCols = DefaultGrid
 	}
 	if c.GridRows == 0 {
-		c.GridRows = 32
+		c.GridRows = DefaultGrid
 	}
 	if c.GridCols < 1 || c.GridRows < 1 {
 		return c, 0, fmt.Errorf("grid %dx%d must be at least 1x1: %w", c.GridCols, c.GridRows, ErrConfig)
 	}
 	if c.Trials == 0 {
-		c.Trials = 2000
+		c.Trials = DefaultTrials
 	}
 	if c.Trials < 1 {
 		return c, 0, fmt.Errorf("trials = %d must be positive: %w", c.Trials, ErrConfig)
@@ -114,16 +121,16 @@ func (c Config) Resolve() (Config, int, error) {
 		return c, 0, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	if c.FalseAlarmP == 0 {
-		c.FalseAlarmP = 1e-4
+		c.FalseAlarmP = falsealarm.DefaultPf
 	}
 	if c.FalseAlarmP < 0 || c.FalseAlarmP > 1 {
 		return c, 0, fmt.Errorf("false alarm probability %v: %w", c.FalseAlarmP, ErrConfig)
 	}
 	if c.FAHorizon == 0 {
-		c.FAHorizon = 1440
+		c.FAHorizon = falsealarm.DefaultHorizon
 	}
 	if c.FABudget == 0 {
-		c.FABudget = 0.01
+		c.FABudget = falsealarm.DefaultBudget
 	}
 	if len(c.Classes) == 0 {
 		c.Classes = []Class{{Count: c.Base.N, Rs: c.Base.Rs, Pd: c.Base.Pd}}

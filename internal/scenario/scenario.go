@@ -23,6 +23,14 @@ import (
 	"github.com/groupdetect/gbd/internal/detect"
 )
 
+// The §6 design request's sizing defaults, shared by the gbd-design flags
+// and /v1/design: the required detection probability and the largest
+// fleet the sizing loop considers.
+const (
+	DesignTarget = 0.9
+	DesignNMax   = 1000
+)
+
 // ErrScenario reports a malformed scenario file or request value.
 var ErrScenario = errors.New("scenario: invalid scenario")
 

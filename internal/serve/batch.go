@@ -104,20 +104,42 @@ func (req *SweepPointRequest) sweep() SweepRequest {
 	}
 }
 
+// validateBatch checks the request envelope before any item is planned.
+// Overflow is 413, not 400: the items are not wrong, there are just too
+// many of them — clients split the batch and retry.
+func (s *Server) validateBatch(req BatchRequest) error {
+	if len(req.Items) < 1 {
+		return fmt.Errorf("items must hold at least one operation: %w", ErrRequest)
+	}
+	if n := len(req.Items); n > s.cfg.MaxBatchItems {
+		return fmt.Errorf("items holds %d operations, limit %d: %w", n, s.cfg.MaxBatchItems, ErrTooLarge)
+	}
+	return nil
+}
+
+// planItem resolves one batch item through the endpoint table. The entry
+// is returned whenever the op names one, even if planning failed; an
+// error becomes the item's in-band error line.
+func (s *Server) planItem(it BatchItem) (*endpoint, string, computeFunc, error) {
+	e := endpointFor(it.Op)
+	switch {
+	case len(it.Request) == 0:
+		return e, "", nil, fmt.Errorf("batch item %q missing request: %w", it.Op, ErrRequest)
+	case e == nil:
+		return nil, "", nil, fmt.Errorf("op = %q must be one of %s: %w", it.Op, opNames, ErrRequest)
+	}
+	key, compute, err := e.plan(s, it.Request)
+	return e, key, compute, err
+}
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := readJSON(r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if len(req.Items) < 1 {
-		s.writeError(w, fmt.Errorf("items must hold at least one operation: %w", ErrRequest))
-		return
-	}
-	// Overflow is 413, not 400: the items are not wrong, there are just
-	// too many of them — clients split the batch and retry.
-	if n := len(req.Items); n > s.cfg.MaxBatchItems {
-		s.writeError(w, fmt.Errorf("items holds %d operations, limit %d: %w", n, s.cfg.MaxBatchItems, ErrTooLarge))
+	if err := s.validateBatch(req); err != nil {
+		s.writeError(w, err)
 		return
 	}
 	batchRequests.Inc()
@@ -139,17 +161,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var hits, misses, forwards, errs int
 	for i, it := range req.Items {
 		st := &states[i]
-		st.e = endpointFor(it.Op)
+		st.e, st.key, st.compute, st.err = s.planItem(it)
 		if st.e != nil {
 			st.e.requests.Inc()
-		}
-		switch {
-		case len(it.Request) == 0:
-			st.err = fmt.Errorf("batch item %q missing request: %w", it.Op, ErrRequest)
-		case st.e == nil:
-			st.err = fmt.Errorf("op = %q must be one of %s: %w", it.Op, opNames, ErrRequest)
-		default:
-			st.key, st.compute, st.err = st.e.plan(s, it.Request)
 		}
 		if st.err != nil {
 			errs++

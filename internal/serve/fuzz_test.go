@@ -5,13 +5,17 @@
 // land on the same cache key. Key stability is the safety property the
 // whole cache rests on: a nondeterministic key would let one request
 // populate an entry another spelling of itself misses, or worse, collide
-// two different requests.
+// two different requests. FuzzEndpoints also sends bodies to the
+// uncached /v1/sweep and /v1/batch envelopes, which must either reject
+// with a 4xx or accept and stream a 200, never panic.
 package serve
 
 import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"github.com/groupdetect/gbd/internal/detect"
 )
 
 // fuzzServer is shared across fuzz iterations; planning is read-only on
@@ -53,15 +57,95 @@ var (
 		`{"scenario":{},"trials":50,"p_deliver":0}`,
 		`{"scenario":{},"trials":50,"alpha":0.9}`,
 	}
+	sweepPointSeeds = []string{
+		`{"scenario":{},"axis":"dead_frac","value":0,"trials":100,"seed":4}`,
+		`{"scenario":{},"axis":"dead_frac","value":0.2,"trials":100,"seed":4,"rng":"philox"}`,
+		`{"scenario":{},"axis":"dead_frac","value":1.5}`,
+		`{"scenario":{},"axis":"n","value":60.5,"index":-1}`,
+	}
+	// Envelope seeds: /v1/sweep bodies, then /v1/batch bodies.
+	sweepSeeds = []string{
+		`{"scenario":{},"axis":"dead_frac","values":[0,0.2],"trials":100,"seed":4}`,
+		`{"scenario":{},"axis":"dead_frac","values":[-0.5],"keep_going":true}`,
+		`{"scenario":{},"axis":"n","values":[60.5],"index_base":3,"heartbeat_ms":50}`,
+		`{"scenario":{},"axis":"k","values":[]}`,
+		`{"scenario":{"n":-1},"axis":"m","values":[1e300],"retries":-1}`,
+		`{"axis":"bogus","values":[1],"rng":"nope"}`,
+		`not json`,
+	}
+	batchSeeds = []string{
+		`{"items":[{"op":"sweep_point","request":{"scenario":{},"axis":"dead_frac","value":0,"trials":100,"seed":4}}]}`,
+		`{"items":[{"op":"sweep_point","request":{"scenario":{},"axis":"dead_frac","value":1.5}},{"op":"analyze","request":{"scenario":{}}}]}`,
+		`{"items":[{"op":"nope","request":{}},{"op":"simulate"}]}`,
+		`{"items":[]}`,
+		`{"items":[{"op":"infer","request":"not an object"}]}`,
+		`not json`,
+	}
 )
+
+// The fuzzed op space: every table entry, then the two uncached
+// envelopes, which stream a 200 once their body is accepted.
+var (
+	sweepEnvelopeOp = uint8(len(endpoints))
+	batchEnvelopeOp = uint8(len(endpoints) + 1)
+)
+
+// checkRejection asserts that a rejected body maps to a 4xx.
+func checkRejection(t *testing.T, what string, body []byte, err error) {
+	if code := errorStatus(err); code < 400 || code > 499 {
+		t.Fatalf("%s rejected %q with status %d: %v", what, body, code, err)
+	}
+}
+
+// checkSweepEnvelope runs a /v1/sweep body through the handler's checks
+// (strict decode, validateSweep, the base scenario) and resolves the
+// first row's scenario. A rejected envelope must be a 4xx; a first row
+// that fails is an in-band error row, whose error must classify as one
+// too.
+func checkSweepEnvelope(t *testing.T, body []byte) {
+	var req SweepRequest
+	err := decodeBytes(body, &req)
+	if err == nil {
+		err = fuzzServer.validateSweep(req)
+	}
+	var base detect.Params
+	if err == nil {
+		base, err = req.Scenario.Params()
+	}
+	if err != nil {
+		checkRejection(t, "/v1/sweep", body, err)
+		return
+	}
+	if _, err := applyAxis(base, req.Axis, req.Values[0]); err != nil {
+		checkRejection(t, "/v1/sweep first row", body, err)
+	}
+}
+
+// checkBatchEnvelope runs a /v1/batch body through the handler's checks
+// and plans every item; item errors are in-band lines of a 200 stream
+// and must classify as 4xx like a rejected envelope.
+func checkBatchEnvelope(t *testing.T, body []byte) {
+	var req BatchRequest
+	err := decodeBytes(body, &req)
+	if err == nil {
+		err = fuzzServer.validateBatch(req)
+	}
+	if err != nil {
+		checkRejection(t, "/v1/batch", body, err)
+		return
+	}
+	for _, it := range req.Items {
+		if _, _, _, err := fuzzServer.planItem(it); err != nil {
+			checkRejection(t, "/v1/batch item "+it.Op, it.Request, err)
+		}
+	}
+}
 
 // checkPlan asserts the fuzz properties for one body sent to one op.
 func checkPlan(t *testing.T, e *endpoint, body []byte) {
 	key, _, err := e.plan(fuzzServer, body)
 	if err != nil {
-		if code := errorStatus(err); code < 400 || code > 499 {
-			t.Fatalf("%s rejected %q with status %d: %v", e.name, body, code, err)
-		}
+		checkRejection(t, e.name, body, err)
 		return
 	}
 	key2, _, err := e.plan(fuzzServer, body)
@@ -111,7 +195,23 @@ func FuzzEndpoints(f *testing.F) {
 			f.Add(opIndex(f, op), []byte(tc.body))
 		}
 	}
+	for _, body := range sweepPointSeeds {
+		f.Add(opIndex(f, "sweep_point"), []byte(body))
+	}
+	for _, body := range sweepSeeds {
+		f.Add(sweepEnvelopeOp, []byte(body))
+	}
+	for _, body := range batchSeeds {
+		f.Add(batchEnvelopeOp, []byte(body))
+	}
 	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
-		checkPlan(t, endpoints[int(op)%len(endpoints)], body)
+		switch op := op % (batchEnvelopeOp + 1); op {
+		case sweepEnvelopeOp:
+			checkSweepEnvelope(t, body)
+		case batchEnvelopeOp:
+			checkBatchEnvelope(t, body)
+		default:
+			checkPlan(t, endpoints[op], body)
+		}
 	})
 }

@@ -17,7 +17,7 @@ import (
 	"fmt"
 
 	"github.com/groupdetect/gbd/internal/detect"
-	"github.com/groupdetect/gbd/internal/faults"
+	"github.com/groupdetect/gbd/internal/experiments"
 	"github.com/groupdetect/gbd/internal/infer"
 	"github.com/groupdetect/gbd/internal/scenario"
 	"github.com/groupdetect/gbd/internal/sim"
@@ -139,9 +139,6 @@ func (s *Server) inferConfig(p detect.Params, req InferRequest) (sim.Config, err
 		Beacons:  beacons,
 		Infer:    &opt,
 	}
-	if req.DeadFrac > 0 {
-		cfg.Faults = faults.Bernoulli{DeadFrac: req.DeadFrac}
-	}
 	return cfg, nil
 }
 
@@ -166,31 +163,27 @@ func (s *Server) inferKey(req InferRequest) (detect.Params, sim.Config, string, 
 	return p, cfg, key, err
 }
 
+// computeInfer runs the closed-loop row, experiments.InferencePoint, at
+// the request's dead fraction.
 func (s *Server) computeInfer(ctx context.Context, p detect.Params, req InferRequest, cfg sim.Config) (*InferResponse, error) {
-	res, err := sim.RunCtx(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	st := res.Infer
-	pair, err := infer.ClosedLoopPoint(p, st.TruthDeadFrac(), st.InferredDeadFrac(),
-		cfg.PDeliver, st.PDeliverObserved(), detect.MSOptions{})
+	pt, err := experiments.InferencePoint(ctx, cfg, req.DeadFrac, detect.MSOptions{})
 	if err != nil {
 		return nil, err
 	}
 	return &InferResponse{
 		Scenario:         scenario.NewEcho(p),
-		Trials:           res.Trials,
-		Precision:        st.Precision(),
-		Recall:           st.Recall(),
-		MeanTTD:          st.MeanTimeToDetect(),
-		Declarations:     st.Declarations,
-		Retractions:      st.Retractions,
-		FalseAlarms:      st.Final.FP,
-		InferredDeadFrac: st.InferredDeadFrac(),
-		TruthDeadFrac:    st.TruthDeadFrac(),
-		PDeliverHat:      st.PDeliverObserved(),
-		TruthProb:        pair.TruthProb,
-		InferredProb:     pair.InferredProb,
-		AbsDiff:          pair.AbsDiff(),
+		Trials:           cfg.Trials,
+		Precision:        pt.Precision,
+		Recall:           pt.Recall,
+		MeanTTD:          pt.MeanTTD,
+		Declarations:     pt.Declarations,
+		Retractions:      pt.Retractions,
+		FalseAlarms:      pt.FalseAlarms,
+		InferredDeadFrac: pt.InferredFrac,
+		TruthDeadFrac:    pt.TruthFrac,
+		PDeliverHat:      pt.PDeliverHat,
+		TruthProb:        pt.TruthProb,
+		InferredProb:     pt.InferredProb,
+		AbsDiff:          pt.AbsDiff,
 	}, nil
 }

@@ -512,19 +512,19 @@ type designCanonical struct {
 
 func (r *DesignRequest) withDefaults() {
 	if r.TargetProb == 0 {
-		r.TargetProb = 0.9
+		r.TargetProb = scenario.DesignTarget
 	}
 	if r.FalseAlarmP == 0 {
-		r.FalseAlarmP = 1e-4
+		r.FalseAlarmP = falsealarm.DefaultPf
 	}
 	if r.Budget == 0 {
-		r.Budget = 0.01
+		r.Budget = falsealarm.DefaultBudget
 	}
 	if r.Horizon == 0 {
-		r.Horizon = 1440
+		r.Horizon = falsealarm.DefaultHorizon
 	}
 	if r.NMax == 0 {
-		r.NMax = 1000
+		r.NMax = scenario.DesignNMax
 	}
 }
 
@@ -685,18 +685,14 @@ func (s *Server) simConfig(p detect.Params, req SimulateRequest) (sim.Config, er
 		Seed:    req.Seed,
 		Workers: 1,
 		RNG:     scheme,
-	}
-	if req.DeadFrac > 0 {
-		cfg.Faults = faults.Bernoulli{DeadFrac: req.DeadFrac}
+		Faults:  faults.Bernoulli{DeadFrac: req.DeadFrac},
 	}
 	if req.CommRange > 0 {
 		cfg.CommRange = req.CommRange
 		cfg.Loss = netsim.LossModel{
 			PerHopDelivery: 1 - req.PerHopLoss,
 			MaxRetries:     req.HopRetries,
-			PerHop:         10 * time.Second,
 			Backoff:        5 * time.Second,
-			Budget:         p.T,
 		}
 	}
 	return cfg, nil
@@ -720,7 +716,7 @@ func (s *Server) computeSimulate(ctx context.Context, p detect.Params, req Simul
 		CIHi:          res.CI.Hi,
 		MeanReports:   res.MeanReports,
 	}
-	if cfg.Faults != nil || cfg.CommRange > 0 {
+	if req.DeadFrac > 0 || cfg.CommRange > 0 {
 		f := res.Faults
 		resp.Faults = &FaultSummary{
 			Generated: f.Generated, Delivered: f.Delivered,

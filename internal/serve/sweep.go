@@ -17,7 +17,7 @@ import (
 
 	gbd "github.com/groupdetect/gbd"
 	"github.com/groupdetect/gbd/internal/detect"
-	"github.com/groupdetect/gbd/internal/faults"
+	"github.com/groupdetect/gbd/internal/experiments"
 	"github.com/groupdetect/gbd/internal/sim"
 	"github.com/groupdetect/gbd/internal/sweep"
 )
@@ -149,34 +149,39 @@ func applyAxis(p detect.Params, axis SweepAxis, v float64) (detect.Params, error
 }
 
 // sweepPoint computes one row: the analytical detection probability at
-// the point's scenario, plus a Monte Carlo column when trials > 0.
+// the point's scenario, plus a Monte Carlo column when trials > 0. A
+// dead_frac row is experiments.DeadFracPoint, the dead-fraction row every
+// front end shares.
 func (s *Server) sweepPoint(ctx context.Context, base detect.Params, req SweepRequest, i int, v float64) (SweepRow, error) {
 	row := SweepRow{Index: req.IndexBase + i, Axis: req.Axis, Value: v}
 	p, err := applyAxis(base, req.Axis, v)
 	if err != nil {
 		return row, err
 	}
-	opt := req.Options.msOptions()
-	var ana *detect.MSResult
-	if req.Axis == AxisDeadFrac {
-		ana, err = detect.Degraded(p, v, 1, opt)
-	} else {
-		ana, err = gbd.AnalyzeCtx(ctx, p, opt)
+	scheme, err := s.resolveRNG(req.RNG)
+	if err != nil {
+		return row, err
 	}
+	cfg := sim.Config{Params: p, Trials: req.Trials, Seed: req.Seed, Workers: 1, RNG: scheme}
+	opt := req.Options.msOptions()
+	if req.Axis == AxisDeadFrac {
+		pt, err := experiments.DeadFracPoint(ctx, cfg, v, opt)
+		if err != nil {
+			return row, err
+		}
+		row.Analysis = &pt.Ana
+		if req.Trials > 0 {
+			row.Simulation, row.CILo, row.CIHi = &pt.Sim, &pt.CILo, &pt.CIHi
+		}
+		return row, nil
+	}
+	ana, err := gbd.AnalyzeCtx(ctx, p, opt)
 	if err != nil {
 		return row, err
 	}
 	prob := ana.DetectionProb
 	row.Analysis = &prob
 	if req.Trials > 0 {
-		scheme, err := s.resolveRNG(req.RNG)
-		if err != nil {
-			return row, err
-		}
-		cfg := sim.Config{Params: p, Trials: req.Trials, Seed: req.Seed, Workers: 1, RNG: scheme}
-		if req.Axis == AxisDeadFrac {
-			cfg.Faults = faults.Bernoulli{DeadFrac: v}
-		}
 		res, err := sim.RunCtx(ctx, cfg)
 		if err != nil {
 			return row, err

@@ -92,7 +92,10 @@ type Config struct {
 	MissionPeriods int
 	// Faults, when non-nil, injects node failures: a sensor dead in a
 	// period neither senses nor relays during it. The paper assumes
-	// immortal sensors (Faults == nil).
+	// immortal sensors (Faults == nil). A faults.Bernoulli with DeadFrac
+	// 0 is no fault model: it resolves to nil, so a dead-fraction sweep
+	// passes faults.Bernoulli{DeadFrac: f} at every f and its f = 0 point
+	// is the fault-free campaign draw for draw.
 	Faults faults.Model
 	// CommRange, when positive, stops assuming instant lossless report
 	// delivery: sensors form a unit-disk network over this radio range and
@@ -167,6 +170,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Model == nil {
 		c.Model = target.Straight{Step: c.Params.Vt()}
+	}
+	if b, ok := c.Faults.(faults.Bernoulli); ok && b.DeadFrac == 0 {
+		c.Faults = nil
 	}
 	if c.CommRange < 0 || math.IsNaN(c.CommRange) {
 		return c, fmt.Errorf("comm range %v must be >= 0: %w", c.CommRange, ErrConfig)
