@@ -232,3 +232,44 @@ func TestGoldenBatchMatchesStandalone(t *testing.T) {
 		}
 	}
 }
+
+// goldenSweeps pins whole /v1/sweep response bodies: a Monte Carlo n
+// axis, an error row under keep_going, the skipped tail without it, an
+// index_base offset, a dead_frac axis and the philox scheme.
+var goldenSweeps = []struct{ name, body, sum string }{
+	{name: "n/trials",
+		body: `{"scenario":{},"axis":"n","values":[60,90,120],"trials":200,"seed":3}`,
+		sum:  "51c9f016af3ea8858d20321ee4d2124fbfa213fc807c884d7c0c88fdd10199c3"},
+	{name: "keep-going/error-row",
+		body: `{"scenario":{},"axis":"n","values":[60,-5,120],"keep_going":true}`,
+		sum:  "46a74b0cbe59fb43d0e8888fd1ec03a65354b4c591ebde8d5918faef28915a91"},
+	{name: "stop/skipped-tail",
+		body: `{"scenario":{},"axis":"n","values":[60,-5,120]}`,
+		sum:  "b5bb7d45e331bee6cf7e344a27215008f473d9eaeaac4535184ea1663398629b"},
+	{name: "index-base",
+		body: `{"scenario":{},"axis":"k","values":[3,5],"trials":100,"seed":2,"index_base":10}`,
+		sum:  "8ed0e626f2855f2ae30c806c0ed0c5cc6cb5d6d30b7fe1675942c8feee2a3eef"},
+	{name: "dead-frac",
+		body: `{"scenario":{},"axis":"dead_frac","values":[0,0.2,0.5],"trials":150,"seed":4}`,
+		sum:  "6d367dfe88e2a4589ab1594ae1e3b9ae65ee4a7d3224edee1db7ead2fa408a26"},
+	{name: "philox",
+		body: `{"scenario":{"n":80},"axis":"v","values":[4,10],"trials":150,"seed":1,"rng":"philox"}`,
+		sum:  "b5d583b5a6bf594a65f043f9bfa9e83eb62b2253bb74c4d26c6bbf3258a888d3"},
+}
+
+// TestGoldenSweep: every pinned sweep renders its pinned bytes, and a
+// replay of the same body on the same server renders them again.
+func TestGoldenSweep(t *testing.T) {
+	h := New(Config{}).Handler()
+	for _, tc := range goldenSweeps {
+		for pass := 0; pass < 2; pass++ {
+			code, _, body := goldenDo(t, h, "/v1/sweep", tc.body)
+			if code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", tc.name, code, body)
+			}
+			if got := hexSum(body); got != tc.sum {
+				t.Errorf("%s pass %d: response sha256 = %s, want %s\n%s", tc.name, pass, got, tc.sum, body)
+			}
+		}
+	}
+}
