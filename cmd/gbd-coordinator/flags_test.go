@@ -12,7 +12,6 @@ import (
 // re-default one unnoticed. The help sentences are not pinned.
 func TestFlagsPinned(t *testing.T) {
 	const want = `-axis string "n"
--batch
 -chaos-503-every int
 -chaos-drop-every int
 -chaos-seed int

@@ -67,7 +67,6 @@ func run(args []string, w io.Writer) (err error) {
 		seed     = fs.Int64("seed", 1, "campaign seed")
 		keep     = fs.Bool("keep-going", false, "finish past point failures, emitting error rows")
 		rngName  = fs.String("rng", "", "trial RNG scheme sent with every shard: legacy (default) or philox")
-		batch    = fs.Bool("batch", false, "fetch shards via /v1/batch sweep_point items instead of /v1/sweep (incompatible with -keep-going)")
 
 		ledger  = fs.String("ledger", "", "work-ledger checkpoint file (required)")
 		resume  = fs.Bool("resume", false, "resume the ledger, recomputing only missing points")
@@ -176,7 +175,6 @@ func run(args []string, w io.Writer) (err error) {
 		},
 		LedgerPath:           *ledger,
 		Resume:               *resume,
-		UseBatch:             *batch,
 		ShardSize:            *shardSize,
 		MaxInflightPerWorker: *inflight,
 		Retries:              *retries,

@@ -5,12 +5,10 @@
 // transport error the scheduler may retry on another worker. Only a 4xx
 // rejection or an application-level point failure is permanent.
 //
-// A shard travels over one of two wire shapes: the /v1/sweep NDJSON
-// stream (default), or — with Config.UseBatch — a /v1/batch request of
-// sweep_point items. Both return the same row bytes for the same points,
-// so the ledger merge is byte-identical either way; batch mode
-// additionally lets workers serve repeated points from their result
-// cache and shard-forward them across a fleet.
+// A shard travels as one /v1/sweep NDJSON stream. The worker resolves
+// each row through its result cache and, in a sharded fleet, its row's
+// owning replica, so a re-dispatched or repeated shard reuses rows
+// instead of recomputing them.
 package fabric
 
 import (
@@ -103,7 +101,6 @@ type client struct {
 	hc           *http.Client
 	stallTimeout time.Duration
 	heartbeatMS  int64
-	useBatch     bool
 }
 
 // maxLineBytes bounds one NDJSON row (matches the serve body bound).
@@ -149,50 +146,9 @@ func (w *watchdog) classify(err error) error {
 	return &transportError{msg: err.Error()}
 }
 
-// fetch retrieves one shard over the configured wire shape.
-func (c *client) fetch(ctx context.Context, baseURL string, req serve.SweepRequest, start int, values []float64) ([][]byte, error) {
-	if c.useBatch {
-		return c.fetchBatch(ctx, baseURL, req, start, values)
-	}
-	return c.fetchShard(ctx, baseURL, req, start, values)
-}
-
-// do posts body to baseURL+path and hands the response stream to scan.
-// Non-200 statuses are classified here: permanent 4xx rejection, or a
-// transient transport error carrying any Retry-After hint.
-func (c *client) do(wd *watchdog, baseURL, path string, body []byte, scan func(*http.Response) ([][]byte, error)) ([][]byte, error) {
-	hreq, err := http.NewRequestWithContext(wd.ctx, http.MethodPost, baseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("fabric: build shard request: %w", err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, wd.classify(err)
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxLineBytes))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		slurp, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		msg := string(bytes.TrimSpace(slurp))
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
-			return nil, &rejectError{status: resp.StatusCode, body: msg}
-		}
-		return nil, &transportError{
-			msg:        fmt.Sprintf("status %d: %s", resp.StatusCode, msg),
-			retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-	}
-	wd.progress()
-	return scan(resp)
-}
-
-// scanRows consumes an NDJSON row stream: heartbeats are skipped, index
-// order is enforced, and — when bareErrorIndex is true (batch mode) — an
-// index-less error line is attributed to the next expected point.
-func (c *client) scanRows(wd *watchdog, body io.Reader, keepGoing, bareErrorIndex bool, start int, values []float64) ([][]byte, error) {
+// scanRows consumes an NDJSON row stream: heartbeats are skipped and
+// index order is enforced.
+func (c *client) scanRows(wd *watchdog, body io.Reader, keepGoing bool, start int, values []float64) ([][]byte, error) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
 	lines := make([][]byte, 0, len(values))
@@ -213,16 +169,8 @@ func (c *client) scanRows(wd *watchdog, body io.Reader, keepGoing, bareErrorInde
 			fabricHeartbeats.Inc()
 			continue
 		}
-		if p.Index == nil {
-			if bareErrorIndex && p.Error != "" {
-				// A batch error line carries no index; items answer in
-				// order, so it belongs to the next expected point.
-				return nil, &pointError{index: next, msg: p.Error}
-			}
-			return nil, &transportError{msg: fmt.Sprintf("row out of order: got index %v, want %d", p.Index, next)}
-		}
-		if *p.Index != next {
-			return nil, &transportError{msg: fmt.Sprintf("row out of order: got index %v, want %d", p.Index, next)}
+		if p.Index == nil || *p.Index != next {
+			return nil, &transportError{msg: fmt.Sprintf("row out of order: want index %d, got %q", next, line)}
 		}
 		if p.Error != "" && !keepGoing {
 			// The worker's sweep engine stopped at an application failure.
@@ -253,7 +201,9 @@ func (c *client) scanRows(wd *watchdog, body io.Reader, keepGoing, bareErrorInde
 // request carries IndexBase so rows come back with campaign-global
 // indexes, and a heartbeat period below the stall timeout so a slow point
 // is distinguishable from a dead worker: any byte of progress (row or
-// heartbeat) resets the stall watchdog.
+// heartbeat) resets the stall watchdog. A non-200 status is a permanent
+// 4xx rejection, or a transient transport error carrying any Retry-After
+// hint.
 func (c *client) fetchShard(ctx context.Context, baseURL string, req serve.SweepRequest, start int, values []float64) ([][]byte, error) {
 	req.Values = values
 	req.IndexBase = start
@@ -264,39 +214,32 @@ func (c *client) fetchShard(ctx context.Context, baseURL string, req serve.Sweep
 	}
 	wd := c.newWatchdog(ctx)
 	defer wd.stop()
-	return c.do(wd, baseURL, "/v1/sweep", body, func(resp *http.Response) ([][]byte, error) {
-		return c.scanRows(wd, resp.Body, req.KeepGoing, false, start, values)
-	})
-}
-
-// fetchBatch posts one shard as a /v1/batch of sweep_point items and
-// returns the same row lines /v1/sweep would have streamed for the same
-// points (the worker renders both through one code path). Batch streams
-// have no heartbeats — lines land as items resolve, which is itself the
-// progress signal; New rejects keep-going campaigns in batch mode since
-// batch error lines are out-of-band (no index/axis/value columns).
-func (c *client) fetchBatch(ctx context.Context, baseURL string, req serve.SweepRequest, start int, values []float64) ([][]byte, error) {
-	items := make([]serve.BatchItem, 0, len(values))
-	for i, v := range values {
-		raw, err := json.Marshal(serve.SweepPointRequest{
-			Scenario: req.Scenario, Options: req.Options, Axis: req.Axis,
-			Value: v, Index: start + i, Trials: req.Trials, Seed: req.Seed,
-			RNG: req.RNG,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fabric: encode batch item: %w", err)
-		}
-		items = append(items, serve.BatchItem{Op: "sweep_point", Request: raw})
-	}
-	body, err := json.Marshal(serve.BatchRequest{Items: items})
+	hreq, err := http.NewRequestWithContext(wd.ctx, http.MethodPost, baseURL+"/v1/sweep", bytes.NewReader(body))
 	if err != nil {
-		return nil, fmt.Errorf("fabric: encode batch request: %w", err)
+		return nil, fmt.Errorf("fabric: build shard request: %w", err)
 	}
-	wd := c.newWatchdog(ctx)
-	defer wd.stop()
-	return c.do(wd, baseURL, "/v1/batch", body, func(resp *http.Response) ([][]byte, error) {
-		return c.scanRows(wd, resp.Body, false, true, start, values)
-	})
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := c.hc.Do(hreq)
+	if err != nil {
+		return nil, wd.classify(err)
+	}
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxLineBytes))
+		resp.Body.Close()
+	}()
+	if resp.StatusCode != http.StatusOK {
+		slurp, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		msg := string(bytes.TrimSpace(slurp))
+		if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
+			return nil, &rejectError{status: resp.StatusCode, body: msg}
+		}
+		return nil, &transportError{
+			msg:        fmt.Sprintf("status %d: %s", resp.StatusCode, msg),
+			retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
+		}
+	}
+	wd.progress()
+	return c.scanRows(wd, resp.Body, req.KeepGoing, start, values)
 }
 
 // isTransient reports whether a shard attempt failure is a wire-level

@@ -57,13 +57,6 @@ type Config struct {
 	// Resume reopens an existing ledger (fingerprint-validated) instead of
 	// starting fresh; only missing rows are recomputed.
 	Resume bool
-	// UseBatch dispatches shards to workers' /v1/batch endpoint as
-	// sweep_point items instead of the /v1/sweep stream. Row bytes are
-	// identical either way, but batch items are individually cached (and,
-	// in a sharded fleet, owner-forwarded) by the workers. Incompatible
-	// with Request.KeepGoing: batch error lines carry no index/axis/value
-	// columns, so a degraded merged stream cannot be reproduced.
-	UseBatch bool
 
 	// ShardSize is how many sweep points ride in one dispatch (default 8).
 	ShardSize int
@@ -304,9 +297,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.LedgerPath == "" {
 		return nil, fmt.Errorf("fabric: LedgerPath is required (the work ledger is the double-count guard)")
 	}
-	if cfg.UseBatch && cfg.Request.KeepGoing {
-		return nil, fmt.Errorf("fabric: UseBatch is incompatible with keep_going (batch error lines are out-of-band)")
-	}
 	fp, err := Fingerprint(cfg.Request)
 	if err != nil {
 		return nil, err
@@ -332,7 +322,7 @@ func New(cfg Config) (*Coordinator, error) {
 			hbMS = 1
 		}
 	}
-	c.cl = &client{hc: cfg.HTTPClient, stallTimeout: cfg.StallTimeout, heartbeatMS: hbMS, useBatch: cfg.UseBatch}
+	c.cl = &client{hc: cfg.HTTPClient, stallTimeout: cfg.StallTimeout, heartbeatMS: hbMS}
 	return c, nil
 }
 
@@ -491,7 +481,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Report, error) {
 		fabricInflightMax.SetMax(fabricInflight.Add(1))
 		emit(Event{Type: kind, Shard: sh.start, Worker: w.idx})
 		go func() {
-			lines, err := c.cl.fetch(actx, w.url, c.cfg.Request, sh.start, sh.values)
+			lines, err := c.cl.fetchShard(actx, w.url, c.cfg.Request, sh.start, sh.values)
 			results <- result{sh: sh, att: att, lines: lines, err: err}
 		}()
 		return true

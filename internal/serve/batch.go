@@ -33,12 +33,11 @@ type BatchItem struct {
 	Request json.RawMessage `json:"request"`
 }
 
-// SweepPointRequest is the "sweep_point" batch op: one point of a
-// /v1/sweep grid as an individually cacheable item. Its rendered line is
-// byte-identical to the SweepRow the streaming endpoint would emit for
-// the same point, so a coordinator may fetch a shard as a batch and
-// still merge rows byte-identically with a single-machine stream. Index
-// is the campaign-global row index to echo (the stream's index_base + i).
+// SweepPointRequest is the "sweep_point" op: one point of a /v1/sweep
+// grid as an individually cacheable item. Every /v1/sweep row is planned
+// as one (SweepRequest.point), so the batch item and the stream row share
+// a cache key and bytes. Index is the campaign-global row index to echo
+// (the stream's index_base + i).
 type SweepPointRequest struct {
 	Scenario scenario.Scenario `json:"scenario"`
 	Options  AnalyzeOptions    `json:"options,omitempty"`
@@ -91,17 +90,6 @@ func (s *Server) sweepPointKey(req SweepPointRequest) (detect.Params, string, er
 	}
 	key, err := cacheKey("/v1/batch/sweep_point", canon, req.Seed)
 	return p, key, err
-}
-
-// sweep is the one-point SweepRequest a sweep_point renders through: the
-// same SweepRow the streaming endpoint marshals, with IndexBase carrying
-// the global index.
-func (req *SweepPointRequest) sweep() SweepRequest {
-	return SweepRequest{
-		Scenario: req.Scenario, Options: req.Options, Axis: req.Axis,
-		Trials: req.Trials, Seed: req.Seed, RNG: req.RNG,
-		IndexBase: req.Index,
-	}
 }
 
 // validateBatch checks the request envelope before any item is planned.

@@ -129,11 +129,14 @@ func TestBatchErrorsInBand(t *testing.T) {
 }
 
 // TestBatchSweepPointMatchesStream: the sweep_point op renders the exact
-// bytes the /v1/sweep stream emits for the same point, so a coordinator
-// fetching its shard as a batch still merges byte-identically.
+// bytes the /v1/sweep stream emits for the same point. The batch goes to
+// a second, cold server so both sides are computed, not one served from
+// the other's cache.
 func TestBatchSweepPointMatchesStream(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
+	cold := httptest.NewServer(New(Config{}).Handler())
+	defer cold.Close()
 	code, _, stream := post(t, ts, "/v1/sweep",
 		`{"scenario":{},"axis":"n","values":[60,90,120],"trials":300,"seed":5,"index_base":10}`)
 	if code != http.StatusOK {
@@ -145,9 +148,9 @@ func TestBatchSweepPointMatchesStream(t *testing.T) {
 			`{"op":"sweep_point","request":{"scenario":{},"axis":"n","value":%d,"index":%d,"trials":300,"seed":5}}`,
 			v, 10+i))
 	}
-	code, _, batch := post(t, ts, "/v1/batch", `{"items":[`+strings.Join(specs, ",")+`]}`)
-	if code != http.StatusOK {
-		t.Fatalf("batch: status %d: %s", code, batch)
+	code, xcache, batch := post(t, cold, "/v1/batch", `{"items":[`+strings.Join(specs, ",")+`]}`)
+	if code != http.StatusOK || xcache != "hit=0,miss=3,forward=0,error=0" {
+		t.Fatalf("batch: status %d, X-Cache %q: %s", code, xcache, batch)
 	}
 	if !bytes.Equal(batch, stream) {
 		t.Errorf("sweep_point batch differs from stream:\ngot  %q\nwant %q", batch, stream)

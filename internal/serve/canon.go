@@ -225,8 +225,9 @@ func readBody(r *http.Request, endpoint string, sc *bodyScratch) ([]byte, error)
 }
 
 // readJSON reads r's body through the pooled scratch and strictly
-// decodes it into v — the uncached /v1/sweep and /v1/batch envelopes
-// read bodies the same way the endpoint table does.
+// decodes it into v — the /v1/sweep and /v1/batch envelopes, which have
+// no cache entry of their own, read bodies the same way the endpoint
+// table does.
 func readJSON(r *http.Request, v any) error {
 	sc := bodyPool.Get().(*bodyScratch)
 	defer bodyPool.Put(sc)

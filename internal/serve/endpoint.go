@@ -90,7 +90,7 @@ var endpoints = []*endpoint{
 	}),
 	op("sweep_point", "", func(s *Server, req *SweepPointRequest) (string, computeFunc, error) {
 		p, key, err := s.sweepPointKey(*req)
-		return key, func(ctx context.Context) (any, error) { return s.sweepPoint(ctx, p, req.sweep(), 0, req.Value) }, err
+		return key, func(ctx context.Context) (any, error) { return s.sweepPoint(ctx, p, *req) }, err
 	}),
 }
 

@@ -262,3 +262,59 @@ func TestFleetPeerDeath(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetSweepForwardsRows: a /v1/sweep row whose key another replica
+// owns is forwarded there, so in a 2-replica fleet every row is computed
+// once fleet-wide, and the same sweep sent to the other replica computes
+// nothing. Both streams equal a single unsharded instance's bytes.
+func TestFleetSweepForwardsRows(t *testing.T) {
+	const body = `{"scenario":{},"axis":"n","values":[60,70,80,90,100,110,120,130],"trials":50,"seed":2}`
+	single := httptest.NewServer(New(Config{}).Handler())
+	defer single.Close()
+	code, _, want := post(t, single, "/v1/sweep", body)
+	if code != http.StatusOK {
+		t.Fatalf("single: status %d: %s", code, want)
+	}
+
+	f := startFleet(t, 2, Config{Workers: 4, QueueDepth: 64})
+	var req SweepRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	owned := [2]uint64{}
+	for i := range req.Values {
+		_, key, err := f.servers[0].sweepPointKey(req.point(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _, _ := f.servers[0].peers.Route(key)
+		owned[m]++
+	}
+	if owned[1] == 0 {
+		t.Skip("hash split left replica 1 with no rows (vanishingly unlikely)")
+	}
+
+	for pass, tc := range []struct {
+		replica          int
+		misses, forwards uint64
+	}{
+		// Replica 0 computes its own rows and forwards the rest, which
+		// replica 1 computes: one miss per row fleet-wide.
+		{0, uint64(len(req.Values)), owned[1]},
+		// Replica 1 holds its rows and forwards the rest to replica 0,
+		// which holds them too: nothing is computed.
+		{1, 0, owned[0]},
+	} {
+		misses0, fwd0 := cacheMisses.Value(), peerForwards.Value()
+		code, got, err := fleetPost(f.urls[tc.replica], "/v1/sweep", body)
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("pass %d: status %d, err %v: %s", pass, code, err, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("pass %d: replica %d stream differs from single instance:\ngot  %q\nwant %q", pass, tc.replica, got, want)
+		}
+		if m, fw := cacheMisses.Value()-misses0, peerForwards.Value()-fwd0; m != tc.misses || fw != tc.forwards {
+			t.Errorf("pass %d: %d misses and %d forwards fleet-wide, want %d and %d", pass, m, fw, tc.misses, tc.forwards)
+		}
+	}
+}

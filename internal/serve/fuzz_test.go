@@ -6,8 +6,9 @@
 // whole cache rests on: a nondeterministic key would let one request
 // populate an entry another spelling of itself misses, or worse, collide
 // two different requests. FuzzEndpoints also sends bodies to the
-// uncached /v1/sweep and /v1/batch envelopes, which must either reject
-// with a 4xx or accept and stream a 200, never panic.
+// /v1/sweep and /v1/batch envelopes, which must either reject with a 4xx
+// or accept and stream a 200, never panic; their rows and items are
+// planned through the same table.
 package serve
 
 import (
@@ -83,8 +84,8 @@ var (
 	}
 )
 
-// The fuzzed op space: every table entry, then the two uncached
-// envelopes, which stream a 200 once their body is accepted.
+// The fuzzed op space: every table entry, then the two streaming
+// envelopes, which answer 200 once their body is accepted.
 var (
 	sweepEnvelopeOp = uint8(len(endpoints))
 	batchEnvelopeOp = uint8(len(endpoints) + 1)
@@ -98,10 +99,11 @@ func checkRejection(t *testing.T, what string, body []byte, err error) {
 }
 
 // checkSweepEnvelope runs a /v1/sweep body through the handler's checks
-// (strict decode, validateSweep, the base scenario) and resolves the
-// first row's scenario. A rejected envelope must be a 4xx; a first row
-// that fails is an in-band error row, whose error must classify as one
-// too.
+// (strict decode, validateSweep, the base scenario), then plans every row
+// through planRow, the per-row plan handleSweep runs. A rejected envelope
+// must be a 4xx; a row that fails to plan or to take its value is an
+// in-band error row, whose error must classify as a 4xx too. A planned
+// row's forward body must plan to the same key at the owning replica.
 func checkSweepEnvelope(t *testing.T, body []byte) {
 	var req SweepRequest
 	err := decodeBytes(body, &req)
@@ -116,8 +118,19 @@ func checkSweepEnvelope(t *testing.T, body []byte) {
 		checkRejection(t, "/v1/sweep", body, err)
 		return
 	}
-	if _, err := applyAxis(base, req.Axis, req.Values[0]); err != nil {
-		checkRejection(t, "/v1/sweep first row", body, err)
+	for i, v := range req.Values {
+		fwd, key, _, err := fuzzServer.planRow(&req, i)
+		if err != nil {
+			checkRejection(t, "/v1/sweep row", body, err)
+			continue
+		}
+		checkPlan(t, sweepPointOp, fwd.body)
+		if owner, _, _ := sweepPointOp.plan(fuzzServer, fwd.body); owner != key {
+			t.Errorf("/v1/sweep row %d of %q: forward body %q plans to key %q, want %q", i, body, fwd.body, owner, key)
+		}
+		if _, err := applyAxis(base, req.Axis, v); err != nil {
+			checkRejection(t, "/v1/sweep row", body, err)
+		}
 	}
 }
 

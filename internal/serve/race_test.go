@@ -80,8 +80,8 @@ func TestConcurrentBitIdentical(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
-		for i, v := range req.Values {
-			row, err := s.sweepPoint(ctx, base, req, i, v)
+		for i := range req.Values {
+			row, err := s.sweepPoint(ctx, base, req.point(i))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -168,7 +168,8 @@ func TestSimulateEndpoint(t *testing.T) {
 // TestSweepZeroDeadFracMatchesSimulate: a dead_frac sweep row at 0 is the
 // fault-free campaign, so its simulation column and Wilson interval are
 // exactly /v1/simulate's for the same scenario, trials and seed — on the
-// stream and on the sweep_point batch op alike.
+// stream and on the sweep_point batch op alike. Each row is computed on
+// its own cold server: the stream and the batch item share a cache key.
 func TestSweepZeroDeadFracMatchesSimulate(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
@@ -184,7 +185,9 @@ func TestSweepZeroDeadFracMatchesSimulate(t *testing.T) {
 		{"/v1/sweep", `{"scenario":{},"axis":"dead_frac","values":[0],"trials":2000,"seed":4}`},
 		{"/v1/batch", `{"items":[{"op":"sweep_point","request":{"scenario":{},"axis":"dead_frac","value":0,"trials":2000,"seed":4}}]}`},
 	} {
-		code, _, body := post(t, ts, tc.path, tc.body)
+		cold := httptest.NewServer(New(Config{}).Handler())
+		code, _, body := post(t, cold, tc.path, tc.body)
+		cold.Close()
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", tc.path, code, body)
 		}
@@ -224,6 +227,35 @@ func TestSweepStream(t *testing.T) {
 			t.Errorf("analysis not increasing in n at row %d", i)
 		}
 		prev = *row.Analysis
+	}
+}
+
+// TestSweepRowsCached: every stream row resolves through the cache. A
+// repeated sweep on one server returns the same bytes with one hit per
+// row and no miss; a failed row is never cached, so repeating a sweep
+// with an error row misses on that row alone.
+func TestSweepRowsCached(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		body         string
+		hits, misses uint64
+	}{
+		{`{"scenario":{},"axis":"n","values":[60,90,120],"trials":200,"seed":9}`, 3, 0},
+		{`{"scenario":{},"axis":"n","values":[70,-5,110],"keep_going":true}`, 2, 1},
+	} {
+		code, _, first := post(t, ts, "/v1/sweep", tc.body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.body, code, first)
+		}
+		hits0, misses0 := cacheHits.Value(), cacheMisses.Value()
+		code, _, again := post(t, ts, "/v1/sweep", tc.body)
+		if code != http.StatusOK || !bytes.Equal(again, first) {
+			t.Fatalf("%s: repeat status %d, bytes differ:\ngot  %q\nwant %q", tc.body, code, again, first)
+		}
+		if h, m := cacheHits.Value()-hits0, cacheMisses.Value()-misses0; h != tc.hits || m != tc.misses {
+			t.Errorf("%s: repeat made %d hits and %d misses, want %d and %d", tc.body, h, m, tc.hits, tc.misses)
+		}
 	}
 }
 

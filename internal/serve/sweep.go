@@ -1,10 +1,12 @@
 // The /v1/sweep handler: one scenario parameter swept over explicit
 // values, executed through internal/sweep.Run (the same fault-tolerant
 // engine behind gbd-experiments and gbd-faults) and streamed back as
-// NDJSON rows in input order. Streams are not cached — they are cheap to
-// recompute relative to holding arbitrarily large bodies — but they do
-// hold one admission slot for their whole duration, so sweeps cannot
-// starve interactive requests beyond the configured pool.
+// NDJSON rows in input order. Every row resolves exactly as the
+// equivalent sweep_point batch item does — the table plan, the cache,
+// owner forwarding and singleflight — so a repeated or overlapping sweep
+// reuses rows instead of recomputing them. The stream holds one
+// admission slot for its whole duration, so sweeps cannot starve
+// interactive requests beyond the configured pool.
 package serve
 
 import (
@@ -152,9 +154,9 @@ func applyAxis(p detect.Params, axis SweepAxis, v float64) (detect.Params, error
 // the point's scenario, plus a Monte Carlo column when trials > 0. A
 // dead_frac row is experiments.DeadFracPoint, the dead-fraction row every
 // front end shares.
-func (s *Server) sweepPoint(ctx context.Context, base detect.Params, req SweepRequest, i int, v float64) (SweepRow, error) {
-	row := SweepRow{Index: req.IndexBase + i, Axis: req.Axis, Value: v}
-	p, err := applyAxis(base, req.Axis, v)
+func (s *Server) sweepPoint(ctx context.Context, base detect.Params, req SweepPointRequest) (SweepRow, error) {
+	row := SweepRow{Index: req.Index, Axis: req.Axis, Value: req.Value}
+	p, err := applyAxis(base, req.Axis, req.Value)
 	if err != nil {
 		return row, err
 	}
@@ -165,7 +167,7 @@ func (s *Server) sweepPoint(ctx context.Context, base detect.Params, req SweepRe
 	cfg := sim.Config{Params: p, Trials: req.Trials, Seed: req.Seed, Workers: 1, RNG: scheme}
 	opt := req.Options.msOptions()
 	if req.Axis == AxisDeadFrac {
-		pt, err := experiments.DeadFracPoint(ctx, cfg, v, opt)
+		pt, err := experiments.DeadFracPoint(ctx, cfg, req.Value, opt)
 		if err != nil {
 			return row, err
 		}
@@ -192,6 +194,50 @@ func (s *Server) sweepPoint(ctx context.Context, base detect.Params, req SweepRe
 	return row, nil
 }
 
+// sweepPointOp is the table entry every /v1/sweep row resolves through.
+var sweepPointOp = endpointFor("sweep_point")
+
+// point is the sweep_point request for row i of the stream: the
+// stream's scenario and campaign fields at value i, echoing the global
+// index index_base + i.
+func (req *SweepRequest) point(i int) SweepPointRequest {
+	return SweepPointRequest{
+		Scenario: req.Scenario, Options: req.Options, Axis: req.Axis,
+		Value: req.Values[i], Index: req.IndexBase + i,
+		Trials: req.Trials, Seed: req.Seed, RNG: req.RNG,
+	}
+}
+
+// planRow plans row i exactly as the equivalent sweep_point batch item:
+// the request body req.point(i), resolved through the op's table plan.
+// The returned forward replays that body at the key's owner as a
+// one-item batch.
+func (s *Server) planRow(req *SweepRequest, i int) (forward, string, computeFunc, error) {
+	body, err := json.Marshal(req.point(i))
+	if err != nil {
+		return forward{}, "", nil, fmt.Errorf("serve: marshal sweep point: %w", err)
+	}
+	key, compute, err := sweepPointOp.plan(s, body)
+	return forward{e: sweepPointOp, body: body, batch: true}, key, compute, err
+}
+
+// sweepRow renders row i: a cache hit or a forward to the key's owner,
+// else a deduplicated local compute that caches its bytes. A failed row
+// returns its error and caches nothing.
+func (s *Server) sweepRow(ctx context.Context, r *http.Request, req *SweepRequest, i int) ([]byte, error) {
+	fwd, key, compute, err := s.planRow(req, i)
+	if err != nil {
+		return nil, err
+	}
+	if line, _, ok := s.lookup(r, key, "", fwd); ok {
+		return line, nil
+	}
+	line, err, _ := s.flight.do(key, func() ([]byte, error) {
+		return s.renderCompute(ctx, key, "", compute)
+	})
+	return line, err
+}
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := readJSON(r, &req); err != nil {
@@ -202,8 +248,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	base, err := req.Scenario.Params()
-	if err != nil {
+	if _, err := req.Scenario.Params(); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -224,29 +269,28 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// order); the emitter below restores input order. The buffer holds
 	// every point, so workers never block on a slow client.
 	type indexed struct {
-		i   int
-		row SweepRow
+		i    int
+		line []byte
 	}
 	ch := make(chan indexed, len(req.Values))
-	var rep *sweep.Report[SweepRow]
+	var rep *sweep.Report[[]byte]
 	go func() {
 		// rep is written before close(ch); the channel close is the
 		// happens-before edge that publishes it to the emitter.
 		rep, _ = sweep.Run(ctx, s.sweepPolicy(req), req.Values,
-			func(ctx context.Context, i int, v float64) (SweepRow, error) {
-				row, err := s.sweepPoint(ctx, base, req, i, v)
+			func(ctx context.Context, i int, _ float64) ([]byte, error) {
+				line, err := s.sweepRow(ctx, r, &req, i)
 				if err != nil {
-					return row, err
+					return nil, err
 				}
-				ch <- indexed{i, row}
-				return row, nil
+				ch <- indexed{i, line}
+				return line, nil
 			})
 		close(ch)
 	}()
 
-	enc := json.NewEncoder(w)
-	emit := func(row SweepRow) {
-		enc.Encode(row)
+	emit := func(line []byte) {
+		w.Write(line)
 		sweepRows.Inc()
 		if flusher != nil {
 			flusher.Flush()
@@ -265,7 +309,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		defer ticker.Stop()
 		hbC = ticker.C
 	}
-	pending := make(map[int]SweepRow)
+	pending := make(map[int][]byte)
 	next := 0
 	for ch != nil {
 		select {
@@ -274,13 +318,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				ch = nil
 				continue
 			}
-			pending[ir.i] = ir.row
+			pending[ir.i] = ir.line
 			for {
-				row, ok := pending[next]
+				line, ok := pending[next]
 				if !ok {
 					break
 				}
-				emit(row)
+				emit(line)
 				delete(pending, next)
 				next++
 			}
@@ -302,8 +346,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		failed[pe.Index] = pe
 	}
 	for ; next < len(req.Values); next++ {
-		if row, ok := pending[next]; ok {
-			emit(row)
+		if line, ok := pending[next]; ok {
+			emit(line)
 			delete(pending, next)
 			continue
 		}
@@ -316,6 +360,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		default:
 			row.Error = "skipped: sweep stopped at an earlier failure"
 		}
-		emit(row)
+		line, _ := json.Marshal(row)
+		emit(append(line, '\n'))
 	}
 }
