@@ -48,10 +48,7 @@ func DeadFracPoint(ctx context.Context, cfg sim.Config, f float64, opt detect.MS
 		return DeadPoint{}, err
 	}
 	pt.Sim, pt.CILo, pt.CIHi = res.DetectionProb, res.CI.Lo, res.CI.Hi
-	if f > 0 {
-		// At f = 0 the campaign is fault-free and keeps no accounting.
-		pt.Alive = res.Faults.MeanAliveFrac
-	}
+	pt.Alive = res.Faults.MeanAliveFrac
 	return pt, nil
 }
 

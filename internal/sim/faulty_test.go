@@ -93,9 +93,7 @@ func TestDetectionMonotoneInDeadFraction(t *testing.T) {
 		if res.DetectionProb > prev+slack {
 			t.Errorf("dead fraction %v: detection %v rose above %v", f, res.DetectionProb, prev)
 		}
-		// f = 0 is the fault-free campaign, which keeps no fault
-		// accounting (TestZeroDeadFracIsFaultFree).
-		if f > 0 && math.Abs(res.Faults.MeanAliveFrac-(1-f)) > 0.02 {
+		if math.Abs(res.Faults.MeanAliveFrac-(1-f)) > 0.02 {
 			t.Errorf("dead fraction %v: alive fraction %v", f, res.Faults.MeanAliveFrac)
 		}
 		prev = res.DetectionProb

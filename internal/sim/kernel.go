@@ -402,7 +402,8 @@ func (k *kernel) run(trial int, detailed bool) error {
 	}
 	k.faults.MeanAliveFrac = aliveFracSum / float64(mission)
 	if cfg.Faults == nil && cfg.CommRange == 0 && !pl.uplink && !cfg.Beacons && cfg.Infer == nil {
-		k.faults = FaultStats{} // no fault accounting without a fault or delivery model
+		// No fault or delivery model: no counts, and every sensor alive.
+		k.faults = FaultStats{MeanAliveFrac: 1}
 	}
 	if k.eng != nil {
 		if err := k.scoreInference(); err != nil {

@@ -227,8 +227,8 @@ type Result struct {
 	Latency stats.Histogram
 	// MeanReports is the average number of reports per trial.
 	MeanReports float64
-	// Faults summarizes the fault-injection accounting; it is zero when
-	// neither Faults nor CommRange was configured.
+	// Faults summarizes the fault-injection accounting. Without a fault
+	// or delivery model it counts nothing and MeanAliveFrac is 1.
 	Faults FaultStats
 	// Infer scores the failure-inference engine against the injected
 	// ground truth; nil unless Config.Infer was set.
@@ -368,8 +368,8 @@ type TrialResult struct {
 	Sensors []geom.Point
 	// Reporters lists the sensor ids that generated at least one report.
 	Reporters []int
-	// Faults carries the per-trial fault accounting (zero without faults
-	// or delivery modeling).
+	// Faults carries the per-trial fault accounting (no counts and
+	// MeanAliveFrac 1 without a fault or delivery model).
 	Faults FaultStats
 	// Infer carries the trial's failure-inference scoring; nil unless
 	// Config.Infer was set.
