@@ -184,13 +184,7 @@ func run(args []string) (err error) {
 		100*covMap.Fraction(1), 100*covMap.VoidFraction(), breach.Distance, breach.Undetectable)
 
 	// 4. Communication audit.
-	center := geom.Point{X: p.FieldSide / 2, Y: p.FieldSide / 2}
-	base := 0
-	for i, s := range sensors {
-		if s.Dist(center) < sensors[base].Dist(center) {
-			base = i
-		}
-	}
+	base := geom.Nearest(sensors, geom.Point{X: p.FieldSide / 2, Y: p.FieldSide / 2})
 	net, err := netsim.New(sensors, *commRange, geom.Square(p.FieldSide))
 	if err != nil {
 		return err

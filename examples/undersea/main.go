@@ -89,12 +89,7 @@ func main() {
 		log.Fatal(err)
 	}
 	gateway := geom.Point{X: p.FieldSide / 2, Y: p.FieldSide / 2}
-	base := 0
-	for i, nd := range nodes {
-		if nd.Dist(gateway) < nodes[base].Dist(gateway) {
-			base = i
-		}
-	}
+	base := geom.Nearest(nodes, gateway)
 	net, err := netsim.New(nodes, 6000, geom.Square(p.FieldSide))
 	if err != nil {
 		log.Fatal(err)

@@ -254,12 +254,7 @@ func CommCheck(opt Options) (*Table, error) {
 		if err != nil {
 			return commPoint{}, err
 		}
-		base := 0
-		for i, p := range pts {
-			if p.Dist(center) < pts[base].Dist(center) {
-				base = i
-			}
-		}
+		base := geom.Nearest(pts, center)
 		net, err := netsim.New(pts, 6000, bounds)
 		if err != nil {
 			return commPoint{}, err

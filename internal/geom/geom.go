@@ -27,6 +27,19 @@ func (p Point) Sub(q Point) Vec { return Vec{p.X - q.X, p.Y - q.Y} }
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
+// Nearest returns the index of the point in pts nearest c by Dist; the
+// first index wins a tie, and an empty pts gives 0. It is the
+// base-station rule: the base is the sensor nearest the field centre.
+func Nearest(pts []Point, c Point) int {
+	best := 0
+	for i, p := range pts {
+		if p.Dist(c) < pts[best].Dist(c) {
+			best = i
+		}
+	}
+	return best
+}
+
 // Dist2 returns the squared Euclidean distance between p and q.
 func (p Point) Dist2(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y

@@ -268,3 +268,23 @@ func TestSegmentCircleOverlapMonteCarlo(t *testing.T) {
 		}
 	}
 }
+
+// TestNearest: the base-station rule picks the point nearest the centre,
+// the first index on a tie, and 0 for no points.
+func TestNearest(t *testing.T) {
+	c := Point{5, 5}
+	for _, tc := range []struct {
+		pts  []Point
+		want int
+	}{
+		{nil, 0},
+		{[]Point{{0, 0}}, 0},
+		{[]Point{{0, 0}, {4, 4}, {9, 9}}, 1},
+		{[]Point{{9, 9}, {5, 6}, {6, 5}, {5, 4}}, 1}, // three at distance 1
+		{[]Point{{1, 1}, {9, 9}}, 0},                 // mirrored: first wins
+	} {
+		if got := Nearest(tc.pts, c); got != tc.want {
+			t.Errorf("Nearest(%v, %v) = %d, want %d", tc.pts, c, got, tc.want)
+		}
+	}
+}

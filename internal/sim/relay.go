@@ -31,12 +31,7 @@ func (r *relayState) rebuild(sensors []geom.Point, commRange float64, bounds geo
 		X: (bounds.MinX + bounds.MaxX) / 2,
 		Y: (bounds.MinY + bounds.MaxY) / 2,
 	}
-	base := 0
-	for i, s := range sensors {
-		if s.Dist(center) < sensors[base].Dist(center) {
-			base = i
-		}
-	}
+	base := geom.Nearest(sensors, center)
 	if err := r.routing.Rebuild(sensors, commRange, bounds, base); err != nil {
 		return err
 	}

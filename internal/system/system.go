@@ -165,13 +165,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 func (part *partial) add(cfg Config, gate track.Gate, tr sim.Trial) error {
 	p := cfg.Params
 	sensors := tr.Sensors
-	center := geom.Point{X: p.FieldSide / 2, Y: p.FieldSide / 2}
-	base := 0
-	for i, s := range sensors {
-		if s.Dist(center) < sensors[base].Dist(center) {
-			base = i
-		}
-	}
+	base := geom.Nearest(sensors, geom.Point{X: p.FieldSide / 2, Y: p.FieldSide / 2})
 	if part.routing == nil {
 		part.routing = new(netsim.Routing)
 	}
