@@ -44,16 +44,11 @@ func Sensitivities(p Params, opt MSOptions) ([]Sensitivity, error) {
 }
 
 // CoverageMap is a grid discretization of a deployment's sensing coverage:
-// k-coverage fractions, void fraction, maximal-breach and minimal-exposure
-// crossing paths.
+// k-coverage fractions, void fraction and maximal-breach crossing paths.
 type CoverageMap = coverage.Map
 
-// BreachResult and ExposureResult describe worst-case crossings of a
-// coverage map.
-type (
-	BreachResult   = coverage.BreachResult
-	ExposureResult = coverage.ExposureResult
-)
+// BreachResult describes the worst-case crossing of a coverage map.
+type BreachResult = coverage.BreachResult
 
 // NewCoverageMap builds a coverage map for a deployment in the scenario's
 // field with the given grid cell size (meters).

@@ -1,8 +1,8 @@
 // Package coverage quantifies the sensing coverage of a deployment — the
 // "void sensing areas" a sparse network deliberately accepts (Section 1 of
 // the paper). It discretizes the field into a grid and provides k-coverage
-// fractions, the classic worst-case crossing metrics (maximal-breach and
-// minimal-exposure paths), and the void fraction that complements the
+// fractions, the classic worst-case crossing metric (the maximal-breach
+// path), and the void fraction that complements the
 // group-detection analysis: group detection is exactly what makes partial
 // coverage acceptable.
 package coverage
@@ -211,71 +211,6 @@ func (m *Map) MaximalBreach(rs float64) (BreachResult, error) {
 	return res, nil
 }
 
-// ExposureResult describes a minimal-exposure crossing.
-type ExposureResult struct {
-	// Exposure is the accumulated coverage count along the path (cells
-	// weighted by how many sensors watch them) — a discrete version of the
-	// classic exposure integral.
-	Exposure float64
-	// Path is the cell-center polyline.
-	Path []geom.Point
-}
-
-// MinimalExposure computes the left-to-right crossing that minimizes the
-// summed coverage count along the way (plain Dijkstra with non-negative
-// cell weights). A zero-exposure result means a completely unobserved
-// corridor exists.
-func (m *Map) MinimalExposure() (ExposureResult, error) {
-	n := m.cols * m.rows
-	distv := make([]float64, n)
-	prev := make([]int32, n)
-	for i := range distv {
-		distv[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	pq := &minHeap{}
-	for r := 0; r < m.rows; r++ {
-		id := r*m.cols + 0
-		distv[id] = float64(m.counts[id])
-		heap.Push(pq, heapItem{id: id, val: distv[id]})
-	}
-	goalCol := m.cols - 1
-	goal := -1
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		if it.val > distv[it.id] {
-			continue
-		}
-		if it.id%m.cols == goalCol {
-			goal = it.id
-			break
-		}
-		r, c := it.id/m.cols, it.id%m.cols
-		for _, d := range [4][2]int{{0, 1}, {0, -1}, {1, 0}, {-1, 0}} {
-			nr, nc := r+d[0], c+d[1]
-			if nr < 0 || nr >= m.rows || nc < 0 || nc >= m.cols {
-				continue
-			}
-			nid := nr*m.cols + nc
-			v := it.val + float64(m.counts[nid])
-			if v < distv[nid] {
-				distv[nid] = v
-				prev[nid] = int32(it.id)
-				heap.Push(pq, heapItem{id: nid, val: v})
-			}
-		}
-	}
-	if goal < 0 {
-		return ExposureResult{}, ErrNoPath
-	}
-	res := ExposureResult{Exposure: distv[goal]}
-	for id := goal; id >= 0; id = int(prev[id]) {
-		res.Path = append(res.Path, m.center(id/m.cols, id%m.cols))
-	}
-	reverse(res.Path)
-	return res, nil
-}
-
 func reverse(p []geom.Point) {
 	for i, j := 0, len(p)-1; i < j; i, j = i+1, j-1 {
 		p[i], p[j] = p[j], p[i]
@@ -294,20 +229,6 @@ func (h maxHeap) Less(i, j int) bool  { return h[i].val > h[j].val }
 func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
 func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-type minHeap []heapItem
-
-func (h minHeap) Len() int            { return len(h) }
-func (h minHeap) Less(i, j int) bool  { return h[i].val < h[j].val }
-func (h minHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *minHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	it := old[n-1]

@@ -61,9 +61,6 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// PerPeriodMean returns the expected number of false reports per period.
-func (m Model) PerPeriodMean() float64 { return float64(m.N) * m.Pf }
-
 // WindowTail returns the probability that a single fixed M-period window
 // contains at least k false reports: the reports are N*M independent
 // Bernoulli(Pf) draws, so this is a binomial tail.

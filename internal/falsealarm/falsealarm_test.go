@@ -43,9 +43,6 @@ func TestModelValidate(t *testing.T) {
 
 func TestWindowTail(t *testing.T) {
 	m := testModel()
-	if got := m.PerPeriodMean(); !numeric.AlmostEqual(got, 0.12, 1e-12, 1e-12) {
-		t.Errorf("per-period mean = %v", got)
-	}
 	// k=1: P[any false report among N*M draws] = 1-(1-Pf)^(N*M).
 	want := 1 - math.Pow(1-1e-3, 2400)
 	if got := m.WindowTail(1); !numeric.AlmostEqual(got, want, 1e-9, 1e-9) {

@@ -290,9 +290,3 @@ func (r *Registry) Reset() {
 func SecondsBuckets() []float64 {
 	return []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 5, 10, 60, 100}
 }
-
-// CountBuckets is the shared layout for small nonnegative integer
-// quantities (hop counts, retransmissions, queue depths).
-func CountBuckets() []float64 {
-	return []float64{0, 1, 2, 4, 8, 16, 32, 64, 128}
-}

@@ -88,9 +88,6 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Members returns the fleet view the ring was built from.
-func (r *Ring) Members() []string { return r.members }
-
 // Owner returns the member index owning key: the first ring point at or
 // clockwise after the key's hash whose member the alive predicate
 // admits. A nil predicate admits everyone. If no member is admitted the

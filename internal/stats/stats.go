@@ -38,9 +38,6 @@ func Variance(xs []float64) float64 {
 	return sum.Sum() / float64(n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Interval is a two-sided confidence interval.
 type Interval struct {
 	Lo, Hi float64

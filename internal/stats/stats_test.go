@@ -15,9 +15,6 @@ func TestMeanVariance(t *testing.T) {
 	if got := Variance(xs); !numeric.AlmostEqual(got, 32.0/7, 1e-12, 1e-12) {
 		t.Errorf("Variance = %v, want %v", got, 32.0/7)
 	}
-	if got := StdDev(xs); !numeric.AlmostEqual(got, math.Sqrt(32.0/7), 1e-12, 1e-12) {
-		t.Errorf("StdDev = %v", got)
-	}
 	if Mean(nil) != 0 || Variance(nil) != 0 || Variance([]float64{1}) != 0 {
 		t.Error("degenerate inputs should give 0")
 	}
