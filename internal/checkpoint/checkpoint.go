@@ -138,9 +138,6 @@ func Resume(path, fingerprint string) (*Store, error) {
 	return s, nil
 }
 
-// Fingerprint returns the fingerprint the store was opened with.
-func (s *Store) Fingerprint() string { return s.fingerprint }
-
 // Len returns the number of completed points currently recorded.
 func (s *Store) Len() int {
 	s.mu.Lock()

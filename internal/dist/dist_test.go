@@ -174,18 +174,6 @@ func TestConvolvePowerMatchesRepeated(t *testing.T) {
 	}
 }
 
-func TestConvolveAll(t *testing.T) {
-	ps := []PMF{Binomial(2, 0.5), Binomial(3, 0.5), Binomial(5, 0.5)}
-	got := ConvolveAll(ps)
-	want := Binomial(10, 0.5)
-	if d := MaxAbsDiff(got, want); d > 1e-12 {
-		t.Errorf("ConvolveAll differs by %v", d)
-	}
-	if got := ConvolveAll(nil); len(got) != 1 || got[0] != 1 {
-		t.Errorf("ConvolveAll(nil) = %v, want identity", got)
-	}
-}
-
 func TestConvolutionProperties(t *testing.T) {
 	gen := func(r *rand.Rand, n int) PMF {
 		p := make(PMF, n)
@@ -242,25 +230,6 @@ func TestMaxAbsDiffLengths(t *testing.T) {
 	}
 	if d := MaxAbsDiff(nil, nil); d != 0 {
 		t.Errorf("MaxAbsDiff(nil,nil) = %v, want 0", d)
-	}
-}
-
-func TestTotalVariation(t *testing.T) {
-	p := PMF{0.5, 0.5}
-	q := PMF{0.25, 0.75}
-	if got := TotalVariation(p, q); !numeric.AlmostEqual(got, 0.25, 1e-12, 1e-12) {
-		t.Errorf("TV = %v, want 0.25", got)
-	}
-	if got := TotalVariation(p, p); got != 0 {
-		t.Errorf("TV(p,p) = %v", got)
-	}
-	// Disjoint supports: TV = 1.
-	if got := TotalVariation(PMF{1}, PMF{0, 1}); !numeric.AlmostEqual(got, 1, 1e-12, 1e-12) {
-		t.Errorf("disjoint TV = %v", got)
-	}
-	// Length mismatch treated as zeros.
-	if got := TotalVariation(PMF{1}, PMF{1, 0}); got != 0 {
-		t.Errorf("padded TV = %v", got)
 	}
 }
 

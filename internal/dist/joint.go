@@ -82,17 +82,6 @@ func (j Joint) MarginalX() PMF {
 	return out
 }
 
-// MarginalY returns the marginal distribution of the second coordinate.
-func (j Joint) MarginalY() PMF {
-	out := make(PMF, j.YSize())
-	for _, row := range j {
-		for y, v := range row {
-			out[y] += v
-		}
-	}
-	return out
-}
-
 // TailBoth returns P[X >= kx and Y >= ky] without normalizing.
 func (j Joint) TailBoth(kx, ky int) float64 {
 	if kx < 0 {

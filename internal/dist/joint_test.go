@@ -54,10 +54,6 @@ func TestMarginals(t *testing.T) {
 	if !numeric.AlmostEqual(mx[0], 0.3, 1e-12, 1e-12) || !numeric.AlmostEqual(mx[1], 0.7, 1e-12, 1e-12) {
 		t.Errorf("MarginalX = %v", mx)
 	}
-	my := j.MarginalY()
-	if !numeric.AlmostEqual(my[0], 0.4, 1e-12, 1e-12) || !numeric.AlmostEqual(my[1], 0.6, 1e-12, 1e-12) {
-		t.Errorf("MarginalY = %v", my)
-	}
 }
 
 func TestTailBoth(t *testing.T) {

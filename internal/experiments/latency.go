@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/plot"
@@ -146,10 +147,11 @@ func chartFig9(tbl *Table) (string, bool) {
 		if ns == nil || ana == nil || simP == nil {
 			return "", false
 		}
-		if err := c.Add("analysis V="+v[:strIndexDot(v)], ns, ana); err != nil {
+		vName, _, _ := strings.Cut(v, ".")
+		if err := c.Add("analysis V="+vName, ns, ana); err != nil {
 			return "", false
 		}
-		if err := c.Add("simulation V="+v[:strIndexDot(v)], ns, simP); err != nil {
+		if err := c.Add("simulation V="+vName, ns, simP); err != nil {
 			return "", false
 		}
 	}
@@ -171,13 +173,4 @@ func chartLatency(tbl *Table) (string, bool) {
 	}
 	out, err := c.Render()
 	return out, err == nil
-}
-
-func strIndexDot(s string) int {
-	for i := range s {
-		if s[i] == '.' {
-			return i
-		}
-	}
-	return len(s)
 }

@@ -281,7 +281,6 @@ type Coordinator struct {
 	workers []*worker
 	led     *ledger
 	cl      *client
-	fp      string
 }
 
 // New validates the configuration, opens (or resumes) the work ledger,
@@ -305,7 +304,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg, led: led, fp: fp}
+	c := &Coordinator{cfg: cfg, led: led}
 	for i, url := range cfg.Workers {
 		c.workers = append(c.workers, &worker{
 			idx: i,
@@ -325,9 +324,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c.cl = &client{hc: cfg.HTTPClient, stallTimeout: cfg.StallTimeout, heartbeatMS: hbMS}
 	return c, nil
 }
-
-// Fingerprint returns the campaign's work-ledger fingerprint.
-func (c *Coordinator) Fingerprint() string { return c.fp }
 
 // WriteMerged streams the merged campaign NDJSON — every row in global
 // index order, verbatim worker bytes. It fails if any row is missing.

@@ -229,15 +229,3 @@ func AliveFraction(mask []bool) float64 {
 	}
 	return float64(alive) / float64(len(mask))
 }
-
-// MeanAliveFraction averages AliveFraction over all periods of a mask set.
-func MeanAliveFraction(masks [][]bool) float64 {
-	if len(masks) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, m := range masks {
-		sum += AliveFraction(m)
-	}
-	return sum / float64(len(masks))
-}

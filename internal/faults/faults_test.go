@@ -227,8 +227,4 @@ func TestAliveFractionHelpers(t *testing.T) {
 	if got := AliveFraction([]bool{true, false, true, false}); got != 0.5 {
 		t.Errorf("alive fraction %v, want 0.5", got)
 	}
-	masks := [][]bool{{true, true}, {true, false}}
-	if got := MeanAliveFraction(masks); got != 0.75 {
-		t.Errorf("mean alive fraction %v, want 0.75", got)
-	}
 }

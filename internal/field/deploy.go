@@ -3,7 +3,6 @@ package field
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/groupdetect/gbd/internal/geom"
@@ -42,76 +41,4 @@ func UniformInto(dst []geom.Point, n int, bounds geom.Rect, rng *rand.Rand) ([]g
 		}
 	}
 	return dst, nil
-}
-
-// Grid places n sensors on the most-square grid that fits bounds, row-major,
-// centered in their cells. Used as a deterministic contrast deployment in
-// examples and coverage studies.
-func Grid(n int, bounds geom.Rect) ([]geom.Point, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("n = %d: %w", n, ErrDeploy)
-	}
-	if bounds.Area() <= 0 {
-		return nil, fmt.Errorf("empty bounds %+v: %w", bounds, ErrDeploy)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	w := bounds.MaxX - bounds.MinX
-	h := bounds.MaxY - bounds.MinY
-	cols := int(math.Ceil(math.Sqrt(float64(n) * w / h)))
-	if cols < 1 {
-		cols = 1
-	}
-	rows := (n + cols - 1) / cols
-	pts := make([]geom.Point, 0, n)
-	for i := 0; i < n; i++ {
-		r, c := i/cols, i%cols
-		pts = append(pts, geom.Point{
-			X: bounds.MinX + (float64(c)+0.5)*w/float64(cols),
-			Y: bounds.MinY + (float64(r)+0.5)*h/float64(rows),
-		})
-	}
-	return pts, nil
-}
-
-// Clustered places sensors in clusters: cluster centers are uniform in
-// bounds and members are Gaussian around their center (clipped to bounds).
-// It models correlated deployments (e.g. airdropped batches) used in the
-// boundary/robustness ablations.
-func Clustered(clusters, perCluster int, sigma float64, bounds geom.Rect, rng *rand.Rand) ([]geom.Point, error) {
-	if clusters < 0 || perCluster < 0 {
-		return nil, fmt.Errorf("clusters = %d, perCluster = %d: %w", clusters, perCluster, ErrDeploy)
-	}
-	if sigma < 0 {
-		return nil, fmt.Errorf("sigma = %v: %w", sigma, ErrDeploy)
-	}
-	if bounds.Area() <= 0 {
-		return nil, fmt.Errorf("empty bounds %+v: %w", bounds, ErrDeploy)
-	}
-	centers, err := Uniform(clusters, bounds, rng)
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]geom.Point, 0, clusters*perCluster)
-	for _, c := range centers {
-		for i := 0; i < perCluster; i++ {
-			p := geom.Point{
-				X: clip(c.X+rng.NormFloat64()*sigma, bounds.MinX, bounds.MaxX),
-				Y: clip(c.Y+rng.NormFloat64()*sigma, bounds.MinY, bounds.MaxY),
-			}
-			pts = append(pts, p)
-		}
-	}
-	return pts, nil
-}
-
-func clip(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

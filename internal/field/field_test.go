@@ -88,64 +88,6 @@ func TestUniformErrors(t *testing.T) {
 	}
 }
 
-func TestGrid(t *testing.T) {
-	bounds := geom.Square(100)
-	pts, err := Grid(9, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 9 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, p := range pts {
-		if !bounds.Contains(p) {
-			t.Fatalf("point %v outside bounds", p)
-		}
-	}
-	// Distinctness.
-	seen := map[geom.Point]bool{}
-	for _, p := range pts {
-		if seen[p] {
-			t.Fatalf("duplicate grid point %v", p)
-		}
-		seen[p] = true
-	}
-	if got, err := Grid(0, bounds); err != nil || got != nil {
-		t.Errorf("Grid(0) = %v, %v", got, err)
-	}
-	if _, err := Grid(-1, bounds); err == nil {
-		t.Error("negative n should fail")
-	}
-	if _, err := Grid(4, geom.Rect{}); err == nil {
-		t.Error("empty bounds should fail")
-	}
-}
-
-func TestClustered(t *testing.T) {
-	bounds := geom.Square(1000)
-	pts, err := Clustered(5, 10, 20, bounds, NewRand(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 50 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, p := range pts {
-		if !bounds.Contains(p) {
-			t.Fatalf("point %v outside bounds", p)
-		}
-	}
-	if _, err := Clustered(-1, 5, 1, bounds, NewRand(1)); err == nil {
-		t.Error("negative clusters should fail")
-	}
-	if _, err := Clustered(1, 5, -1, bounds, NewRand(1)); err == nil {
-		t.Error("negative sigma should fail")
-	}
-	if _, err := Clustered(1, 5, 1, geom.Rect{}, NewRand(1)); err == nil {
-		t.Error("empty bounds should fail")
-	}
-}
-
 func TestIndexQuerySegmentMatchesBruteForce(t *testing.T) {
 	bounds := geom.Square(1000)
 	rng := NewRand(7)

@@ -1,5 +1,5 @@
 // Package field provides the deployment substrate for the simulator:
-// deterministic random number utilities, sensor placement generators, and a
+// deterministic random number utilities, uniform sensor deployment, and a
 // uniform-grid spatial index for range queries along a target track.
 package field
 

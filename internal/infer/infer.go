@@ -158,12 +158,6 @@ func New(n int, opt Options) (*Engine, error) {
 	}, nil
 }
 
-// N returns the sensor count the engine watches.
-func (e *Engine) N() int { return len(e.llr) }
-
-// Period returns how many periods have been observed.
-func (e *Engine) Period() int { return e.period }
-
 // Threshold returns the Wald declaration threshold log((1-Beta)/Alpha).
 func (e *Engine) Threshold() float64 { return e.threshold }
 

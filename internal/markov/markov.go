@@ -4,10 +4,6 @@
 // a transition matrix whose rows shift probability mass upward by the number
 // of detection reports generated in that stage's NEDR, and Eq. (12)
 // multiplies the initial vector through all of them.
-//
-// Beyond the paper's needs, the package includes general chain utilities
-// (stationary distributions, absorption analysis) used by the false-alarm
-// substrate and available to library users.
 package markov
 
 import (
@@ -29,27 +25,6 @@ var ErrChain = errors.New("markov: invalid chain")
 // region, and Eq. (13) renormalizes at the end.
 type Chain struct {
 	t *matrix.Matrix
-}
-
-// New builds a chain from a square transition matrix whose entries are
-// non-negative and whose rows sum to at most 1 (within tol).
-func New(t *matrix.Matrix, tol float64) (*Chain, error) {
-	if t.Rows() != t.Cols() {
-		return nil, fmt.Errorf("transition matrix %dx%d not square: %w", t.Rows(), t.Cols(), ErrChain)
-	}
-	for i := 0; i < t.Rows(); i++ {
-		var sum float64
-		for _, v := range t.Row(i) {
-			if v < -tol || math.IsNaN(v) {
-				return nil, fmt.Errorf("row %d has invalid entry %v: %w", i, v, ErrChain)
-			}
-			sum += v
-		}
-		if sum > 1+tol {
-			return nil, fmt.Errorf("row %d sums to %v > 1: %w", i, sum, ErrChain)
-		}
-	}
-	return &Chain{t: t.Clone()}, nil
 }
 
 // ShiftKernel builds the transition matrix used by every stage of the
@@ -101,9 +76,6 @@ func ShiftKernel(inc []float64, size int, saturate bool) (*Chain, error) {
 // States returns the number of states.
 func (c *Chain) States() int { return c.t.Rows() }
 
-// Matrix returns a copy of the transition matrix.
-func (c *Chain) Matrix() *matrix.Matrix { return c.t.Clone() }
-
 // Step returns the distribution after one transition from v.
 func (c *Chain) Step(v []float64) ([]float64, error) {
 	return matrix.VecMul(v, c.t)
@@ -145,142 +117,4 @@ func (c *Chain) Evolve(v []float64, n int) ([]float64, error) {
 		return nil, err
 	}
 	return matrix.VecMul(v, p)
-}
-
-// Compose returns the chain whose single step applies c then d (the matrix
-// product c.T * d.T). This is how the Head, Body and Tail stages chain into
-// Eq. (12).
-func Compose(c, d *Chain) (*Chain, error) {
-	t, err := matrix.Mul(c.t, d.t)
-	if err != nil {
-		return nil, err
-	}
-	return &Chain{t: t}, nil
-}
-
-// Stationary estimates the stationary distribution of an irreducible,
-// aperiodic stochastic chain by power iteration from the uniform
-// distribution, stopping when successive iterates differ by less than tol in
-// max norm or after maxIter steps. It returns an error if the chain is
-// sub-stochastic (mass would leak) or the iteration fails to converge.
-func (c *Chain) Stationary(tol float64, maxIter int) ([]float64, error) {
-	n := c.States()
-	if !c.t.IsRowStochastic(1, 1e-9) {
-		return nil, fmt.Errorf("stationary of sub-stochastic chain: %w", ErrChain)
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1 / float64(n)
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		next, err := c.Step(v)
-		if err != nil {
-			return nil, err
-		}
-		var maxd float64
-		for i := range v {
-			if d := math.Abs(next[i] - v[i]); d > maxd {
-				maxd = d
-			}
-		}
-		v = next
-		if maxd < tol {
-			return v, nil
-		}
-	}
-	return nil, fmt.Errorf("stationary did not converge in %d iterations: %w", maxIter, ErrChain)
-}
-
-// AbsorptionProbability returns, for each starting state, the probability of
-// eventually being absorbed into any of the given absorbing states, computed
-// by iterating the chain until the probabilities stabilize within tol. The
-// named states must actually be absorbing (self-loop probability 1).
-func (c *Chain) AbsorptionProbability(absorbing []int, tol float64, maxIter int) ([]float64, error) {
-	n := c.States()
-	isAbs := make([]bool, n)
-	for _, s := range absorbing {
-		if s < 0 || s >= n {
-			return nil, fmt.Errorf("absorbing state %d out of range: %w", s, ErrChain)
-		}
-		if math.Abs(c.t.At(s, s)-1) > 1e-9 {
-			return nil, fmt.Errorf("state %d is not absorbing: %w", s, ErrChain)
-		}
-		isAbs[s] = true
-	}
-	// h[s] = P[absorbed | start s]; fixed point of h = T h with h=1 on the
-	// absorbing set. Gauss-Seidel style value iteration.
-	h := make([]float64, n)
-	for s := range h {
-		if isAbs[s] {
-			h[s] = 1
-		}
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		var maxd float64
-		for s := 0; s < n; s++ {
-			if isAbs[s] {
-				continue
-			}
-			var sum float64
-			for j, p := range c.t.Row(s) {
-				if p != 0 {
-					sum += p * h[j]
-				}
-			}
-			if d := math.Abs(sum - h[s]); d > maxd {
-				maxd = d
-			}
-			h[s] = sum
-		}
-		if maxd < tol {
-			return h, nil
-		}
-	}
-	return nil, fmt.Errorf("absorption iteration did not converge in %d iterations: %w", maxIter, ErrChain)
-}
-
-// HittingTime returns, for each starting state, the expected number of
-// steps until the chain first enters any of the given target states
-// (which need not be absorbing), computed by value iteration on
-// h = 1 + T h with h = 0 on the target set. States that cannot reach the
-// target diverge; iteration stops at maxIter with an error if the values
-// have not stabilized within tol.
-func (c *Chain) HittingTime(targets []int, tol float64, maxIter int) ([]float64, error) {
-	n := c.States()
-	if !c.t.IsRowStochastic(1, 1e-9) {
-		return nil, fmt.Errorf("hitting time of sub-stochastic chain: %w", ErrChain)
-	}
-	isTarget := make([]bool, n)
-	for _, s := range targets {
-		if s < 0 || s >= n {
-			return nil, fmt.Errorf("target state %d out of range: %w", s, ErrChain)
-		}
-		isTarget[s] = true
-	}
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("no target states: %w", ErrChain)
-	}
-	h := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
-		var maxd float64
-		for s := 0; s < n; s++ {
-			if isTarget[s] {
-				continue
-			}
-			sum := 1.0
-			for j, p := range c.t.Row(s) {
-				if p != 0 {
-					sum += p * h[j]
-				}
-			}
-			if d := math.Abs(sum - h[s]); d > maxd {
-				maxd = d
-			}
-			h[s] = sum
-		}
-		if maxd < tol {
-			return h, nil
-		}
-	}
-	return nil, fmt.Errorf("hitting time did not converge in %d iterations: %w", maxIter, ErrChain)
 }

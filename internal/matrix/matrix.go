@@ -157,25 +157,6 @@ func Pow(m *Matrix, n int) (*Matrix, error) {
 	return result, nil
 }
 
-// IsRowStochastic reports whether every row of m is non-negative and sums to
-// total within tol. Sub-stochastic transition matrices (the truncated
-// analysis) pass with total < 1, so the expected total is a parameter.
-func (m *Matrix) IsRowStochastic(total, tol float64) bool {
-	for i := 0; i < m.rows; i++ {
-		var sum float64
-		for _, v := range m.Row(i) {
-			if v < -tol || math.IsNaN(v) {
-				return false
-			}
-			sum += v
-		}
-		if math.Abs(sum-total) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxAbsDiff returns the largest absolute elementwise difference between a
 // and b, or an error if shapes differ.
 func MaxAbsDiff(a, b *Matrix) (float64, error) {

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -221,28 +220,6 @@ func TestVecMulAssociativity(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(2))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIsRowStochastic(t *testing.T) {
-	m := mustFromRows(t, [][]float64{{0.5, 0.5}, {0.25, 0.75}})
-	if !m.IsRowStochastic(1, 1e-12) {
-		t.Error("stochastic matrix rejected")
-	}
-	sub := mustFromRows(t, [][]float64{{0.4, 0.4}, {0.3, 0.5}})
-	if !sub.IsRowStochastic(0.8, 1e-12) {
-		t.Error("sub-stochastic matrix with matching total rejected")
-	}
-	if sub.IsRowStochastic(1, 1e-12) {
-		t.Error("sub-stochastic matrix accepted as stochastic")
-	}
-	neg := mustFromRows(t, [][]float64{{-0.5, 1.5}})
-	if neg.IsRowStochastic(1, 1e-12) {
-		t.Error("negative entries accepted")
-	}
-	nan := mustFromRows(t, [][]float64{{math.NaN(), 1}})
-	if nan.IsRowStochastic(1, 1e-12) {
-		t.Error("NaN entries accepted")
 	}
 }
 

@@ -85,9 +85,6 @@ func (r *Routing) Rebuild(nodes []geom.Point, commRange float64, bounds geom.Rec
 	return nil
 }
 
-// Base returns the base-station node id the table routes toward.
-func (r *Routing) Base() int { return r.base }
-
 // Hops returns the shortest alive-path hop count from src to the base, or
 // -1 when src is unreachable.
 func (r *Routing) Hops(src int) (int, error) {

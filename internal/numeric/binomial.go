@@ -66,12 +66,6 @@ func BinomialTail(n, k int, p float64) float64 {
 	return Clamp01(1 - BinomialCDF(n, k-1, p))
 }
 
-// BinomialMean returns the mean n*p of Binomial(n, p).
-func BinomialMean(n int, p float64) float64 { return float64(n) * p }
-
-// BinomialVariance returns the variance n*p*(1-p) of Binomial(n, p).
-func BinomialVariance(n int, p float64) float64 { return float64(n) * p * (1 - p) }
-
 // BinomialQuantile returns the smallest k with P[X <= k] >= q for
 // X ~ Binomial(n, p). It returns an error for q outside (0, 1].
 func BinomialQuantile(n int, p, q float64) (int, error) {

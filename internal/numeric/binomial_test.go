@@ -106,15 +106,6 @@ func TestBinomialTailMonotoneInK(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	if got := BinomialMean(40, 0.25); got != 10 {
-		t.Errorf("mean = %v, want 10", got)
-	}
-	if got := BinomialVariance(40, 0.25); !AlmostEqual(got, 7.5, 1e-12, 1e-12) {
-		t.Errorf("variance = %v, want 7.5", got)
-	}
-}
-
 func TestBinomialQuantile(t *testing.T) {
 	// Median of Binomial(10, 0.5) is 5.
 	k, err := BinomialQuantile(10, 0.5, 0.5)

@@ -1,5 +1,7 @@
 package numeric
 
+import "math"
+
 // Kahan is a compensated (Kahan-Babuska) accumulator. The zero value is an
 // empty sum ready to use. It keeps a running compensation term so that long
 // sums of small probabilities do not lose mass to rounding.
@@ -11,7 +13,7 @@ type Kahan struct {
 // Add accumulates x into the sum.
 func (k *Kahan) Add(x float64) {
 	t := k.sum + x
-	if abs(k.sum) >= abs(x) {
+	if math.Abs(k.sum) >= math.Abs(x) {
 		k.c += (k.sum - t) + x
 	} else {
 		k.c += (x - t) + k.sum
@@ -32,11 +34,4 @@ func SumSlice(xs []float64) float64 {
 		k.Add(x)
 	}
 	return k.Sum()
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

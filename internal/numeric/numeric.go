@@ -92,25 +92,6 @@ func gcd64(a, b int64) int64 {
 	return a
 }
 
-// LogSumExp returns ln(sum(exp(xs))) computed stably. An empty slice yields
-// -Inf (the log of zero).
-func LogSumExp(xs []float64) float64 {
-	maxv := math.Inf(-1)
-	for _, x := range xs {
-		if x > maxv {
-			maxv = x
-		}
-	}
-	if math.IsInf(maxv, -1) {
-		return maxv
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - maxv)
-	}
-	return maxv + math.Log(sum)
-}
-
 // Clamp01 clips x into [0, 1]. Probabilities assembled from many float
 // operations can stray a few ulps outside the unit interval.
 func Clamp01(x float64) float64 {
@@ -136,24 +117,4 @@ func AlmostEqual(a, b, atol, rtol float64) bool {
 	}
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= rtol*scale
-}
-
-// WithinULP reports whether a and b are within n units in the last place.
-func WithinULP(a, b float64, n uint) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	if a == b {
-		return true
-	}
-	if (a < 0) != (b < 0) {
-		return a == 0 && b == 0
-	}
-	ia := int64(math.Float64bits(math.Abs(a)))
-	ib := int64(math.Float64bits(math.Abs(b)))
-	d := ia - ib
-	if d < 0 {
-		d = -d
-	}
-	return uint64(d) <= uint64(n)
 }

@@ -91,21 +91,6 @@ func TestPascalIdentityProperty(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	xs := []float64{math.Log(1), math.Log(2), math.Log(3)}
-	if got := math.Exp(LogSumExp(xs)); !AlmostEqual(got, 6, 1e-12, 1e-12) {
-		t.Errorf("LogSumExp = %v, want 6", got)
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Error("LogSumExp(nil) should be -Inf")
-	}
-	// Large offsets must not overflow.
-	xs = []float64{1000, 1000}
-	if got := LogSumExp(xs); !AlmostEqual(got, 1000+math.Ln2, 1e-9, 1e-12) {
-		t.Errorf("LogSumExp large = %v", got)
-	}
-}
-
 func TestClamp01(t *testing.T) {
 	tests := []struct{ in, want float64 }{
 		{-0.1, 0}, {0, 0}, {0.5, 0.5}, {1, 1}, {1.1, 1},
@@ -126,23 +111,5 @@ func TestAlmostEqual(t *testing.T) {
 	}
 	if AlmostEqual(1, 2, 0.5, 0.1) {
 		t.Error("1 and 2 should not be almost equal")
-	}
-}
-
-func TestWithinULP(t *testing.T) {
-	if !WithinULP(1.0, math.Nextafter(1.0, 2.0), 1) {
-		t.Error("adjacent floats are within 1 ulp")
-	}
-	if WithinULP(1.0, 1.5, 4) {
-		t.Error("1.0 and 1.5 are far apart")
-	}
-	if WithinULP(math.NaN(), 1, 1000) {
-		t.Error("NaN compares false")
-	}
-	if !WithinULP(0.0, math.Copysign(0, -1), 0) {
-		t.Error("+0 and -0 are equal")
-	}
-	if WithinULP(-1.0, 1.0, 1<<20) {
-		t.Error("opposite signs compare false")
 	}
 }

@@ -162,12 +162,6 @@ func (c Config) Resolve() (Config, int, error) {
 	return c, total, nil
 }
 
-// Validate checks the configuration without running it.
-func (c Config) Validate() error {
-	_, _, err := c.Resolve()
-	return err
-}
-
 // Placement is one placed sensor, in selection order.
 type Placement struct {
 	// Pos is the chosen candidate cell center.

@@ -284,11 +284,11 @@ func TestConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := testConfig()
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if _, _, err := cfg.Resolve(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	if err := testConfig().Validate(); err != nil {
+	if _, _, err := testConfig().Resolve(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }

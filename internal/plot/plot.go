@@ -89,11 +89,11 @@ func (c *Chart) Render() (string, error) {
 	}
 	col := func(x float64) int {
 		cc := int(math.Round((x - minX) / (maxX - minX) * float64(w-1)))
-		return clampInt(cc, 0, w-1)
+		return min(max(cc, 0), w-1)
 	}
 	row := func(y float64) int {
 		rr := int(math.Round((maxY - y) / (maxY - minY) * float64(h-1)))
-		return clampInt(rr, 0, h-1)
+		return min(max(rr, 0), h-1)
 	}
 	for si, s := range c.series {
 		mark := markers[si%len(markers)]
@@ -108,7 +108,7 @@ func (c *Chart) Render() (string, error) {
 	}
 	yAxisTop := fmt.Sprintf("%.3g", maxY)
 	yAxisBot := fmt.Sprintf("%.3g", minY)
-	labelW := maxInt(len(yAxisTop), len(yAxisBot))
+	labelW := max(len(yAxisTop), len(yAxisBot))
 	for r := 0; r < h; r++ {
 		label := strings.Repeat(" ", labelW)
 		switch r {
@@ -120,7 +120,7 @@ func (c *Chart) Render() (string, error) {
 		fmt.Fprintf(&sb, "%s |%s\n", label, string(grid[r]))
 	}
 	fmt.Fprintf(&sb, "%s +%s\n", strings.Repeat(" ", labelW), strings.Repeat("-", w))
-	xAxis := fmt.Sprintf("%.4g%s%.4g", minX, strings.Repeat(" ", maxInt(1, w-len(fmt.Sprintf("%.4g", minX))-len(fmt.Sprintf("%.4g", maxX)))), maxX)
+	xAxis := fmt.Sprintf("%.4g%s%.4g", minX, strings.Repeat(" ", max(1, w-len(fmt.Sprintf("%.4g", minX))-len(fmt.Sprintf("%.4g", maxX)))), maxX)
 	fmt.Fprintf(&sb, "%s  %s\n", strings.Repeat(" ", labelW), xAxis)
 	if c.XLabel != "" {
 		fmt.Fprintf(&sb, "%s  (%s)\n", strings.Repeat(" ", labelW), c.XLabel)
@@ -129,23 +129,6 @@ func (c *Chart) Render() (string, error) {
 		fmt.Fprintf(&sb, "  %c %s\n", markers[si%len(markers)], s.Name)
 	}
 	return sb.String(), nil
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func pad(s string, w int) string {

@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics the experiment harness uses
 // to score analysis against simulation: moments, binomial-proportion
-// confidence intervals, histograms and series comparison metrics.
+// confidence intervals, histograms and a two-sample law comparison.
 package stats
 
 import (
@@ -162,39 +162,4 @@ func (h *Histogram) TailProb(k int) float64 {
 		c += h.counts[v]
 	}
 	return float64(c) / float64(h.total)
-}
-
-// SeriesComparison summarizes the agreement of two equal-length series
-// (e.g. analysis vs simulation detection probabilities across N).
-type SeriesComparison struct {
-	MaxAbsError  float64
-	MeanAbsError float64
-	RMSE         float64
-}
-
-// CompareSeries computes agreement metrics between two series of equal
-// length.
-func CompareSeries(a, b []float64) (SeriesComparison, error) {
-	if len(a) != len(b) {
-		return SeriesComparison{}, fmt.Errorf("series lengths %d vs %d: %w", len(a), len(b), ErrStats)
-	}
-	if len(a) == 0 {
-		return SeriesComparison{}, fmt.Errorf("empty series: %w", ErrStats)
-	}
-	var sumAbs, sumSq numeric.Kahan
-	var maxAbs float64
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > maxAbs {
-			maxAbs = d
-		}
-		sumAbs.Add(d)
-		sumSq.Add(d * d)
-	}
-	n := float64(len(a))
-	return SeriesComparison{
-		MaxAbsError:  maxAbs,
-		MeanAbsError: sumAbs.Sum() / n,
-		RMSE:         math.Sqrt(sumSq.Sum() / n),
-	}, nil
 }

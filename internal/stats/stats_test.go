@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/numeric"
@@ -124,30 +123,5 @@ func TestHistogramMerge(t *testing.T) {
 	a.Merge(&empty)
 	if a.Total() != 4 {
 		t.Error("merging empty changed totals")
-	}
-}
-
-func TestCompareSeries(t *testing.T) {
-	a := []float64{0.1, 0.2, 0.3}
-	b := []float64{0.1, 0.25, 0.26}
-	cmp, err := CompareSeries(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !numeric.AlmostEqual(cmp.MaxAbsError, 0.05, 1e-12, 1e-12) {
-		t.Errorf("MaxAbsError = %v", cmp.MaxAbsError)
-	}
-	if !numeric.AlmostEqual(cmp.MeanAbsError, 0.03, 1e-12, 1e-9) {
-		t.Errorf("MeanAbsError = %v", cmp.MeanAbsError)
-	}
-	wantRMSE := math.Sqrt((0.05*0.05 + 0.04*0.04) / 3)
-	if !numeric.AlmostEqual(cmp.RMSE, wantRMSE, 1e-12, 1e-9) {
-		t.Errorf("RMSE = %v, want %v", cmp.RMSE, wantRMSE)
-	}
-	if _, err := CompareSeries(a, b[:2]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := CompareSeries(nil, nil); err == nil {
-		t.Error("empty series should fail")
 	}
 }
