@@ -11,7 +11,6 @@ package dist
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"github.com/groupdetect/gbd/internal/numeric"
@@ -25,19 +24,6 @@ var ErrInvalid = errors.New("dist: invalid distribution")
 // one because only a bounded number of sensors per region is enumerated), so
 // a PMF is not required to sum to 1; see Total and Normalized.
 type PMF []float64
-
-// New returns a PMF with the given probabilities, copying the slice.
-// It returns an error if any entry is negative or NaN.
-func New(p []float64) (PMF, error) {
-	for i, v := range p {
-		if v < 0 || math.IsNaN(v) {
-			return nil, fmt.Errorf("entry %d = %v: %w", i, v, ErrInvalid)
-		}
-	}
-	out := make(PMF, len(p))
-	copy(out, p)
-	return out, nil
-}
 
 // Point returns the degenerate distribution concentrated at value k with the
 // given support size (k must be < size).
@@ -248,24 +234,4 @@ func MaxAbsDiff(p, q PMF) float64 {
 		}
 	}
 	return maxd
-}
-
-// Quantile returns the smallest k with CDF(k) >= q under the normalized
-// distribution, or an error for q outside (0, 1] or zero-mass p.
-func (p PMF) Quantile(q float64) (int, error) {
-	if q <= 0 || q > 1 {
-		return 0, fmt.Errorf("quantile %v: %w", q, ErrInvalid)
-	}
-	total := p.Total()
-	if total <= 0 {
-		return 0, fmt.Errorf("quantile of zero-mass distribution: %w", ErrInvalid)
-	}
-	var cum numeric.Kahan
-	for k, v := range p {
-		cum.Add(v)
-		if cum.Sum() >= q*total {
-			return k, nil
-		}
-	}
-	return len(p) - 1, nil
 }

@@ -1,41 +1,12 @@
 package dist
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/groupdetect/gbd/internal/numeric"
 )
-
-func TestNewRejectsInvalid(t *testing.T) {
-	if _, err := New([]float64{0.5, -0.1}); err == nil {
-		t.Error("negative mass should be rejected")
-	}
-	if _, err := New([]float64{math.NaN()}); err == nil {
-		t.Error("NaN mass should be rejected")
-	}
-	p, err := New([]float64{0.25, 0.75})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Total() != 1 {
-		t.Errorf("Total = %v, want 1", p.Total())
-	}
-}
-
-func TestNewCopies(t *testing.T) {
-	src := []float64{0.5, 0.5}
-	p, err := New(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src[0] = 99
-	if p[0] != 0.5 {
-		t.Error("New must copy its input")
-	}
-}
 
 func TestPoint(t *testing.T) {
 	p := Point(2, 5)
@@ -230,30 +201,5 @@ func TestMaxAbsDiffLengths(t *testing.T) {
 	}
 	if d := MaxAbsDiff(nil, nil); d != 0 {
 		t.Errorf("MaxAbsDiff(nil,nil) = %v, want 0", d)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	p := Binomial(10, 0.5)
-	med, err := p.Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if med != 5 {
-		t.Errorf("median = %d, want 5", med)
-	}
-	if k, err := p.Quantile(1); err != nil || k != 10 {
-		t.Errorf("q=1 quantile = %d, %v", k, err)
-	}
-	if _, err := p.Quantile(0); err == nil {
-		t.Error("q=0 should fail")
-	}
-	if _, err := (PMF{0, 0}).Quantile(0.5); err == nil {
-		t.Error("zero mass should fail")
-	}
-	// Sub-stochastic: quantile of the normalized distribution.
-	sub := PMF{0.25, 0.25} // mass 0.5
-	if k, err := sub.Quantile(0.5); err != nil || k != 0 {
-		t.Errorf("sub-stochastic quantile = %d, %v", k, err)
 	}
 }

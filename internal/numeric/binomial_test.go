@@ -162,15 +162,6 @@ func TestKahanBeatsNaiveSum(t *testing.T) {
 	}
 }
 
-func TestKahanReset(t *testing.T) {
-	var k Kahan
-	k.Add(5)
-	k.Reset()
-	if k.Sum() != 0 {
-		t.Errorf("after Reset sum = %v, want 0", k.Sum())
-	}
-}
-
 func TestSumSlice(t *testing.T) {
 	if got := SumSlice([]float64{1, 2, 3, 4}); got != 10 {
 		t.Errorf("SumSlice = %v, want 10", got)

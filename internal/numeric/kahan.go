@@ -24,9 +24,6 @@ func (k *Kahan) Add(x float64) {
 // Sum returns the compensated total.
 func (k *Kahan) Sum() float64 { return k.sum + k.c }
 
-// Reset clears the accumulator back to an empty sum.
-func (k *Kahan) Reset() { k.sum, k.c = 0, 0 }
-
 // SumSlice returns the compensated sum of xs.
 func SumSlice(xs []float64) float64 {
 	var k Kahan

@@ -4,13 +4,13 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/falsealarm"
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
+	"github.com/groupdetect/gbd/internal/sim"
 	"github.com/groupdetect/gbd/internal/stats"
 	"github.com/groupdetect/gbd/internal/target"
 )
@@ -25,40 +25,42 @@ const (
 	chPattern = 2 // + class*candidates + candidate: that pair's detection draws
 )
 
-// engine holds the precomputed objective state: the track panel and the
-// per-(class, candidate) per-trial report counts.
+// engine holds the precomputed objective state: the per-(class,
+// candidate) per-trial report counts and the uniform baseline's score.
 type engine struct {
 	cfg    Config
 	total  int
 	cands  []geom.Point
 	bounds geom.Rect
-	step   float64 // per-period target displacement
+	model  target.Straight // the scenario's straight track at speed V
 
-	// tracks is the flat track panel: trial t occupies
-	// tracks[t*(M+1) : (t+1)*(M+1)].
-	tracks []geom.Point
-	// bbox is the per-trial track bounding box, one Rect per trial, used
-	// to skip candidates that cannot be in range in any period.
-	bbox []geom.Rect
 	// counts[j*Trials + t] is pattern j's report count in trial t, where
 	// j = class*len(cands) + candidate.
 	counts []uint16
+	// uniform is the number of trials the uniform-random baseline detects.
+	uniform int
 }
 
+// newEngine runs the Monte Carlo panel: every trial on sim.Execute, each
+// filling its column of counts and scoring the uniform baseline.
 func newEngine(ctx context.Context, cfg Config, total int) (*engine, error) {
-	p := cfg.Base
 	eng := &engine{
 		cfg:    cfg,
 		total:  total,
-		bounds: geom.Square(p.FieldSide),
-		step:   p.Vt(),
+		bounds: geom.Square(cfg.Base.FieldSide),
+		model:  target.Straight{Step: cfg.Base.Vt()},
 	}
 	eng.cands = candidateGrid(cfg.GridCols, cfg.GridRows, eng.bounds)
-	if err := eng.sampleTracks(ctx); err != nil {
+	eng.counts = make([]uint16, len(cfg.Classes)*len(eng.cands)*cfg.Trials)
+	detected, err := sim.Execute(ctx, cfg.Trials, cfg.Workers, func() (func(*int, int) error, func()) {
+		w := &worker{e: eng, st: field.NewStream(), pos: make([]geom.Point, 0, total)}
+		return w.trial, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := eng.countPatterns(ctx); err != nil {
-		return nil, err
+	for _, d := range detected {
+		eng.uniform += d
 	}
 	return eng, nil
 }
@@ -85,92 +87,103 @@ func (e *engine) stride() int64 {
 	return int64(chPattern + len(e.cfg.Classes)*len(e.cands))
 }
 
-// sampleTracks draws the track panel: trial t's track comes from stream
-// (t, chTrack) — uniform entry point, uniform heading, straight motion at
-// the scenario speed, rejection-confined to the field like the simulator's
-// default policy.
-func (e *engine) sampleTracks(ctx context.Context) error {
-	p := e.cfg.Base
-	trials := e.cfg.Trials
-	model := target.Straight{Step: e.step}
-	e.tracks = make([]geom.Point, trials*(p.M+1))
-	e.bbox = make([]geom.Rect, trials)
-	stride := e.stride()
-	return parallelStripe(min(e.cfg.Workers, trials), func(w int) error {
-		st := field.NewStream()
-		for t := w; t < trials; t += e.cfg.Workers {
-			if t&63 == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			rng := st.At(e.cfg.RNG, e.cfg.Seed, int64(t)*stride+chTrack)
-			track, err := target.Sample(model, e.bounds, p.M, true, rng)
-			if err != nil {
-				return fmt.Errorf("%w: %w", ErrConfig, err)
-			}
-			copy(e.tracks[t*(p.M+1):], track)
-			box := geom.Rect{MinX: track[0].X, MinY: track[0].Y, MaxX: track[0].X, MaxY: track[0].Y}
-			for _, pt := range track[1:] {
-				box.MinX = math.Min(box.MinX, pt.X)
-				box.MinY = math.Min(box.MinY, pt.Y)
-				box.MaxX = math.Max(box.MaxX, pt.X)
-				box.MaxY = math.Max(box.MaxY, pt.Y)
-			}
-			e.bbox[t] = box
-		}
-		return nil
-	})
+// worker is one executor worker's scratch, reused by every trial it runs.
+type worker struct {
+	e     *engine
+	st    *field.Stream
+	track []geom.Point
+	pos   []geom.Point
 }
 
-// countPatterns fills counts: for each (class, candidate) pattern j and
-// trial t, the number of periods in which a sensor of that class at that
-// cell would report, drawn from stream (t, chPattern+j). Draws happen
-// only for in-range periods (a deterministic function of the track), so a
-// pattern's stream consumption is independent of every other pattern.
-func (e *engine) countPatterns(ctx context.Context) error {
+// trial runs trial t and adds 1 to detected if the uniform baseline
+// detects its target. In order:
+//   - the track from stream (t, chTrack): uniform entry point, uniform
+//     heading, straight motion at the scenario speed, rejection-confined
+//     to the field like the simulator's default policy;
+//   - column t of counts: for each (class, candidate) pattern j, the
+//     number of periods in which a sensor of that class at that cell
+//     would report, drawn from stream (t, chPattern+j) only for in-range
+//     periods;
+//   - the paper's uniform-random deployment on the same track (a paired
+//     comparison: only the deployment channel differs), from stream
+//     (t, chUniform): every class's sensors deployed uniformly, then each
+//     sensor's in-range detections class-major, sensor-major,
+//     period-major.
+//
+// Every channel is its own stream and its draws depend only on the
+// track, so no draw depends on the worker or on any other pattern.
+func (w *worker) trial(detected *int, t int) error {
+	e := w.e
 	p := e.cfg.Base
-	trials := e.cfg.Trials
+	base := int64(t) * e.stride()
+	track, err := target.SampleInto(w.track, e.model, e.bounds, p.M, true, w.st.At(e.cfg.RNG, e.cfg.Seed, base+chTrack))
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrConfig, err)
+	}
+	w.track = track
+	box := geom.Rect{MinX: track[0].X, MinY: track[0].Y, MaxX: track[0].X, MaxY: track[0].Y}
+	for _, pt := range track[1:] {
+		box.MinX, box.MaxX = min(box.MinX, pt.X), max(box.MaxX, pt.X)
+		box.MinY, box.MaxY = min(box.MinY, pt.Y), max(box.MaxY, pt.Y)
+	}
+
 	nCands := len(e.cands)
-	nPatterns := len(e.cfg.Classes) * nCands
-	e.counts = make([]uint16, nPatterns*trials)
-	stride := e.stride()
-	return parallelStripe(min(e.cfg.Workers, nPatterns), func(w int) error {
-		st := field.NewStream()
-		for j := w; j < nPatterns; j += e.cfg.Workers {
-			if ctx.Err() != nil {
-				return ctx.Err()
+	for j := range len(e.cfg.Classes) * nCands {
+		cls := e.cfg.Classes[j/nCands]
+		cand := e.cands[j%nCands]
+		// Candidates beyond Rs of the track's bounding box cannot be in
+		// range in any period: no draws, count 0.
+		if cand.X < box.MinX-cls.Rs || cand.X > box.MaxX+cls.Rs ||
+			cand.Y < box.MinY-cls.Rs || cand.Y > box.MaxY+cls.Rs {
+			continue
+		}
+		rs2 := cls.Rs * cls.Rs
+		var rng *rand.Rand
+		n := uint16(0)
+		for period := 1; period <= p.M; period++ {
+			seg := geom.Segment{A: track[period-1], B: track[period]}
+			if seg.Dist2(cand) > rs2 {
+				continue
 			}
-			cls := e.cfg.Classes[j/nCands]
-			cand := e.cands[j%nCands]
-			rs2 := cls.Rs * cls.Rs
-			row := e.counts[j*trials : (j+1)*trials]
-			for t := 0; t < trials; t++ {
-				// Candidates beyond Rs of the track's bounding box cannot
-				// be in range in any period: no draws, count 0.
-				box := e.bbox[t]
-				if cand.X < box.MinX-cls.Rs || cand.X > box.MaxX+cls.Rs ||
-					cand.Y < box.MinY-cls.Rs || cand.Y > box.MaxY+cls.Rs {
-					continue
-				}
-				track := e.tracks[t*(p.M+1) : (t+1)*(p.M+1)]
-				var rng *rand.Rand
-				n := uint16(0)
-				for period := 1; period <= p.M; period++ {
-					seg := geom.Segment{A: track[period-1], B: track[period]}
-					if seg.Dist2(cand) > rs2 {
-						continue
-					}
-					if rng == nil {
-						rng = st.At(e.cfg.RNG, e.cfg.Seed, int64(t)*stride+chPattern+int64(j))
-					}
-					if rng.Float64() < cls.Pd {
-						n++
-					}
-				}
-				row[t] = n
+			if rng == nil {
+				rng = w.st.At(e.cfg.RNG, e.cfg.Seed, base+chPattern+int64(j))
+			}
+			if rng.Float64() < cls.Pd {
+				n++
 			}
 		}
-		return nil
-	})
+		e.counts[j*e.cfg.Trials+t] = n
+	}
+
+	rng := w.st.At(e.cfg.RNG, e.cfg.Seed, base+chUniform)
+	pos := w.pos[:0]
+	for _, c := range e.cfg.Classes {
+		pts, err := field.UniformInto(pos[len(pos):cap(pos)], c.Count, e.bounds, rng)
+		if err != nil {
+			return err
+		}
+		pos = pos[:len(pos)+len(pts)]
+	}
+	reports := 0
+	for _, c := range e.cfg.Classes {
+		rs2 := c.Rs * c.Rs
+		for _, pt := range pos[:c.Count] {
+			for period := 1; period <= p.M; period++ {
+				seg := geom.Segment{A: track[period-1], B: track[period]}
+				if seg.Dist2(pt) > rs2 {
+					continue
+				}
+				if rng.Float64() < c.Pd {
+					reports++
+				}
+			}
+		}
+		pos = pos[c.Count:]
+	}
+	if reports >= p.K {
+		*detected++
+	}
+	return nil
 }
 
 // heapEntry is one live (class, candidate) pattern in the lazy priority
@@ -342,11 +355,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	uniformDetected, err := e.uniformBaseline(ctx)
-	if err != nil {
-		return nil, err
-	}
-	uniformCI, err := stats.WilsonInterval(uniformDetected, trials, 1.96)
+	uniformCI, err := stats.WilsonInterval(e.uniform, trials, 1.96)
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +374,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 	res.VsUniform = Comparison{
 		PlacedProb:      float64(detected) / float64(trials),
 		PlacedCI:        placedCI,
-		UniformProb:     float64(uniformDetected) / float64(trials),
+		UniformProb:     float64(e.uniform) / float64(trials),
 		UniformCI:       uniformCI,
 		UniformAnalysis: ana.DetectionProb,
 	}
@@ -395,68 +404,4 @@ func (e *engine) detectClasses() []detect.SensorClass {
 		out[i] = detect.SensorClass{Count: cl.Count, Rs: cl.Rs, Pd: cl.Pd}
 	}
 	return out
-}
-
-// uniformBaseline simulates the paper's uniform-random deployment on the
-// SAME track panel (a paired comparison: only the deployment channel
-// differs), returning the number of detected trials. Per trial, stream
-// (t, chUniform) first deploys every class's sensors uniformly, then
-// draws each sensor's in-range detections class-major, sensor-major,
-// period-major.
-func (e *engine) uniformBaseline(ctx context.Context) (int, error) {
-	p := e.cfg.Base
-	trials := e.cfg.Trials
-	stride := e.stride()
-	workers := min(e.cfg.Workers, trials)
-	detectedBy := make([]int, workers)
-	err := parallelStripe(workers, func(w int) error {
-		st := field.NewStream()
-		pos := make([]geom.Point, e.total)
-		cls := make([]int, e.total)
-		for t := w; t < trials; t += e.cfg.Workers {
-			if t&63 == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			rng := st.At(e.cfg.RNG, e.cfg.Seed, int64(t)*stride+chUniform)
-			i := 0
-			for ci, c := range e.cfg.Classes {
-				pts, err := field.UniformInto(pos[i:i:len(pos)], c.Count, e.bounds, rng)
-				if err != nil {
-					return err
-				}
-				copy(pos[i:], pts)
-				for range pts {
-					cls[i] = ci
-					i++
-				}
-			}
-			track := e.tracks[t*(p.M+1) : (t+1)*(p.M+1)]
-			reports := 0
-			for s := 0; s < e.total; s++ {
-				c := e.cfg.Classes[cls[s]]
-				rs2 := c.Rs * c.Rs
-				for period := 1; period <= p.M; period++ {
-					seg := geom.Segment{A: track[period-1], B: track[period]}
-					if seg.Dist2(pos[s]) > rs2 {
-						continue
-					}
-					if rng.Float64() < c.Pd {
-						reports++
-					}
-				}
-			}
-			if reports >= p.K {
-				detectedBy[w]++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, d := range detectedBy {
-		total += d
-	}
-	return total, nil
 }

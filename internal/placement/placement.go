@@ -5,10 +5,11 @@
 // N sensors go".
 //
 // The objective P[detect] is estimated by a deterministic Monte Carlo
-// evaluator: a fixed panel of target tracks is drawn once, and for every
-// (sensor class, candidate cell) pair the per-trial report count is
-// precomputed from its own RNG stream. Stream identity is a pure function
-// of (trial, channel) — Philox O(1)-seek streams under field.SchemePhilox,
+// evaluator: one pass over the trials on the trial kernel's executor
+// (sim.Execute), in which each trial draws its target track and, for
+// every (sensor class, candidate cell) pair, its report count, each from
+// its own RNG stream. Stream identity is a pure function of (trial,
+// channel) — Philox O(1)-seek streams under field.SchemePhilox,
 // DeriveSeed reseeds under field.SchemeLegacy — so results are
 // bit-identical at any worker count, the same contract internal/sim keeps.
 // With the mission equal to the window (the paper's setting) the sliding
@@ -29,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/falsealarm"
@@ -81,7 +81,8 @@ type Config struct {
 	// RNG selects the (seed, stream) -> draws scheme; both schemes are
 	// deterministic, the counter-based one additionally O(1)-seekable.
 	RNG field.RNGScheme
-	// Workers bounds the precompute parallelism; 0 means GOMAXPROCS.
+	// Workers is the number of executor workers running the trials; 0
+	// means GOMAXPROCS.
 	// Results are bit-identical at any setting.
 	Workers int
 	// FalseAlarmP, FAHorizon and FABudget parameterize the §6 report
@@ -240,32 +241,6 @@ func PlaceCtx(ctx context.Context, cfg Config) (*Result, error) {
 	evalsTotal.Add(uint64(res.Evals))
 	lazyHitsTotal.Add(uint64(res.LazyHits))
 	return res, nil
-}
-
-// parallelStripe runs fn(w) on workers goroutines; fn is expected to
-// process the stripe i = w, w+workers, w+2*workers, ... of some index
-// space, writing only to its own rows, so the result is independent of
-// the worker count.
-func parallelStripe(workers int, fn func(w int) error) error {
-	if workers <= 1 {
-		return fn(0)
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = fn(w)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // faModel builds the §6 false-alarm model for the placed fleet.

@@ -9,6 +9,8 @@ import (
 
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/field"
+	"github.com/groupdetect/gbd/internal/obs"
+	"github.com/groupdetect/gbd/internal/sim"
 )
 
 // testConfig is a fast-but-real scenario: the ONR geometry with a reduced
@@ -257,6 +259,32 @@ func TestSchemesDiffer(t *testing.T) {
 	}
 	if reflect.DeepEqual(a.VsUniform, b.VsUniform) {
 		t.Error("legacy and philox runs produced identical comparisons")
+	}
+}
+
+// TestPlaceCountsNoKernelTrials: placement runs its trials on sim's
+// executor, but sim.trials counts kernel trials only (the serving
+// benchmark reads it per layer), so a solve at any worker count must
+// leave it where it was, while a kernel campaign moves it.
+func TestPlaceCountsNoKernelTrials(t *testing.T) {
+	trials := obs.Default.Counter("sim.trials")
+	for _, workers := range []int{1, 4} {
+		cfg := testConfig()
+		cfg.Workers = workers
+		before := trials.Value()
+		if _, err := Place(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := trials.Value() - before; got != 0 {
+			t.Errorf("workers=%d: Place moved sim.trials by %d, want 0", workers, got)
+		}
+	}
+	before := trials.Value()
+	if _, err := sim.Run(sim.Config{Params: detect.Defaults(), Trials: 10, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := trials.Value() - before; got != 10 {
+		t.Errorf("a 10-trial campaign moved sim.trials by %d, want 10", got)
 	}
 }
 

@@ -43,15 +43,6 @@ func (d Disk) Covers(sensor geom.Point, seg geom.Segment) bool {
 	return seg.Dist2(sensor) <= d.Rs*d.Rs
 }
 
-// Detects reports whether the sensor generates a detection report for the
-// period: coverage and a Bernoulli(Pd) success.
-func (d Disk) Detects(sensor geom.Point, seg geom.Segment, rng *rand.Rand) bool {
-	if !d.Covers(sensor, seg) {
-		return false
-	}
-	return d.Pd >= 1 || rng.Float64() < d.Pd
-}
-
 // FalseAlarm is a per-sensor, per-period Bernoulli false alarm source. The
 // paper excludes false alarms from the detection-probability analysis but
 // uses their existence to motivate group-based detection; the falsealarm

@@ -44,36 +44,6 @@ func TestCovers(t *testing.T) {
 	}
 }
 
-func TestDetectsPdOne(t *testing.T) {
-	d, _ := NewDisk(2, 1)
-	seg := geom.Segment{A: geom.Point{}, B: geom.Point{X: 1, Y: 0}}
-	// Pd = 1 must detect without consuming randomness (rng may be nil).
-	if !d.Detects(geom.Point{X: 0.5, Y: 0}, seg, nil) {
-		t.Error("Pd=1 in-range should always detect")
-	}
-	if d.Detects(geom.Point{X: 0.5, Y: 5}, seg, nil) {
-		t.Error("out-of-range should never detect")
-	}
-}
-
-func TestDetectsFrequencyMatchesPd(t *testing.T) {
-	d, _ := NewDisk(2, 0.9)
-	seg := geom.Segment{A: geom.Point{}, B: geom.Point{X: 1, Y: 0}}
-	sensor := geom.Point{X: 0.5, Y: 0}
-	rng := field.NewRand(42)
-	const trials = 200_000
-	hits := 0
-	for i := 0; i < trials; i++ {
-		if d.Detects(sensor, seg, rng) {
-			hits++
-		}
-	}
-	rate := float64(hits) / trials
-	if math.Abs(rate-0.9) > 0.005 {
-		t.Errorf("empirical Pd = %v, want 0.9", rate)
-	}
-}
-
 func TestNewFalseAlarmValidation(t *testing.T) {
 	if _, err := NewFalseAlarm(-0.1); err == nil {
 		t.Error("negative p should fail")

@@ -75,8 +75,11 @@ func (s *Server) sweepPointKey(req SweepPointRequest) (detect.Params, string, er
 	if req.Index < 0 {
 		return p, "", fmt.Errorf("index = %d must be >= 0: %w", req.Index, ErrRequest)
 	}
-	p, err := req.Scenario.Params()
+	p, err := resolveScenario(req.Scenario)
 	if err != nil {
+		return p, "", err
+	}
+	if err := checkRowSize(p, req.Axis, req.Value); err != nil {
 		return p, "", err
 	}
 	scheme, err := s.resolveRNG(req.RNG)

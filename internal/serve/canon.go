@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 
@@ -25,9 +26,47 @@ import (
 // ErrRequest reports an invalid API request; handlers map it to 400.
 var ErrRequest = errors.New("serve: invalid request")
 
-// ErrTooLarge reports a request exceeding a configured size bound (the
-// /v1/batch item cap); handlers map it to 413.
+// ErrTooLarge reports a request exceeding a size bound (the /v1/batch
+// item cap, the placement caps, the scenario work bounds); handlers map
+// it to 413.
 var ErrTooLarge = errors.New("serve: request too large")
+
+// Bounds on the work one request can buy. The analysis grows with the
+// fleet size N, the window M and the tail-stage count ms = ⌈2·Rs/(V·t)⌉,
+// and the §6 design search with its largest fleet n_max and its
+// false-alarm horizon. Each bound sits far above the paper's scenarios
+// (N ≤ 260, M = 20, ms ≤ 9 at V ≥ 4, a 1440-period horizon).
+const (
+	maxN       = 5000
+	maxM       = 100
+	maxMs      = 50
+	maxHorizon = 1_000_000
+)
+
+// checkSize rejects a resolved scenario beyond the work bounds with
+// ErrTooLarge.
+func checkSize(p detect.Params) error {
+	// ms in floating point: a tiny V overflows the integer ⌈2·Rs/(V·t)⌉.
+	switch ms := math.Ceil(2 * p.Rs / p.Vt()); {
+	case p.N > maxN:
+		return fmt.Errorf("n = %d exceeds the limit %d: %w", p.N, maxN, ErrTooLarge)
+	case p.M > maxM:
+		return fmt.Errorf("m = %d exceeds the limit %d: %w", p.M, maxM, ErrTooLarge)
+	case ms > maxMs:
+		return fmt.Errorf("ms = ⌈2·rs/(v·t)⌉ = %g exceeds the limit %d: %w", ms, maxMs, ErrTooLarge)
+	}
+	return nil
+}
+
+// resolveScenario resolves a request's scenario and checks it against the
+// work bounds.
+func resolveScenario(sc scenario.Scenario) (detect.Params, error) {
+	p, err := sc.Params()
+	if err != nil {
+		return p, err
+	}
+	return p, checkSize(p)
+}
 
 // maxBodyBytes bounds request bodies; scenario + options JSON is tiny.
 const maxBodyBytes = 1 << 20

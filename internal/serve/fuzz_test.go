@@ -99,20 +99,17 @@ func checkRejection(t *testing.T, what string, body []byte, err error) {
 }
 
 // checkSweepEnvelope runs a /v1/sweep body through the handler's checks
-// (strict decode, validateSweep, the base scenario), then plans every row
-// through planRow, the per-row plan handleSweep runs. A rejected envelope
+// (strict decode, then validateSweep and its base scenario), then plans
+// every row through planRow, the per-row plan handleSweep runs. A rejected envelope
 // must be a 4xx; a row that fails to plan or to take its value is an
 // in-band error row, whose error must classify as a 4xx too. A planned
 // row's forward body must plan to the same key at the owning replica.
 func checkSweepEnvelope(t *testing.T, body []byte) {
 	var req SweepRequest
+	var base detect.Params
 	err := decodeBytes(body, &req)
 	if err == nil {
-		err = fuzzServer.validateSweep(req)
-	}
-	var base detect.Params
-	if err == nil {
-		base, err = req.Scenario.Params()
+		base, err = fuzzServer.validateSweep(req)
 	}
 	if err != nil {
 		checkRejection(t, "/v1/sweep", body, err)

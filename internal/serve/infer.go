@@ -145,7 +145,7 @@ func (s *Server) inferConfig(p detect.Params, req InferRequest) (sim.Config, err
 // inferKey validates an InferRequest and returns its resolved parameters,
 // simulator configuration, and cache key.
 func (s *Server) inferKey(req InferRequest) (detect.Params, sim.Config, string, error) {
-	p, err := req.Scenario.Params()
+	p, err := resolveScenario(req.Scenario)
 	if err != nil {
 		return p, sim.Config{}, "", err
 	}

@@ -103,7 +103,7 @@ type placeCanonical struct {
 // admission pool's job, and placement results are worker-count-
 // independent anyway.
 func (s *Server) placeConfig(req PlaceRequest) (placement.Config, int, error) {
-	p, err := req.Scenario.Params()
+	p, err := resolveScenario(req.Scenario)
 	if err != nil {
 		return placement.Config{}, 0, err
 	}
@@ -116,6 +116,9 @@ func (s *Server) placeConfig(req PlaceRequest) (placement.Config, int, error) {
 	}
 	if req.Trials < 0 || req.Trials > s.cfg.MaxTrials {
 		return placement.Config{}, 0, fmt.Errorf("trials = %d must be in [0, %d]: %w", req.Trials, s.cfg.MaxTrials, ErrRequest)
+	}
+	if req.Horizon > maxHorizon {
+		return placement.Config{}, 0, fmt.Errorf("horizon = %d exceeds the limit %d: %w", req.Horizon, maxHorizon, ErrTooLarge)
 	}
 	scheme, err := s.resolveRNG(req.RNG)
 	if err != nil {
@@ -136,6 +139,15 @@ func (s *Server) placeConfig(req PlaceRequest) (placement.Config, int, error) {
 	}.Resolve()
 	if err != nil {
 		return placement.Config{}, 0, err
+	}
+	// The bounded scenario is the whole placed fleet's, at each class's
+	// sensing range.
+	for _, cl := range cfg.Classes {
+		p := cfg.Base.WithN(total)
+		p.Rs = cl.Rs
+		if err := checkSize(p); err != nil {
+			return placement.Config{}, 0, err
+		}
 	}
 	// The report-count matrix is trials x classes x cells of uint16; cap
 	// its area so one request cannot pin unbounded memory.

@@ -432,7 +432,7 @@ type analyzeCanonical struct {
 // analyzeKey canonicalizes an AnalyzeRequest into its resolved parameters
 // and cache key.
 func (s *Server) analyzeKey(req AnalyzeRequest) (detect.Params, string, error) {
-	p, err := req.Scenario.Params()
+	p, err := resolveScenario(req.Scenario)
 	if err != nil {
 		return p, "", err
 	}
@@ -562,9 +562,15 @@ func (s *Server) computeDesign(ctx context.Context, p detect.Params, req DesignR
 // returns its scenario parameters and cache key.
 func (s *Server) designKey(req *DesignRequest) (detect.Params, string, error) {
 	req.withDefaults()
-	p, err := req.Scenario.Params()
+	p, err := resolveScenario(req.Scenario)
 	if err != nil {
 		return p, "", err
+	}
+	if req.NMax > maxN {
+		return p, "", fmt.Errorf("n_max = %d exceeds the limit %d: %w", req.NMax, maxN, ErrTooLarge)
+	}
+	if req.Horizon > maxHorizon {
+		return p, "", fmt.Errorf("horizon = %d exceeds the limit %d: %w", req.Horizon, maxHorizon, ErrTooLarge)
 	}
 	canon := designCanonical{
 		Scenario:    scenario.NewEcho(p),
@@ -612,7 +618,7 @@ func (s *Server) computeLatency(ctx context.Context, p detect.Params, req Latenc
 // latencyKey canonicalizes a LatencyRequest into its resolved parameters
 // and cache key.
 func (s *Server) latencyKey(req LatencyRequest) (detect.Params, string, error) {
-	p, err := req.Scenario.Params()
+	p, err := resolveScenario(req.Scenario)
 	if err != nil {
 		return p, "", err
 	}
@@ -732,7 +738,7 @@ func (s *Server) computeSimulate(ctx context.Context, p detect.Params, req Simul
 // seed slot: campaigns are deterministic per (config, seed), so caching
 // them is sound.
 func (s *Server) simulateKey(req SimulateRequest) (detect.Params, string, error) {
-	p, err := req.Scenario.Params()
+	p, err := resolveScenario(req.Scenario)
 	if err != nil {
 		return p, "", err
 	}

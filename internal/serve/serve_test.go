@@ -10,6 +10,7 @@ import (
 	"net/http/httputil"
 	"strings"
 	"testing"
+	"time"
 
 	gbd "github.com/groupdetect/gbd"
 )
@@ -370,6 +371,37 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, name := range []string{"serve.requests", "serve.cache.hits", "serve.latency.seconds", "serve.admitted"} {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("metrics snapshot missing %q", name)
+		}
+	}
+}
+
+// TestOversizedScenarioIs413: a scenario beyond the work bounds is
+// refused with 413 before any compute, on every op and on every sweep row
+// once its axis value is applied, so each answer comes back at once.
+func TestOversizedScenarioIs413(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	cases := []struct{ path, body string }{
+		{"/v1/analyze", `{"scenario":{"n":2000000}}`},
+		{"/v1/analyze", `{"scenario":{"v":0.001}}`},
+		{"/v1/analyze", `{"scenario":{"m":5000,"k":3}}`},
+		{"/v1/latency", `{"scenario":{"v":1e-300}}`},
+		{"/v1/simulate", `{"scenario":{"n":2000000},"trials":10}`},
+		{"/v1/infer", `{"scenario":{"m":5000,"k":3},"trials":10}`},
+		{"/v1/place", `{"scenario":{"v":0.001},"grid_cols":8,"grid_rows":8,"trials":10}`},
+		{"/v1/place", `{"scenario":{"v":1},"classes":[{"count":5,"rs":15000,"pd":0.9}],"grid_cols":8,"grid_rows":8,"trials":10}`},
+		{"/v1/design", `{"scenario":{},"n_max":2000000}`},
+		{"/v1/design", `{"scenario":{},"horizon":2000000000}`},
+		{"/v1/sweep", `{"scenario":{},"axis":"n","values":[60,2000000]}`},
+	}
+	for _, tc := range cases {
+		start := time.Now()
+		code, _, body := post(t, ts, tc.path, tc.body)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s: status %d, want 413: %s", tc.path, tc.body, code, body)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s %s: answered in %v, want within a second", tc.path, tc.body, d)
 		}
 	}
 }

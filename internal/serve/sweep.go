@@ -50,33 +50,45 @@ func validAxis(axis SweepAxis) error {
 }
 
 // validateSweep checks the request envelope before any streaming starts,
-// so envelope problems still surface as a proper 400.
-func (s *Server) validateSweep(req SweepRequest) error {
+// so envelope problems still surface as a proper 4xx, and returns the
+// base scenario. A row beyond the work bounds fails the whole sweep with
+// ErrTooLarge before any row is computed.
+func (s *Server) validateSweep(req SweepRequest) (detect.Params, error) {
+	var base detect.Params
 	if err := validAxis(req.Axis); err != nil {
-		return err
+		return base, err
 	}
 	if len(req.Values) < 1 || len(req.Values) > s.cfg.MaxSweepPoints {
-		return fmt.Errorf("values must hold between 1 and %d points, got %d: %w", s.cfg.MaxSweepPoints, len(req.Values), ErrRequest)
+		return base, fmt.Errorf("values must hold between 1 and %d points, got %d: %w", s.cfg.MaxSweepPoints, len(req.Values), ErrRequest)
 	}
 	if req.Trials < 0 || req.Trials > s.cfg.MaxTrials {
-		return fmt.Errorf("trials = %d must be in [0, %d]: %w", req.Trials, s.cfg.MaxTrials, ErrRequest)
+		return base, fmt.Errorf("trials = %d must be in [0, %d]: %w", req.Trials, s.cfg.MaxTrials, ErrRequest)
 	}
 	if req.Retries != nil && *req.Retries < 0 {
-		return fmt.Errorf("retries = %d must be >= 0: %w", *req.Retries, ErrRequest)
+		return base, fmt.Errorf("retries = %d must be >= 0: %w", *req.Retries, ErrRequest)
 	}
 	if req.RetryBackoffMS < 0 || req.PointTimeoutMS < 0 {
-		return fmt.Errorf("retry_backoff_ms and point_timeout_ms must be >= 0: %w", ErrRequest)
+		return base, fmt.Errorf("retry_backoff_ms and point_timeout_ms must be >= 0: %w", ErrRequest)
 	}
 	if req.IndexBase < 0 {
-		return fmt.Errorf("index_base = %d must be >= 0: %w", req.IndexBase, ErrRequest)
+		return base, fmt.Errorf("index_base = %d must be >= 0: %w", req.IndexBase, ErrRequest)
 	}
 	if req.HeartbeatMS < 0 {
-		return fmt.Errorf("heartbeat_ms = %d must be >= 0: %w", req.HeartbeatMS, ErrRequest)
+		return base, fmt.Errorf("heartbeat_ms = %d must be >= 0: %w", req.HeartbeatMS, ErrRequest)
 	}
 	if _, err := s.resolveRNG(req.RNG); err != nil {
-		return err
+		return base, err
 	}
-	return nil
+	base, err := resolveScenario(req.Scenario)
+	if err != nil {
+		return base, err
+	}
+	for _, v := range req.Values {
+		if err := checkRowSize(base, req.Axis, v); err != nil {
+			return base, err
+		}
+	}
+	return base, nil
 }
 
 // heartbeatInterval resolves the stream's keep-alive period. Heartbeats
@@ -148,6 +160,17 @@ func applyAxis(p detect.Params, axis SweepAxis, v float64) (detect.Params, error
 		// The death fraction is folded in by sweepPoint, not the scenario.
 	}
 	return p, p.Validate()
+}
+
+// checkRowSize checks the scenario of the sweep row at value v against
+// the work bounds. A value the axis rejects is left to the row's own
+// error.
+func checkRowSize(base detect.Params, axis SweepAxis, v float64) error {
+	p, err := applyAxis(base, axis, v)
+	if err != nil {
+		return nil
+	}
+	return checkSize(p)
 }
 
 // sweepPoint computes one row: the analytical detection probability at
@@ -244,11 +267,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if err := s.validateSweep(req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if _, err := req.Scenario.Params(); err != nil {
+	if _, err := s.validateSweep(req); err != nil {
 		s.writeError(w, err)
 		return
 	}

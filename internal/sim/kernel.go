@@ -28,7 +28,7 @@ import (
 //	deploy      always: 2 draws per sensor (X, Y), class by class
 //	alive       Faults: Faults.Masks for the whole mission
 //	relay       CommRange: base station and lazy routing table, no draws
-//	track(s)    always: target.Sample per target, resampled until
+//	track(s)    always: target.SampleInto per target, resampled until
 //	            separated when several targets share a trial
 //	index       always: one grid index per class over the cells the
 //	            tracks' bounding box, inflated by its Rs, overlaps; no draws
@@ -218,28 +218,31 @@ type stripe[A any] struct {
 	_   [64]byte // keeps neighbouring workers' accumulators off one cache line
 }
 
-// execute is the kernel's executor. Worker w runs trials w, w+workers,
-// ... on its own pooled kernel, polling ctx between trials, and folds each
-// finished trial into its own accumulator. The accumulators come back in
-// worker order and trial i draws only from stream (Seed, i), so callers
-// that merge them in order get results independent of scheduling.
-func execute[A any](ctx context.Context, pl *plan, fold func(acc *A, k *kernel) error) ([]A, error) {
+// Execute is the striped trial executor. Worker w of min(workers, trials)
+// runs trials w, w+workers, ..., polling ctx every 32 trials, and folds each
+// trial into its own accumulator through the trial function newWorker
+// returned for it; release, if not nil, runs when the worker's stripe ends.
+// newWorker runs on the worker's goroutine. The accumulators come back in
+// worker order, so a caller whose trial t draws only from its own streams
+// and who merges them in order gets results independent of scheduling.
+// The first error any worker returned fails the call.
+func Execute[A any](ctx context.Context, trials, workers int, newWorker func() (trial func(acc *A, t int) error, release func())) ([]A, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	workers := min(pl.cfg.Workers, pl.cfg.Trials)
+	workers = min(workers, trials)
 	stripes := make([]stripe[A], workers)
 	if workers == 1 {
 		// Run the single stripe inline: no goroutine hand-off per call in
 		// the common benchmark and sweep-under-sweep shapes.
-		runStripe(ctx, pl, 0, 1, &stripes[0], fold)
+		runStripe(ctx, trials, 0, 1, &stripes[0], newWorker)
 	} else {
 		var wg sync.WaitGroup
 		for w := range stripes {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				runStripe(ctx, pl, w, workers, &stripes[w], fold)
+				runStripe(ctx, trials, w, workers, &stripes[w], newWorker)
 			}()
 		}
 		wg.Wait()
@@ -255,16 +258,14 @@ func execute[A any](ctx context.Context, pl *plan, fold func(acc *A, k *kernel) 
 }
 
 // runStripe runs worker w's trials into st.
-func runStripe[A any](ctx context.Context, pl *plan, w, workers int, st *stripe[A], fold func(acc *A, k *kernel) error) {
-	k := getKernel(pl)
-	defer putKernel(k)
-	// Counted once per stripe, not per trial: workers share no cache line
-	// on the hot path.
-	ran := 0
-	defer func() { trialsTotal.Add(uint64(ran)) }()
+func runStripe[A any](ctx context.Context, trials, w, workers int, st *stripe[A], newWorker func() (func(*A, int) error, func())) {
+	trial, release := newWorker()
+	if release != nil {
+		defer release()
+	}
 	done := ctx.Done()
 	polls := 0
-	for trial := w; trial < pl.cfg.Trials; trial, ran = trial+workers, ran+1 {
+	for t := w; t < trials; t += workers {
 		if done != nil {
 			if polls++; polls&cancelCheckMask == 0 {
 				select {
@@ -275,13 +276,34 @@ func runStripe[A any](ctx context.Context, pl *plan, w, workers int, st *stripe[
 				}
 			}
 		}
-		if st.err = k.run(trial, false); st.err != nil {
-			return
-		}
-		if st.err = fold(&st.acc, k); st.err != nil {
+		if st.err = trial(&st.acc, t); st.err != nil {
 			return
 		}
 	}
+}
+
+// execute runs pl's campaign on Execute, one pooled kernel per worker.
+func execute[A any](ctx context.Context, pl *plan, fold func(acc *A, k *kernel) error) ([]A, error) {
+	return Execute(ctx, pl.cfg.Trials, pl.cfg.Workers, func() (func(*A, int) error, func()) {
+		k := getKernel(pl)
+		// Counted once per stripe, not per trial: workers share no cache
+		// line on the hot path.
+		ran := 0
+		trial := func(acc *A, t int) error {
+			if err := k.run(t, false); err != nil {
+				return err
+			}
+			if err := fold(acc, k); err != nil {
+				return err
+			}
+			ran++
+			return nil
+		}
+		return trial, func() {
+			trialsTotal.Add(uint64(ran))
+			putKernel(k)
+		}
+	})
 }
 
 // run executes one trial through every stage, leaving its outcome in k.
@@ -601,7 +623,7 @@ func (k *kernel) sense(seg geom.Segment, j, period int, mask []bool) error {
 			}
 			// QuerySegment applied the exact distance predicate
 			// sensing.Disk.Covers would, so the flat model is just its
-			// Bernoulli(Pd) draw, skipped at Pd = 1 as Disk.Detects skips it.
+			// Bernoulli(Pd) draw, skipped at Pd = 1.
 			var hit bool
 			switch {
 			case cl.exposure.Lambda > 0:

@@ -5,8 +5,9 @@ import (
 )
 
 // Metric handles are resolved once at package init. The trial hot path
-// touches them only via atomic operations — sim.trials once per executor
-// stripe, not per trial — and nothing here consumes trial randomness, so
+// touches them only via atomic operations — sim.trials once per kernel
+// stripe, not per trial, and never for other callers of Execute — and
+// nothing here consumes trial randomness, so
 // instrumented campaigns remain bit-identical to uninstrumented ones (the
 // determinism goldens assert it).
 //

@@ -22,22 +22,6 @@ func Mean(xs []float64) float64 {
 	return numeric.SumSlice(xs) / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs (0 for fewer than two
-// samples).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum numeric.Kahan
-	for _, x := range xs {
-		d := x - m
-		sum.Add(d * d)
-	}
-	return sum.Sum() / float64(n-1)
-}
-
 // Interval is a two-sided confidence interval.
 type Interval struct {
 	Lo, Hi float64

@@ -11,11 +11,8 @@ func TestMeanVariance(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := Variance(xs); !numeric.AlmostEqual(got, 32.0/7, 1e-12, 1e-12) {
-		t.Errorf("Variance = %v, want %v", got, 32.0/7)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate inputs should give 0")
+	if Mean(nil) != 0 {
+		t.Error("the mean of no samples should be 0")
 	}
 }
 

@@ -207,26 +207,21 @@ func (v VariableSpeed) StepLen() float64 { return (v.MinStep + v.MaxStep) / 2 }
 // inside the field.
 var ErrConfinement = errors.New("target: could not sample a track inside the field")
 
-// ConfineAttempts bounds Sample's rejection sampling; with tracks well
+// ConfineAttempts bounds SampleInto's rejection sampling; with tracks well
 // shorter than the field side the acceptance rate is high and this is
 // generous.
 const ConfineAttempts = 10000
 
-// Sample draws one track the way every simulator here does: an entry
+// SampleInto draws one track the way every simulator here does: an entry
 // point uniform in bounds (X, then Y), a heading uniform in [0, 2π), then
 // m's own draws for a periods-long track. With confine it resamples until
 // the whole track stays inside bounds — the analysis assumes the full
 // ARegion is populated — and fails with ErrConfinement after
 // ConfineAttempts tries; without it the first track is returned even if
-// it leaves the field.
-func Sample(m Model, bounds geom.Rect, periods int, confine bool, rng *rand.Rand) ([]geom.Point, error) {
-	return SampleInto(nil, m, bounds, periods, confine, rng)
-}
-
-// SampleInto is Sample drawing into dst's backing array (grown as needed)
-// when m is one of this package's models, so a simulation loop can
-// resample tracks without allocating. The draws are identical to
-// Sample's. Another Model's tracks come from its Track, as Sample's do.
+// it leaves the field. When m is one of this package's models the track is
+// drawn into dst's backing array (grown as needed), so a simulation loop
+// can resample tracks without allocating; another Model's tracks come from
+// its Track. A nil dst draws into a fresh slice.
 func SampleInto(dst []geom.Point, m Model, bounds geom.Rect, periods int, confine bool, rng *rand.Rand) ([]geom.Point, error) {
 	into, _ := m.(interface {
 		trackInto(dst []geom.Point, start geom.Point, theta float64, periods int, rng *rand.Rand) ([]geom.Point, error)

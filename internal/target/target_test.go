@@ -180,7 +180,7 @@ func TestSampleConfinement(t *testing.T) {
 	bounds := geom.Square(1000)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
-		track, err := Sample(Straight{Step: 50}, bounds, 10, true, rng)
+		track, err := SampleInto(nil, Straight{Step: 50}, bounds, 10, true, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,10 +189,10 @@ func TestSampleConfinement(t *testing.T) {
 		}
 	}
 	long := Straight{Step: 500} // 5 km in a 1 km field
-	if _, err := Sample(long, bounds, 10, true, rng); !errors.Is(err, ErrConfinement) {
+	if _, err := SampleInto(nil, long, bounds, 10, true, rng); !errors.Is(err, ErrConfinement) {
 		t.Errorf("impossible confinement: err = %v, want ErrConfinement", err)
 	}
-	track, err := Sample(long, bounds, 10, false, rng)
+	track, err := SampleInto(nil, long, bounds, 10, false, rng)
 	if err != nil || len(track) != 11 || InBounds(track, bounds) {
 		t.Errorf("unconfined track = %v, %v; want the first 11-point draw, leaving the field", track, err)
 	}
@@ -209,8 +209,9 @@ func (m trackOnly) Track(start geom.Point, theta float64, periods int, rng *rand
 func (m trackOnly) StepLen() float64 { return m.s.Step }
 
 // TestSampleIntoMatchesSample: for every model, drawing into a reused
-// buffer gives Sample's tracks and leaves the stream where Sample leaves
-// it, and for this package's models a warm buffer allocates nothing.
+// buffer gives the tracks a fresh (nil) buffer gets and leaves the stream
+// where a fresh draw leaves it, and for this package's models a warm
+// buffer allocates nothing.
 func TestSampleIntoMatchesSample(t *testing.T) {
 	bounds := geom.Square(2000)
 	models := []Model{
@@ -224,7 +225,7 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 		a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
 		var buf []geom.Point
 		for i := 0; i < 30; i++ {
-			want, err := Sample(m, bounds, 12, true, a)
+			want, err := SampleInto(nil, m, bounds, 12, true, a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +242,7 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 			}
 		}
 		if a.Int63() != b.Int63() {
-			t.Fatalf("%T: SampleInto left the stream elsewhere than Sample", m)
+			t.Fatalf("%T: a reused buffer left the stream elsewhere than a fresh one", m)
 		}
 		if _, foreign := m.(trackOnly); foreign {
 			continue
