@@ -1,8 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"github.com/groupdetect/gbd/internal/detect"
 )
 
 func TestRunMethods(t *testing.T) {
@@ -54,5 +61,32 @@ func TestRunConfigFile(t *testing.T) {
 	}
 	if err := run([]string{"-n", "60", "-save-config", filepath.Join(dir, "no", "dir", "x.json")}); err == nil {
 		t.Error("unwritable save path should fail")
+	}
+}
+
+// TestTinySpeedExitsWithError: at -v 1e-300 ms = ⌈2Rs/(V·t)⌉ overflows an
+// int. The command must exit 1 with a named parameter error instead of
+// printing a wrapped ms and panicking. The test binary re-runs itself as
+// the command, so the exit status and stderr are main's own.
+func TestTinySpeedExitsWithError(t *testing.T) {
+	if os.Getenv("GBD_ANALYZE_RUN_MAIN") == "1" {
+		os.Args = []string{"gbd-analyze", "-v", "1e-300"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestTinySpeedExitsWithError$")
+	cmd.Env = append(os.Environ(), "GBD_ANALYZE_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit: %v, want status 1\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
+	}
+	if msg := stderr.String(); !strings.HasPrefix(msg, "gbd-analyze: ms = ") || !strings.Contains(msg, "does not fit an int") || strings.Count(msg, "\n") != 1 {
+		t.Errorf("stderr = %q, want one named ms error and no panic", msg)
+	}
+	if err := run([]string{"-v", "1e-300"}); !errors.Is(err, detect.ErrParams) {
+		t.Errorf("run: %v, want detect.ErrParams", err)
 	}
 }

@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	gbd-bench [-out BENCH_PR18.json] [-compare BENCH_PR15.json]
+//	gbd-bench [-out BENCH_PR28.json] [-compare BENCH_PR15.json]
 package main
 
 import (

@@ -16,7 +16,7 @@ import (
 // gated name a suite entry. Dropping or renaming a benchmark, or pointing
 // the -compare gate at a name that no longer exists, fails here.
 func TestSuiteMatchesSnapshot(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("..", "..", "BENCH_PR18.json"))
+	blob, err := os.ReadFile(filepath.Join("..", "..", "BENCH_PR28.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,6 +97,11 @@ func (p Params) Validate() error {
 	case 2*p.Rs >= p.FieldSide:
 		return fmt.Errorf("sensing diameter %v must be smaller than the field side %v: %w", 2*p.Rs, p.FieldSide, ErrParams)
 	}
+	// ms = ⌈2Rs/(V·t)⌉ sizes every per-stage table; the geometry refuses
+	// one no int holds, as a tiny V·t gives.
+	if _, err := p.Geometry(); err != nil {
+		return fmt.Errorf("%v: %w", err, ErrParams)
+	}
 	return nil
 }
 

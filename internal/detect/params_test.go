@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -42,6 +43,38 @@ func TestValidateRejects(t *testing.T) {
 		tc.mut(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// TestValidateMsOverflow: ms = ⌈2Rs/(V·t)⌉ is checked in floating point,
+// so a speed too small for ms to fit an int is an ErrParams, not a wrapped
+// negative ms that panics the first table sized by it.
+func TestValidateMsOverflow(t *testing.T) {
+	vFor := func(ms float64) float64 { return 2 * 1000 / (ms * 60) } // Rs 1000, t 1 min
+	cases := []struct {
+		name string
+		v    float64
+		t    time.Duration
+		ok   bool
+	}{
+		{"V 1e-300", 1e-300, time.Minute, false},
+		{"V·t underflows to 0", 5e-324, time.Nanosecond, false},
+		{"ms 2^64", vFor(0x1p64), time.Minute, false},
+		{"ms 1e19", vFor(1e19), time.Minute, false},
+		{"ms 2^62", vFor(0x1p62), time.Minute, true},
+		{"ms 1e6", vFor(1e6), time.Minute, true},
+		{"defaults", 10, time.Minute, true},
+	}
+	for _, tc := range cases {
+		p := Defaults()
+		p.V, p.T = tc.v, tc.t
+		err := p.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrParams) {
+			t.Errorf("%s: got %v, want ErrParams", tc.name, err)
 		}
 	}
 }

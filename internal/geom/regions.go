@@ -6,8 +6,9 @@ import (
 	"math"
 )
 
-// ErrBadGeometry reports non-positive sensing range or per-period travel.
-var ErrBadGeometry = errors.New("geom: sensing range and per-period travel must be positive")
+// ErrBadGeometry reports a non-positive sensing range or per-period travel,
+// or travel so short that ms overflows an int.
+var ErrBadGeometry = errors.New("geom: invalid sensing range or per-period travel")
 
 // DRGeometry captures the detectable-region decomposition for a target that
 // travels in a straight line at constant speed. It provides the subarea
@@ -39,7 +40,13 @@ func NewDRGeometry(rs, vt float64) (DRGeometry, error) {
 	if rs <= 0 || vt <= 0 || math.IsNaN(rs) || math.IsNaN(vt) || math.IsInf(rs, 0) || math.IsInf(vt, 0) {
 		return DRGeometry{}, fmt.Errorf("rs=%v vt=%v: %w", rs, vt, ErrBadGeometry)
 	}
-	return DRGeometry{Rs: rs, Vt: vt, Ms: int(math.Ceil(2 * rs / vt))}, nil
+	// In floating point: a tiny vt gives a value no int holds, which a
+	// conversion would wrap.
+	ms := math.Ceil(2 * rs / vt)
+	if !(ms < math.MaxInt) {
+		return DRGeometry{}, fmt.Errorf("ms = ⌈2·rs/vt⌉ = %g does not fit an int (rs=%v vt=%v): %w", ms, rs, vt, ErrBadGeometry)
+	}
+	return DRGeometry{Rs: rs, Vt: vt, Ms: int(ms)}, nil
 }
 
 // DRArea returns the detectable region size of one sensing period:
@@ -201,25 +208,4 @@ func (g DRGeometry) Regions(m int) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// CoverPeriods returns the number of sensing periods, out of periods 1..m,
-// in which the target is within range Rs of the given sensor position. The
-// target starts at start and moves heading*Vt per period. This is the
-// geometric ground truth that the area decompositions summarize; tests
-// integrate it with Monte Carlo sampling to validate Eq. (6)-(10).
-func (g DRGeometry) CoverPeriods(sensor, start Point, heading Vec, m int) int {
-	h := heading.Unit()
-	step := Vec{h.X * g.Vt, h.Y * g.Vt}
-	count := 0
-	pos := start
-	r2 := g.Rs * g.Rs
-	for p := 1; p <= m; p++ {
-		next := pos.Add(step)
-		if (Segment{pos, next}).Dist2(sensor) <= r2 {
-			count++
-		}
-		pos = next
-	}
-	return count
 }

@@ -22,6 +22,7 @@ func TestNewDRGeometryValidation(t *testing.T) {
 	bad := [][2]float64{
 		{0, 1}, {1, 0}, {-1, 1}, {1, -1},
 		{math.NaN(), 1}, {1, math.NaN()}, {math.Inf(1), 1}, {1, math.Inf(1)},
+		{1000, 6e-298}, {1000, 5e-324}, // ms = ceil(2 rs/vt) no int holds
 	}
 	for _, b := range bad {
 		if _, err := NewDRGeometry(b[0], b[1]); err == nil {
@@ -209,8 +210,7 @@ func TestRegionsAgainstMonteCarlo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		start := Point{0, 0}
-		heading := Vec{1, 0}
+		line := NewLine(straightTrack(Point{0, 0}, Vec{c.vt, 0}, c.m))
 		bounds := Rect{-c.rs, -c.rs, float64(c.m)*c.vt + c.rs, c.rs}
 		boxArea := bounds.Area()
 		const samples = 600_000
@@ -220,7 +220,8 @@ func TestRegionsAgainstMonteCarlo(t *testing.T) {
 				X: bounds.MinX + rng.Float64()*(bounds.MaxX-bounds.MinX),
 				Y: bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY),
 			}
-			cov := g.CoverPeriods(p, start, heading, c.m)
+			first, last := line.Cover(p, c.rs)
+			cov := max(last-first+1, 0)
 			if cov > g.Ms+1 {
 				t.Fatalf("coverage %d exceeds ms+1 = %d", cov, g.Ms+1)
 			}
@@ -240,14 +241,14 @@ func TestRegionsAgainstMonteCarlo(t *testing.T) {
 }
 
 func TestCoverPeriodsZeroOutsideARegion(t *testing.T) {
-	g := mustGeometry(t, 1, 1)
+	line := NewLine(straightTrack(Point{0, 0}, Vec{1, 0}, 10))
 	// Far away point never covers.
-	if got := g.CoverPeriods(Point{100, 100}, Point{0, 0}, Vec{1, 0}, 10); got != 0 {
-		t.Errorf("far sensor covers %d periods", got)
+	if first, last := line.Cover(Point{100, 100}, 1); first <= last {
+		t.Errorf("far sensor covers periods %d..%d", first, last)
 	}
 	// A sensor on the track covers at least one period.
-	if got := g.CoverPeriods(Point{2.5, 0}, Point{0, 0}, Vec{1, 0}, 10); got < 1 {
-		t.Errorf("on-track sensor covers %d periods", got)
+	if first, last := line.Cover(Point{2.5, 0}, 1); first > last {
+		t.Errorf("on-track sensor covers periods %d..%d", first, last)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math/rand"
 
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/falsealarm"
@@ -121,33 +120,19 @@ func (w *worker) trial(detected *int, t int) error {
 		return fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	w.track = track
-	box := geom.Rect{MinX: track[0].X, MinY: track[0].Y, MaxX: track[0].X, MaxY: track[0].Y}
-	for _, pt := range track[1:] {
-		box.MinX, box.MaxX = min(box.MinX, pt.X), max(box.MaxX, pt.X)
-		box.MinY, box.MaxY = min(box.MinY, pt.Y), max(box.MaxY, pt.Y)
-	}
+	line := geom.NewLine(track)
 
 	nCands := len(e.cands)
 	for j := range len(e.cfg.Classes) * nCands {
 		cls := e.cfg.Classes[j/nCands]
-		cand := e.cands[j%nCands]
-		// Candidates beyond Rs of the track's bounding box cannot be in
-		// range in any period: no draws, count 0.
-		if cand.X < box.MinX-cls.Rs || cand.X > box.MaxX+cls.Rs ||
-			cand.Y < box.MinY-cls.Rs || cand.Y > box.MaxY+cls.Rs {
+		// A candidate that covers no period draws nothing: count 0.
+		first, last := line.Cover(e.cands[j%nCands], cls.Rs)
+		if first > last {
 			continue
 		}
-		rs2 := cls.Rs * cls.Rs
-		var rng *rand.Rand
+		rng := w.st.At(e.cfg.RNG, e.cfg.Seed, base+chPattern+int64(j))
 		n := uint16(0)
-		for period := 1; period <= p.M; period++ {
-			seg := geom.Segment{A: track[period-1], B: track[period]}
-			if seg.Dist2(cand) > rs2 {
-				continue
-			}
-			if rng == nil {
-				rng = w.st.At(e.cfg.RNG, e.cfg.Seed, base+chPattern+int64(j))
-			}
+		for range last - first + 1 {
 			if rng.Float64() < cls.Pd {
 				n++
 			}
@@ -166,13 +151,9 @@ func (w *worker) trial(detected *int, t int) error {
 	}
 	reports := 0
 	for _, c := range e.cfg.Classes {
-		rs2 := c.Rs * c.Rs
 		for _, pt := range pos[:c.Count] {
-			for period := 1; period <= p.M; period++ {
-				seg := geom.Segment{A: track[period-1], B: track[period]}
-				if seg.Dist2(pt) > rs2 {
-					continue
-				}
+			first, last := line.Cover(pt, c.Rs)
+			for range last - first + 1 {
 				if rng.Float64() < c.Pd {
 					reports++
 				}

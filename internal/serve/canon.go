@@ -58,14 +58,25 @@ func checkSize(p detect.Params) error {
 	return nil
 }
 
+// bounded is checkSize's verdict on p, resolved with validation error
+// err, or else err. The bounds come first wherever V·t is positive: an ms
+// no int holds fails detect's validation, but it is the largest request
+// of all and is refused 413 like any ms above the bound.
+func bounded(p detect.Params, err error) error {
+	if err != nil && !(p.Vt() > 0) {
+		return err
+	}
+	if sizeErr := checkSize(p); sizeErr != nil {
+		return sizeErr
+	}
+	return err
+}
+
 // resolveScenario resolves a request's scenario and checks it against the
 // work bounds.
 func resolveScenario(sc scenario.Scenario) (detect.Params, error) {
 	p, err := sc.Params()
-	if err != nil {
-		return p, err
-	}
-	return p, checkSize(p)
+	return p, bounded(p, err)
 }
 
 // maxBodyBytes bounds request bodies; scenario + options JSON is tiny.

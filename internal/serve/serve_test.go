@@ -393,6 +393,7 @@ func TestOversizedScenarioIs413(t *testing.T) {
 		{"/v1/design", `{"scenario":{},"n_max":2000000}`},
 		{"/v1/design", `{"scenario":{},"horizon":2000000000}`},
 		{"/v1/sweep", `{"scenario":{},"axis":"n","values":[60,2000000]}`},
+		{"/v1/sweep", `{"scenario":{},"axis":"v","values":[10,1e-300]}`},
 	}
 	for _, tc := range cases {
 		start := time.Now()

@@ -12,6 +12,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -167,10 +168,10 @@ func applyAxis(p detect.Params, axis SweepAxis, v float64) (detect.Params, error
 // error.
 func checkRowSize(base detect.Params, axis SweepAxis, v float64) error {
 	p, err := applyAxis(base, axis, v)
-	if err != nil {
-		return nil
+	if err := bounded(p, err); errors.Is(err, ErrTooLarge) {
+		return err
 	}
-	return checkSize(p)
+	return nil
 }
 
 // sweepPoint computes one row: the analytical detection probability at

@@ -30,11 +30,17 @@ import (
 //	relay       CommRange: base station and lazy routing table, no draws
 //	track(s)    always: target.SampleInto per target, resampled until
 //	            separated when several targets share a trial
-//	index       always: one grid index per class over the cells the
-//	            tracks' bounding box, inflated by its Rs, overlaps; no draws
+//	index       off the count path: one grid index per class over the
+//	            cells the tracks' bounding box, inflated by its Rs,
+//	            overlaps; no draws
+//	cover       on the count path instead of index: per track and class,
+//	            each sensor's span of covered periods (geom.Line.Cover)
+//	            summed into per-period covered counts; no draws
 //	per period, track by track, then sensor by sensor:
 //	  sense         always: 1 draw per alive in-range sensor (none when
-//	                Pd = 1); the dwell model's draw under ExposureLambda
+//	                Pd = 1); the dwell model's draw under ExposureLambda;
+//	                on the count path the same draws, one per covered
+//	                count, class by class
 //	  false alarms  FalseAlarmP: 1 draw per alive sensor
 //	  beacons       Beacons: 1 status frame per alive sensor
 //	  deliver       each report or beacon as it is generated: 1 draw on the
@@ -58,8 +64,18 @@ import (
 //	alive       as above
 //	relay       as above
 //	index       as above, over the n_in sensors of each class
+//	cover       as above, over the n_in sensors of each class
 //	per period  as above
 //	window      as above
+//
+// The count path is every trial in which no stage reads sensor identity:
+// a target.Straight model, no ExposureLambda, Faults, CommRange, PDeliver
+// uplink, Beacons or Infer, and neither a detailed RunTrial nor Visit. A
+// straight track meets each sensor's disk in one chord, so its covered
+// periods are one span, and the sense stage needs only how many sensors
+// cover each period: the count of draws below Pd among that many draws in
+// a row does not depend on which sensor owns which draw, so both schemes
+// give the same arrivals as the per-sensor sense stage.
 //
 // Sensor ids stay class after class; within a class the in-window sensors
 // come first. A stage that is off draws nothing, so turning a knob on
@@ -95,6 +111,9 @@ type plan struct {
 	uplink   bool // deliver over the flat lossy uplink (PDeliver in (0, 1))
 	relay    bool // deliver hop by hop over the unit-disk network (CommRange)
 	record   bool // keep each trial's generated reports for Visit
+	// counted: no stage reads sensor identity, so a trial that records
+	// nothing senses from per-period covered counts (see coverCounts).
+	counted bool
 }
 
 // newPlan resolves cfg's defaults and then its stages. Nil classes means
@@ -140,6 +159,9 @@ func (pl *plan) init(cfg Config, classes []detect.SensorClass, targets int, minS
 		pl.n += c.Count
 	}
 	pl.relay = cfg.CommRange > 0 && pl.n > 0
+	_, straight := cfg.Model.(target.Straight)
+	pl.counted = straight && cfg.ExposureLambda == 0 && cfg.Faults == nil && !pl.relay &&
+		!pl.uplink && !cfg.Beacons && cfg.Infer == nil
 	return nil
 }
 
@@ -167,6 +189,7 @@ type kernel struct {
 	tracks    [][]geom.Point
 	box       geom.Rect // the tracks' bounding box
 	arrivals  []int     // target j's arrivals per 1-based period, at [j*(mission+1):]
+	cover     []int32   // count path: per (target, class) row, covered sensors per period
 	buf       []int     // spatial-query result buffer
 	masks     [][]bool
 	relay     relayState
@@ -362,7 +385,10 @@ func (k *kernel) run(trial int, detailed bool) error {
 			return err
 		}
 	}
-	if err := k.index(); err != nil {
+	counted := pl.counted && !pl.record && !detailed
+	if counted {
+		k.coverCounts()
+	} else if err := k.index(); err != nil {
 		return err
 	}
 
@@ -394,7 +420,9 @@ func (k *kernel) run(trial int, detailed bool) error {
 		}
 		aliveFracSum += aliveFrac
 		for j, track := range k.tracks {
-			if err := k.sense(geom.Segment{A: track[period-1], B: track[period]}, j, period, mask); err != nil {
+			if counted {
+				k.senseCounted(j, period)
+			} else if err := k.sense(geom.Segment{A: track[period-1], B: track[period]}, j, period, mask); err != nil {
 				return err
 			}
 		}
@@ -644,6 +672,64 @@ func (k *kernel) sense(seg geom.Segment, j, period int, mask []bool) error {
 		}
 	}
 	return nil
+}
+
+// coverCounts is the count path's stand-in for the index stage: per
+// target and class, how many of the class's sensors cover each period.
+// Each sensor covers one contiguous span of a straight track
+// (geom.Line.Cover), added to the row as a difference and summed once.
+func (k *kernel) coverCounts() {
+	pl := k.pl
+	row := pl.cfg.MissionPeriods + 2 // periods 1..mission, then the end mark of a span reaching the last
+	k.cover = padded(k.cover, len(k.tracks)*len(pl.classes)*row)
+	clear(k.cover)
+	for j, track := range k.tracks {
+		line := geom.NewLine(track)
+		for c, cl := range pl.classes {
+			cover := k.cover[(j*len(pl.classes)+c)*row:][:row]
+			for _, s := range k.sensors[cl.off : cl.off+k.inWin[c]] {
+				if first, last := line.Cover(s, cl.disk.Rs); first <= last {
+					cover[first]++
+					cover[last+1]--
+				}
+			}
+			for p := 1; p < row; p++ {
+				cover[p] += cover[p-1]
+			}
+		}
+	}
+}
+
+// senseCounted is the sense stage on the count path, for target j in one
+// period: class by class, one Bernoulli(Pd) draw per covering sensor,
+// the hits counted at once toward j's window. These are the draws sense
+// makes in the same order, and which sensor owns which draw does not
+// change how many of them fall below Pd, so the counts match sense's.
+func (k *kernel) senseCounted(j, period int) {
+	pl := k.pl
+	row := pl.cfg.MissionPeriods + 2
+	hits := 0
+	for c := range pl.classes {
+		n := int(k.cover[(j*len(pl.classes)+c)*row+period])
+		pd := pl.classes[c].disk.Pd
+		switch {
+		case pd >= 1:
+			hits += n
+		case k.ph != nil:
+			for range n {
+				if k.ph.Float64() < pd {
+					hits++
+				}
+			}
+		default:
+			for range n {
+				if k.rng.Float64() < pd {
+					hits++
+				}
+			}
+		}
+	}
+	k.arrivals[j*(pl.cfg.MissionPeriods+1)+period] += hits
 }
 
 // deliver is the deliver stage for one report sensor id generated in
