@@ -55,6 +55,18 @@ var goldenCorpus = []goldenCase{
 	{name: "analyze/pmf", path: "/v1/analyze", body: `{"scenario":{"n":80},"options":{"include_pmf":true}}`,
 		key: "29a70153d863bcc4d3fa784f32aa1cae6eec5b196cfca7b54745fc650e5f72a1",
 		sum: "1186f741dab0aad84750e210ed1d2e387c72389fea0bfcc035cfd240ac083afe"},
+	// The M-S chain's remaining paths: the small-window joint (M = 3 <=
+	// ms = 4), the M = 1 head joint with no stage chained after it, and
+	// the matrix evaluator on a small window.
+	{name: "analyze/nodes-small-window", path: "/v1/analyze", body: `{"scenario":{"m":3},"h_nodes":2}`,
+		key: "f59e0c8c0a01e6f1410ed8b5608a905a56441b26d01e5f1d651cf642f7baca84",
+		sum: "dc7b8dd7ac682efb40fbc73e03a178cbe922b137358df2d821e458e3010b12a6"},
+	{name: "analyze/nodes-m1", path: "/v1/analyze", body: `{"scenario":{"m":1,"k":2},"h_nodes":2}`,
+		key: "a249866ea266373b283655c472eb863d3f821bcd6fab2792101ac10d605b3455",
+		sum: "b4e52d8a9635b6fe08538fef1a54c0493eb42cb91b3e5f6431d74970e035a922"},
+	{name: "analyze/matrix-small-window", path: "/v1/analyze", body: `{"scenario":{"m":3},"options":{"matrix":true}}`,
+		key: "1bbe918f348bdb59533f672558167155fc24bb2e62ebbf75b142a7d051a06c98",
+		sum: "9b534298eec4a5a0eda8ab1f28074870c66bd6ef91c84f4397ec504c4b3946d4"},
 
 	{name: "design/target", path: "/v1/design", body: `{"scenario":{},"target_prob":0.8}`,
 		key: "1596ca497e5f953b557d5906cc66096c92c25c50b334a9ca3ec8a118fdf08ffd",
