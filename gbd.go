@@ -14,7 +14,8 @@
 //
 //   - Analyze: the Markov-chain-based Spatial approach (M-S-approach), the
 //     paper's contribution: exact per-NEDR report distributions assembled
-//     with a Markov chain, running in milliseconds.
+//     with a Markov chain, in milliseconds at the planned truncation
+//     bounds.
 //   - AnalyzeS: the Spatial approach over the whole aggregate region, the
 //     paper's stepping stone (exponential in its truncation bound when run
 //     with the literal Algorithm 1).
@@ -168,10 +169,13 @@ func Analyze(p Params, opt MSOptions) (*MSResult, error) {
 }
 
 // AnalyzeCtx is Analyze under a context, for callers that serve analyses
-// with deadlines (the gbd-server request path). The analysis itself runs
-// in milliseconds and is not interruptible mid-chain; the ctx is checked
+// with deadlines (the gbd-server request path). The analysis is not
+// interruptible mid-chain, and its cost grows with the truncation bounds:
+// at the default planned bounds it takes milliseconds, but gh = g = 5000
+// at N = 5000 has run for seconds to minutes. The ctx is checked only
 // before the computation starts and before the result is returned, so an
-// expired deadline yields ctx.Err() rather than a stale result.
+// expired deadline yields ctx.Err() rather than a stale result, but does
+// not stop a computation already running.
 func AnalyzeCtx(ctx context.Context, p Params, opt MSOptions) (*MSResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -199,7 +203,8 @@ func AnalyzeNodes(p Params, h int, opt MSOptions) (*NodesResult, error) {
 }
 
 // AnalyzeNodesCtx is AnalyzeNodes under a context, with the same
-// before/after deadline checks as AnalyzeCtx.
+// before/after deadline checks as AnalyzeCtx: a computation already
+// running is not stopped, and large truncation bounds make it long.
 func AnalyzeNodesCtx(ctx context.Context, p Params, h int, opt MSOptions) (*NodesResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,24 +1,90 @@
 package detect
 
 import (
-	"fmt"
 	"sync"
 
 	"github.com/groupdetect/gbd/internal/dist"
 	"github.com/groupdetect/gbd/internal/geom"
+	"github.com/groupdetect/gbd/internal/obs"
 )
 
 // The analytical hot path builds the same intermediate objects over and
 // over during parameter sweeps: the Head/Body/Tail subarea decompositions
-// (fixed by Rs and Vt alone) and the per-stage report distributions (fixed
-// by the scenario minus M, since the window length only sets how many body
-// steps are chained downstream). Both are memoized here, so a sweep over N
+// (fixed by Rs and Vt alone) and the per-stage distributions (fixed by the
+// scenario minus M, since the window length only sets how many body steps
+// are chained downstream). Both are memoized here, so a sweep over N
 // shares all geometry work and a sweep over M (e.g. DetectionLatency)
 // shares everything.
 //
 // Cached values are shared and immutable: callers must never write to a
 // returned slice. Every current caller only reads them or feeds them to
 // allocating combinators (dist.Convolve and friends).
+
+// stageCacheLimit bounds each memo map. At the limit a map is dropped
+// wholesale: sweeps revisit keys in clusters, so an occasional cold
+// restart beats eviction bookkeeping.
+const stageCacheLimit = 256
+
+// cacheMetrics counts one memo's traffic. Every lookup increments lookups
+// on entry and then exactly one of hits or misses, so
+// lookups == hits + misses at any quiescent point (the concurrent-sweep
+// test asserts this under the race detector). drops counts wholesale map
+// resets at stageCacheLimit.
+type cacheMetrics struct {
+	lookups, hits, misses, drops *obs.Counter
+}
+
+// memo is one bounded, concurrency-safe memo map. Its metric handles are
+// resolved once at construction, so lookups do plain atomic increments,
+// never registry map lookups.
+type memo[K comparable, V any] struct {
+	mu      sync.Mutex
+	m       map[K]V
+	metrics cacheMetrics
+}
+
+// newMemo returns an empty memo counting into reg under
+// detect.cache.<name>.{lookups,hits,misses,drops}.
+func newMemo[K comparable, V any](reg *obs.Registry, name string) *memo[K, V] {
+	prefix := "detect.cache." + name + "."
+	return &memo[K, V]{
+		m: make(map[K]V),
+		metrics: cacheMetrics{
+			lookups: reg.Counter(prefix + "lookups"),
+			hits:    reg.Counter(prefix + "hits"),
+			misses:  reg.Counter(prefix + "misses"),
+			drops:   reg.Counter(prefix + "drops"),
+		},
+	}
+}
+
+// get returns the value stored under key, computing and storing it on a
+// miss. A failed compute stores nothing, so the next get retries it.
+// Concurrent misses on the same key may compute twice; the loser's entry
+// simply replaces the winner's equal one.
+func (c *memo[K, V]) get(key K, compute func() (V, error)) (V, error) {
+	c.metrics.lookups.Inc()
+	c.mu.Lock()
+	v, ok := c.m[key]
+	c.mu.Unlock()
+	if ok {
+		c.metrics.hits.Inc()
+		return v, nil
+	}
+	c.metrics.misses.Inc()
+	v, err := compute()
+	if err != nil {
+		return v, err
+	}
+	c.mu.Lock()
+	if len(c.m) >= stageCacheLimit {
+		c.metrics.drops.Inc()
+		c.m = make(map[K]V)
+	}
+	c.m[key] = v
+	c.mu.Unlock()
+	return v, nil
+}
 
 // areaKey identifies a detectable-region decomposition.
 type areaKey struct {
@@ -32,214 +98,45 @@ type stageAreas struct {
 	tails      [][]float64
 }
 
-// stageKey identifies everything the per-stage report PMFs depend on.
-// M is deliberately absent.
+// stageKey identifies everything one stage set or small-window head
+// depends on. ys is the joint's reporter-axis size (0 for the report PMF).
+// A full stage set does not depend on the window, so its m is 0; the
+// window-truncated head caps coverage spans at M and uses only the head
+// bound gh, so its g is 0 and its m is M.
 type stageKey struct {
 	rs, vt, fieldSide, pd float64
-	n, gh, g              int
+	n, gh, g, m, ys       int
 }
 
-type stagePMFEntry struct {
-	ph, pb dist.PMF
-	pt     []dist.PMF
+// chainMemos are the two memos one evaluator keeps its M-S stages in: the
+// full stage set and the small-window head.
+type chainMemos[T any] struct {
+	stages *memo[stageKey, *stages[T]]
+	heads  *memo[stageKey, T]
 }
 
-// jointKey adds the saturated reporter-axis size of the Section-4
-// extension to the stage key.
-type jointKey struct {
-	stageKey
-	ys int
+func newChainMemos[T any](stagesName, headsName string) chainMemos[T] {
+	return chainMemos[T]{
+		stages: newMemo[stageKey, *stages[T]](obs.Default, stagesName),
+		heads:  newMemo[stageKey, T](obs.Default, headsName),
+	}
 }
 
-type stageJointEntry struct {
-	jh, jb dist.Joint
-	jt     []dist.Joint
-}
-
-// smallHeadKey identifies the window-truncated Head stage of the
-// small-window (M <= ms) evaluator. Unlike stageKey, the window length
-// matters here: it caps the coverage span of the head subareas, so each M
-// gets its own entry. g is absent because the truncated head only depends
-// on the head bound gh.
-type smallHeadKey struct {
-	rs, vt, fieldSide, pd float64
-	n, gh, m              int
-}
-
-// smallJointKey adds the reporter-axis size for the extension path.
-type smallJointKey struct {
-	smallHeadKey
-	ys int
-}
-
-// stageCacheLimit bounds each memo map. At the limit a map is dropped
-// wholesale: sweeps revisit keys in clusters, so an occasional cold
-// restart beats eviction bookkeeping.
-const stageCacheLimit = 256
-
-var stageCache = struct {
-	mu          sync.Mutex
-	areas       map[areaKey]*stageAreas
-	pmfs        map[stageKey]*stagePMFEntry
-	joints      map[jointKey]*stageJointEntry
-	smallHeads  map[smallHeadKey]dist.PMF
-	smallJoints map[smallJointKey]dist.Joint
-}{
-	areas:       make(map[areaKey]*stageAreas),
-	pmfs:        make(map[stageKey]*stagePMFEntry),
-	joints:      make(map[jointKey]*stageJointEntry),
-	smallHeads:  make(map[smallHeadKey]dist.PMF),
-	smallJoints: make(map[smallJointKey]dist.Joint),
-}
+var (
+	areaMemo   = newMemo[areaKey, *stageAreas](obs.Default, "areas")
+	pmfMemos   = newChainMemos[dist.PMF]("pmfs", "smallheads")
+	jointMemos = newChainMemos[dist.Joint]("joints", "smalljoints")
+)
 
 // cachedAreas returns the (possibly memoized) subarea decomposition of
 // every stage for the given geometry.
 func cachedAreas(gm geom.DRGeometry) *stageAreas {
-	areaCacheMetrics.lookups.Inc()
-	key := areaKey{rs: gm.Rs, vt: gm.Vt}
-	stageCache.mu.Lock()
-	a, ok := stageCache.areas[key]
-	stageCache.mu.Unlock()
-	if ok {
-		areaCacheMetrics.hits.Inc()
-		return a
-	}
-	areaCacheMetrics.misses.Inc()
-	a = &stageAreas{head: gm.AreaHAll(), body: gm.AreaBAll(), tails: make([][]float64, gm.Ms)}
-	for j := 1; j <= gm.Ms; j++ {
-		a.tails[j-1] = gm.AreaTAll(j)
-	}
-	stageCache.mu.Lock()
-	if len(stageCache.areas) >= stageCacheLimit {
-		areaCacheMetrics.drops.Inc()
-		stageCache.areas = make(map[areaKey]*stageAreas)
-	}
-	stageCache.areas[key] = a
-	stageCache.mu.Unlock()
+	a, _ := areaMemo.get(areaKey{rs: gm.Rs, vt: gm.Vt}, func() (*stageAreas, error) {
+		a := &stageAreas{head: gm.AreaHAll(), body: gm.AreaBAll(), tails: make([][]float64, gm.Ms)}
+		for j := 1; j <= gm.Ms; j++ {
+			a.tails[j-1] = gm.AreaTAll(j)
+		}
+		return a, nil
+	})
 	return a
-}
-
-func pmfKey(p Params, gh, g int) stageKey {
-	return stageKey{rs: p.Rs, vt: p.Vt(), fieldSide: p.FieldSide, pd: p.Pd, n: p.N, gh: gh, g: g}
-}
-
-// cachedStagePMFs memoizes computeStagePMFs. Concurrent misses on the same
-// key may compute twice; the loser's entry simply replaces the winner's
-// equal one.
-func cachedStagePMFs(p Params, gh, g int) (*stagePMFEntry, error) {
-	pmfCacheMetrics.lookups.Inc()
-	key := pmfKey(p, gh, g)
-	stageCache.mu.Lock()
-	e, ok := stageCache.pmfs[key]
-	stageCache.mu.Unlock()
-	if ok {
-		pmfCacheMetrics.hits.Inc()
-		return e, nil
-	}
-	pmfCacheMetrics.misses.Inc()
-	ph, pb, pt, err := computeStagePMFs(p, gh, g)
-	if err != nil {
-		return nil, err
-	}
-	e = &stagePMFEntry{ph: ph, pb: pb, pt: pt}
-	stageCache.mu.Lock()
-	if len(stageCache.pmfs) >= stageCacheLimit {
-		pmfCacheMetrics.drops.Inc()
-		stageCache.pmfs = make(map[stageKey]*stagePMFEntry)
-	}
-	stageCache.pmfs[key] = e
-	stageCache.mu.Unlock()
-	return e, nil
-}
-
-// cachedSmallHeadPMF memoizes the window-truncated Head-stage report PMF of
-// the small-window (M <= ms) evaluator.
-func cachedSmallHeadPMF(p Params, gh int) (dist.PMF, error) {
-	smallHeadCacheMetrics.lookups.Inc()
-	key := smallHeadKey{rs: p.Rs, vt: p.Vt(), fieldSide: p.FieldSide, pd: p.Pd, n: p.N, gh: gh, m: p.M}
-	stageCache.mu.Lock()
-	pmf, ok := stageCache.smallHeads[key]
-	stageCache.mu.Unlock()
-	if ok {
-		smallHeadCacheMetrics.hits.Inc()
-		return pmf, nil
-	}
-	smallHeadCacheMetrics.misses.Inc()
-	set, err := truncatedHeadSet(p)
-	if err != nil {
-		return nil, err
-	}
-	pmf, err = set.reportPMF(gh)
-	if err != nil {
-		return nil, fmt.Errorf("truncated head stage: %w", err)
-	}
-	stageCache.mu.Lock()
-	if len(stageCache.smallHeads) >= stageCacheLimit {
-		smallHeadCacheMetrics.drops.Inc()
-		stageCache.smallHeads = make(map[smallHeadKey]dist.PMF)
-	}
-	stageCache.smallHeads[key] = pmf
-	stageCache.mu.Unlock()
-	return pmf, nil
-}
-
-// cachedSmallHeadJoint memoizes the window-truncated Head-stage
-// (reports, distinct reporters) joint for the extension's small-window path.
-func cachedSmallHeadJoint(p Params, gh, ys int) (dist.Joint, error) {
-	smallJointCacheMetrics.lookups.Inc()
-	key := smallJointKey{
-		smallHeadKey: smallHeadKey{rs: p.Rs, vt: p.Vt(), fieldSide: p.FieldSide, pd: p.Pd, n: p.N, gh: gh, m: p.M},
-		ys:           ys,
-	}
-	stageCache.mu.Lock()
-	j, ok := stageCache.smallJoints[key]
-	stageCache.mu.Unlock()
-	if ok {
-		smallJointCacheMetrics.hits.Inc()
-		return j, nil
-	}
-	smallJointCacheMetrics.misses.Inc()
-	set, err := truncatedHeadSet(p)
-	if err != nil {
-		return nil, err
-	}
-	j, err = set.reportJoint(gh, ys)
-	if err != nil {
-		return nil, fmt.Errorf("truncated head stage: %w", err)
-	}
-	stageCache.mu.Lock()
-	if len(stageCache.smallJoints) >= stageCacheLimit {
-		smallJointCacheMetrics.drops.Inc()
-		stageCache.smallJoints = make(map[smallJointKey]dist.Joint)
-	}
-	stageCache.smallJoints[key] = j
-	stageCache.mu.Unlock()
-	return j, nil
-}
-
-// cachedStageJoints memoizes computeStageJoints for the extension path.
-func cachedStageJoints(p Params, gh, g, ys int) (*stageJointEntry, error) {
-	jointCacheMetrics.lookups.Inc()
-	key := jointKey{stageKey: pmfKey(p, gh, g), ys: ys}
-	stageCache.mu.Lock()
-	e, ok := stageCache.joints[key]
-	stageCache.mu.Unlock()
-	if ok {
-		jointCacheMetrics.hits.Inc()
-		return e, nil
-	}
-	jointCacheMetrics.misses.Inc()
-	jh, jb, jt, err := computeStageJoints(p, gh, g, ys)
-	if err != nil {
-		return nil, err
-	}
-	e = &stageJointEntry{jh: jh, jb: jb, jt: jt}
-	stageCache.mu.Lock()
-	if len(stageCache.joints) >= stageCacheLimit {
-		jointCacheMetrics.drops.Inc()
-		stageCache.joints = make(map[jointKey]*stageJointEntry)
-	}
-	stageCache.joints[key] = e
-	stageCache.mu.Unlock()
-	return e, nil
 }

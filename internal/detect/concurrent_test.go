@@ -52,8 +52,8 @@ func analyzePoint(pt sweepPoint) (float64, error) {
 // misses) triples, in a fixed order.
 func cacheTraffic() [5][3]uint64 {
 	groups := [5]cacheMetrics{
-		areaCacheMetrics, pmfCacheMetrics, jointCacheMetrics,
-		smallHeadCacheMetrics, smallJointCacheMetrics,
+		areaMemo.metrics, pmfMemos.stages.metrics, jointMemos.stages.metrics,
+		pmfMemos.heads.metrics, jointMemos.heads.metrics,
 	}
 	var out [5][3]uint64
 	for i, g := range groups {

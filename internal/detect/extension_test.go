@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/numeric"
@@ -23,6 +24,9 @@ func TestNodesValidation(t *testing.T) {
 	bad.N = -1
 	if _, err := MSApproachNodes(bad, 1, MSOptions{}); err == nil {
 		t.Error("invalid params should fail")
+	}
+	if _, err := MSApproachNodes(Defaults(), 2, MSOptions{Gh: 3, G: 3, TargetAccuracy: 2}); !errors.Is(err, ErrParams) {
+		t.Errorf("target accuracy 2 with gh and g given: err = %v, want ErrParams", err)
 	}
 	short := Defaults().WithM(3)
 	if _, err := MSApproachNodes(short, 1, MSOptions{Gh: 3, G: 3}); err != nil {

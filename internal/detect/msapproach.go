@@ -73,36 +73,113 @@ type MSResult struct {
 	PredictedAccuracy float64
 }
 
-// computeStagePMFs computes the per-stage report distributions: the Head
-// NEDR distribution ph, the Body NEDR distribution pb (shared by all
-// M-ms-1 body steps), and the ms Tail NEDR distributions pt[0..ms-1]
-// (pt[j-1] is period Tj's). Callers go through cachedStagePMFs.
-func computeStagePMFs(p Params, gh, g int) (ph, pb dist.PMF, pt []dist.PMF, err error) {
-	gm, err := p.Geometry()
-	if err != nil {
-		return nil, nil, nil, err
+// truncation validates p and resolves opt's truncation bounds: a
+// non-positive Gh or G is planned for opt.TargetAccuracy (0.99 when zero),
+// which must lie in (0, 1) whether or not it is used.
+func truncation(p Params, opt MSOptions) (gh, g int, err error) {
+	if err := p.Validate(); err != nil {
+		return 0, 0, err
 	}
-	areas := cachedAreas(gm)
-	s := p.FieldArea()
-	head := regionSet{areas: areas.head, fieldArea: s, n: p.N, pd: p.Pd}
-	ph, err = head.reportPMF(gh)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("head stage: %w", err)
+	target := opt.TargetAccuracy
+	if target == 0 {
+		target = 0.99
 	}
-	body := regionSet{areas: areas.body, fieldArea: s, n: p.N, pd: p.Pd}
-	pb, err = body.reportPMF(g)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("body stage: %w", err)
+	if target <= 0 || target >= 1 {
+		return 0, 0, fmt.Errorf("target accuracy %v must be in (0, 1): %w", target, ErrParams)
 	}
-	pt = make([]dist.PMF, gm.Ms)
-	for j := 1; j <= gm.Ms; j++ {
-		tail := regionSet{areas: areas.tails[j-1], fieldArea: s, n: p.N, pd: p.Pd}
-		pt[j-1], err = tail.reportPMF(g)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("tail stage T%d: %w", j, err)
+	gh, g = opt.Gh, opt.G
+	if gh <= 0 {
+		if gh, err = RequiredHeadG(p, target); err != nil {
+			return 0, 0, err
 		}
 	}
-	return ph, pb, pt, nil
+	if g <= 0 {
+		if g, err = RequiredBodyG(p, target); err != nil {
+			return 0, 0, err
+		}
+	}
+	return gh, g, nil
+}
+
+// regionBuilder builds one region's stage distribution with at most g
+// sensors inside it: regionSet.reportPMF for the report count, or
+// reportJoint for the Section-4 (reports, distinct nodes) pair.
+type regionBuilder[T any] func(r regionSet, g int) (T, error)
+
+// stages holds one scenario's per-stage distributions: the Head NEDR's,
+// the Body NEDR's (shared by all M-ms-1 body steps) and the ms Tail NEDRs'
+// (tails[j-1] is period Tj's).
+type stages[T any] struct {
+	head, body T
+	tails      []T
+}
+
+// computeStages builds every stage of p with the head bound gh and the
+// body/tail bound g.
+func computeStages[T any](p Params, gh, g int, build regionBuilder[T]) (*stages[T], error) {
+	gm, err := p.Geometry()
+	if err != nil {
+		return nil, err
+	}
+	areas := cachedAreas(gm)
+	st := &stages[T]{tails: make([]T, gm.Ms)}
+	if st.head, err = build(p.region(areas.head), gh); err != nil {
+		return nil, fmt.Errorf("head stage: %w", err)
+	}
+	if st.body, err = build(p.region(areas.body), g); err != nil {
+		return nil, fmt.Errorf("body stage: %w", err)
+	}
+	for j := 1; j <= gm.Ms; j++ {
+		if st.tails[j-1], err = build(p.region(areas.tails[j-1]), g); err != nil {
+			return nil, fmt.Errorf("tail stage T%d: %w", j, err)
+		}
+	}
+	return st, nil
+}
+
+// chain is the Eq. (12) stage sequence of one window: head, then body
+// bodySteps times, then each of tails. For M > ms that is the paper's
+// Head, M-ms-1 Body and ms Tail stages. For M <= ms no Body stage fits:
+// the head is window-truncated and the last M-1 tails follow it (see
+// smallwindow.go).
+type chain[T any] struct {
+	head, body T
+	bodySteps  int
+	tails      []T
+}
+
+// full returns p's memoized stage set. ys, the joint's reporter-axis size
+// (0 for the report PMF), completes the key; M is not part of it.
+func (cm chainMemos[T]) full(p Params, gh, g, ys int, build regionBuilder[T]) (*stages[T], error) {
+	key := stageKey{rs: p.Rs, vt: p.Vt(), fieldSide: p.FieldSide, pd: p.Pd, n: p.N, gh: gh, g: g, ys: ys}
+	return cm.stages.get(key, func() (*stages[T], error) { return computeStages(p, gh, g, build) })
+}
+
+// buildChain lays out p's chain from the stages build makes, memoized in
+// memos under keys completed by ys.
+func buildChain[T any](p Params, gh, g, ys int, memos chainMemos[T], build regionBuilder[T]) (chain[T], error) {
+	ms := p.Ms()
+	if p.M > ms {
+		st, err := memos.full(p, gh, g, ys, build)
+		if err != nil {
+			return chain[T]{}, err
+		}
+		return chain[T]{head: st.head, body: st.body, bodySteps: p.M - ms - 1, tails: st.tails}, nil
+	}
+	key := stageKey{rs: p.Rs, vt: p.Vt(), fieldSide: p.FieldSide, pd: p.Pd, n: p.N, gh: gh, m: p.M, ys: ys}
+	head, err := memos.heads.get(key, func() (T, error) { return truncatedHead(p, gh, build) })
+	if err != nil {
+		return chain[T]{}, err
+	}
+	c := chain[T]{head: head}
+	if p.M > 1 {
+		st, err := memos.full(p, gh, g, ys, build)
+		if err != nil {
+			return chain[T]{}, err
+		}
+		c.tails = st.tails[ms-p.M+1:]
+	}
+	return c, nil
 }
 
 // MSApproach analyzes group-based detection with the Markov-chain-based
@@ -112,73 +189,27 @@ func computeStagePMFs(p Params, gh, g int) (ph, pb dist.PMF, pt []dist.PMF, err 
 // chained directly (see smallwindow.go); at M = 1 this degenerates to the
 // Section 3.1 binomial preliminary.
 func MSApproach(p Params, opt MSOptions) (*MSResult, error) {
-	if err := p.Validate(); err != nil {
+	gh, g, err := truncation(p, opt)
+	if err != nil {
 		return nil, err
 	}
-	ms := p.Ms()
-	target := opt.TargetAccuracy
-	if target == 0 {
-		target = 0.99
-	}
-	if target <= 0 || target >= 1 {
-		return nil, fmt.Errorf("target accuracy %v must be in (0, 1): %w", target, ErrParams)
-	}
-	gh, g := opt.Gh, opt.G
-	if gh <= 0 {
-		var err error
-		gh, err = RequiredHeadG(p, target)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if g <= 0 {
-		var err error
-		g, err = RequiredBodyG(p, target)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var ph, pb dist.PMF
-	var pt []dist.PMF
-	bodySteps := p.M - ms - 1
-	if p.M > ms {
-		st, err := cachedStagePMFs(p, gh, g)
-		if err != nil {
-			return nil, err
-		}
-		ph, pb, pt = st.ph, st.pb, st.pt
-	} else {
-		// Small window: the ARegion is the window-truncated Head NEDR plus
-		// the last M-1 tail steps; no Body stage fits.
-		var err error
-		ph, err = cachedSmallHeadPMF(p, gh)
-		if err != nil {
-			return nil, err
-		}
-		bodySteps = 0
-		if p.M > 1 {
-			st, err := cachedStagePMFs(p, gh, g)
-			if err != nil {
-				return nil, err
-			}
-			pt = st.pt[ms-p.M+1:]
-		}
+	c, err := buildChain(p, gh, g, 0, pmfMemos, regionSet.reportPMF)
+	if err != nil {
+		return nil, err
 	}
 
 	var total dist.PMF
 	switch opt.Evaluator {
 	case 0, EvaluatorConvolution:
-		total = dist.Convolve(ph, dist.ConvolvePower(pb, bodySteps))
-		for _, t := range pt {
+		total = dist.Convolve(c.head, dist.ConvolvePower(c.body, c.bodySteps))
+		for _, t := range c.tails {
 			total = dist.Convolve(total, t)
 		}
 		if opt.MergeAtK {
 			total = total.Truncate(p.K+1, true)
 		}
 	case EvaluatorMatrix:
-		var err error
-		total, err = evaluateMatrix(ph, pb, pt, bodySteps, mergeSize(opt, p))
+		total, err = evaluateMatrix(c.head, c.body, c.tails, c.bodySteps, mergeSize(opt, p))
 		if err != nil {
 			return nil, err
 		}

@@ -75,7 +75,7 @@ func SApproach(p Params, opt SOptions) (*SResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := regionSet{areas: regions, fieldArea: p.FieldArea(), n: p.N, pd: p.Pd}
+	rs := p.region(regions)
 	var pmf dist.PMF
 	if opt.Literal {
 		pmf, err = rs.reportPMFEnumerated(g)

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"fmt"
+
 	"github.com/groupdetect/gbd/internal/numeric"
 )
 
@@ -41,18 +43,17 @@ func truncatedHeadAreas(head []float64, m int) []float64 {
 	return out
 }
 
-// truncatedHeadSet builds the region set of the window-truncated Head stage
-// for p.M <= ms. Callers go through cachedSmallHeadPMF/cachedSmallHeadJoint.
-func truncatedHeadSet(p Params) (regionSet, error) {
+// truncatedHead builds the window-truncated Head stage of p (p.M <= ms)
+// with the head bound gh.
+func truncatedHead[T any](p Params, gh int, build regionBuilder[T]) (T, error) {
 	gm, err := p.Geometry()
 	if err != nil {
-		return regionSet{}, err
+		var zero T
+		return zero, err
 	}
-	areas := cachedAreas(gm)
-	return regionSet{
-		areas:     truncatedHeadAreas(areas.head, p.M),
-		fieldArea: p.FieldArea(),
-		n:         p.N,
-		pd:        p.Pd,
-	}, nil
+	head, err := build(p.region(truncatedHeadAreas(cachedAreas(gm).head, p.M)), gh)
+	if err != nil {
+		return head, fmt.Errorf("truncated head stage: %w", err)
+	}
+	return head, nil
 }

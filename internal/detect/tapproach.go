@@ -110,9 +110,8 @@ func TApproach(p Params, opt TOptions) (*TResult, error) {
 		maxStates = 1 << 22
 	}
 
-	s := p.FieldArea()
-	head := regionSet{areas: gm.AreaHAll(), fieldArea: s, n: p.N, pd: p.Pd}
-	body := regionSet{areas: gm.AreaBAll(), fieldArea: s, n: p.N, pd: p.Pd}
+	head := p.region(gm.AreaHAll())
+	body := p.region(gm.AreaBAll())
 	if err := head.validate(); err != nil {
 		return nil, err
 	}

@@ -36,6 +36,7 @@ import (
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
 	"github.com/groupdetect/gbd/internal/stats"
+	"github.com/groupdetect/gbd/internal/target"
 )
 
 // ErrConfig reports an invalid placement configuration.
@@ -159,6 +160,9 @@ func (c Config) Resolve() (Config, int, error) {
 	p.N = total
 	if err := p.Validate(); err != nil {
 		return c, 0, err
+	}
+	if err := target.CheckConfinable(target.Straight{Step: p.Vt()}, geom.Square(p.FieldSide), p.M); err != nil {
+		return c, 0, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	return c, total, nil
 }

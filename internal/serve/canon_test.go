@@ -175,10 +175,13 @@ func TestRequestValidation(t *testing.T) {
 		{"/v1/analyze", `{"scenario":{"pd":1.5}}`},
 		{"/v1/analyze", `{"scenario":{"period_seconds":0}}`},
 		{"/v1/analyze", `{"scenario":{},"h_nodes":-1}`},
+		{"/v1/analyze", `{"scenario":{},"options":{"gh":3,"g":3,"target_accuracy":2}}`},
+		{"/v1/analyze", `{"scenario":{},"h_nodes":2,"options":{"gh":3,"g":3,"target_accuracy":2}}`},
 		{"/v1/simulate", `{"scenario":{},"trials":0}`},
 		{"/v1/simulate", `{"scenario":{},"trials":101}`},
 		{"/v1/simulate", `{"scenario":{},"trials":10,"dead_frac":1.5}`},
 		{"/v1/simulate", `{"scenario":{},"trials":10,"per_hop_loss":1}`},
+		{"/v1/simulate", `{"scenario":{"v":40},"trials":10}`}, // 48 km track, 45.3 km field diagonal
 		{"/v1/sweep", `{"scenario":{},"axis":"sensors","values":[1]}`},
 		{"/v1/sweep", `{"scenario":{},"axis":"n","values":[]}`},
 		{"/v1/sweep", `{"scenario":{},"axis":"n","values":[1,2,3,4,5]}`},

@@ -110,6 +110,7 @@ func TestPlaceRequestErrors(t *testing.T) {
 		{"bad rng", `{"scenario":{},"rng":"xorshift"}`, http.StatusBadRequest},
 		{"area cap", `{"scenario":{},"grid_cols":128,"grid_rows":128,"trials":200000}`, http.StatusRequestEntityTooLarge},
 		{"bad class", `{"scenario":{},"classes":[{"count":5,"rs":-1,"pd":0.9}]}`, http.StatusBadRequest},
+		{"track longer than the field diagonal", `{"scenario":{"v":40},"grid_cols":8,"grid_rows":8,"trials":10}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		code, _, body := post(t, ts, "/v1/place", tc.body)

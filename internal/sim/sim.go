@@ -41,7 +41,9 @@ const (
 	// ConfineRejection resamples the entry point and heading until the
 	// whole track stays inside the field. This matches the analytical
 	// model, which assumes the full ARegion is populated with sensors; it
-	// is the default.
+	// is the default. A straight track no shorter than the field diagonal
+	// never fits, so Run refuses it with ErrConfig (wrapping
+	// ErrConfinement) before any trial.
 	ConfineRejection Confinement = iota + 1
 	// ConfineNone uses the first sampled entry point and heading even if
 	// the target exits the field (the paper's literal simulation text).
@@ -170,6 +172,11 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Model == nil {
 		c.Model = target.Straight{Step: c.Params.Vt()}
+	}
+	if c.Confine == ConfineRejection {
+		if err := target.CheckConfinable(c.Model, geom.Square(c.Params.FieldSide), c.MissionPeriods); err != nil {
+			return c, fmt.Errorf("%w: %w", ErrConfig, err)
+		}
 	}
 	if b, ok := c.Faults.(faults.Bernoulli); ok && b.DeadFrac == 0 {
 		c.Faults = nil

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/detect"
@@ -270,6 +271,22 @@ func TestConfinementImpossible(t *testing.T) {
 	cfg.Confine = ConfineNone
 	if _, err := Run(cfg); err != nil {
 		t.Errorf("unconfined run failed: %v", err)
+	}
+}
+
+// TestConfinementRefusedUpFront: the default scenario at V = 40 m/s has a
+// 48 km straight track in a field whose diagonal is 45.3 km. The campaign
+// is refused while the configuration resolves, as a configuration error
+// naming both lengths, instead of after ConfineAttempts rejected tracks.
+func TestConfinementRefusedUpFront(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Params.V = 40
+	_, err := Run(cfg)
+	if !errors.Is(err, ErrConfig) || !errors.Is(err, ErrConfinement) {
+		t.Fatalf("err = %v, want ErrConfig and ErrConfinement", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "48000 m") || !strings.Contains(msg, "45255 m") {
+		t.Errorf("error %q names neither the track length nor the field diagonal", msg)
 	}
 }
 

@@ -207,6 +207,24 @@ func (v VariableSpeed) StepLen() float64 { return (v.MinStep + v.MaxStep) / 2 }
 // inside the field.
 var ErrConfinement = errors.New("target: could not sample a track inside the field")
 
+// CheckConfinable refuses a confined Straight track that can never fit: a
+// periods-long straight track at least as long as the diagonal of bounds
+// stays inside them with probability zero, so SampleInto would spend all
+// ConfineAttempts and fail. Other models pass; their tracks may turn or
+// slow down enough to fit.
+func CheckConfinable(m Model, bounds geom.Rect, periods int) error {
+	s, ok := m.(Straight)
+	if !ok {
+		return nil
+	}
+	length := s.Step * float64(periods)
+	if diag := math.Hypot(bounds.MaxX-bounds.MinX, bounds.MaxY-bounds.MinY); length >= diag {
+		return fmt.Errorf("a %g m straight track (%d periods of %g m) is no shorter than the %.0f m field diagonal: %w",
+			length, periods, s.Step, diag, ErrConfinement)
+	}
+	return nil
+}
+
 // ConfineAttempts bounds SampleInto's rejection sampling; with tracks well
 // shorter than the field side the acceptance rate is high and this is
 // generous.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/geom"
@@ -195,6 +196,23 @@ func TestSampleConfinement(t *testing.T) {
 	track, err := SampleInto(nil, long, bounds, 10, false, rng)
 	if err != nil || len(track) != 11 || InBounds(track, bounds) {
 		t.Errorf("unconfined track = %v, %v; want the first 11-point draw, leaving the field", track, err)
+	}
+}
+
+// TestCheckConfinable: a straight track at least as long as the field diagonal
+// is refused with both lengths named; a shorter one, and any other model,
+// passes.
+func TestCheckConfinable(t *testing.T) {
+	bounds := geom.Square(1000) // diagonal 1414 m
+	err := CheckConfinable(Straight{Step: 150}, bounds, 10)
+	if !errors.Is(err, ErrConfinement) || !strings.Contains(err.Error(), "1500 m") || !strings.Contains(err.Error(), "1414 m") {
+		t.Errorf("1500 m track: err = %v, want ErrConfinement naming 1500 m and 1414 m", err)
+	}
+	if err := CheckConfinable(Straight{Step: 140}, bounds, 10); err != nil {
+		t.Errorf("1400 m track: err = %v, want nil", err)
+	}
+	if err := CheckConfinable(RandomWalk{Step: 150, MaxTurn: math.Pi / 4}, bounds, 10); err != nil {
+		t.Errorf("random walk: err = %v, want nil", err)
 	}
 }
 
