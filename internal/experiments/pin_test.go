@@ -34,3 +34,30 @@ func TestFaultTablesPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestCommTablePinned pins the rendered A3 comm table, quick and full, byte
+// for byte: it is the only check on the greedy_ok and mean_hops columns, so
+// any drift in the unit-disk graph, the BFS hop counts or the greedy walk
+// changes a digest.
+func TestCommTablePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		quick bool
+		sha   string
+	}{
+		{"quick", true, "0766010b2d83388f6f520b3c4f0f8b735300510d5df4e7cec460f47f932d074e"},
+		{"full", false, "fae2034f71fa4471ab1f70a88a97bca753818d0c4855ff4d34249dfc4f927294"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl, err := CommCheck(Options{Quick: tc.quick, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := tbl.Render()
+			sum := sha256.Sum256([]byte(out))
+			if got := hex.EncodeToString(sum[:]); got != tc.sha {
+				t.Errorf("render digest %s, want %s:\n%s", got, tc.sha, out)
+			}
+		})
+	}
+}
