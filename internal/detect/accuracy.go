@@ -49,7 +49,7 @@ func EtaS(p Params, g int) float64 {
 // perStageTarget returns etaR^(1/M), the per-stage accuracy requirement the
 // paper derives by setting xi_h = xi for simplicity (Section 3.4.5).
 func perStageTarget(p Params, etaR float64) (float64, error) {
-	if etaR <= 0 || etaR >= 1 {
+	if !(etaR > 0 && etaR < 1) { // NaN fails too
 		return 0, fmt.Errorf("target accuracy %v must be in (0, 1): %w", etaR, ErrParams)
 	}
 	if p.M < 1 {
@@ -92,7 +92,7 @@ func RequiredBodyG(p Params, etaR float64) (int, error) {
 // curve): the enumeration depth the S-approach needs over the whole
 // ARegion.
 func RequiredSG(p Params, etaR float64) (int, error) {
-	if etaR <= 0 || etaR >= 1 {
+	if !(etaR > 0 && etaR < 1) { // NaN fails too
 		return 0, fmt.Errorf("target accuracy %v must be in (0, 1): %w", etaR, ErrParams)
 	}
 	for g := 0; g <= p.N; g++ {

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math"
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/numeric"
@@ -131,6 +132,12 @@ func TestRequiredGValidation(t *testing.T) {
 	}
 	if _, err := RequiredSG(p, 2); err == nil {
 		t.Error("etaR>1 should fail")
+	}
+	if _, err := RequiredHeadG(p, math.NaN()); err == nil {
+		t.Error("etaR=NaN should fail")
+	}
+	if _, err := RequiredSG(p, math.NaN()); err == nil {
+		t.Error("etaR=NaN should fail")
 	}
 	bad := p
 	bad.M = 0

@@ -80,12 +80,9 @@ func truncation(p Params, opt MSOptions) (gh, g int, err error) {
 	if err := p.Validate(); err != nil {
 		return 0, 0, err
 	}
-	target := opt.TargetAccuracy
-	if target == 0 {
-		target = 0.99
-	}
-	if target <= 0 || target >= 1 {
-		return 0, 0, fmt.Errorf("target accuracy %v must be in (0, 1): %w", target, ErrParams)
+	target, err := targetAccuracy(opt.TargetAccuracy)
+	if err != nil {
+		return 0, 0, err
 	}
 	gh, g = opt.Gh, opt.G
 	if gh <= 0 {
@@ -99,6 +96,19 @@ func truncation(p Params, opt MSOptions) (gh, g int, err error) {
 		}
 	}
 	return gh, g, nil
+}
+
+// targetAccuracy resolves an options' target accuracy: zero means 0.99,
+// and the result must lie in (0, 1) whether or not a bound is planned from
+// it.
+func targetAccuracy(target float64) (float64, error) {
+	if target == 0 {
+		target = 0.99
+	}
+	if !(target > 0 && target < 1) { // NaN fails too
+		return 0, fmt.Errorf("target accuracy %v must be in (0, 1): %w", target, ErrParams)
+	}
+	return target, nil
 }
 
 // regionBuilder builds one region's stage distribution with at most g

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/dist"
@@ -202,6 +203,12 @@ func TestSApproachValidation(t *testing.T) {
 	}
 	if _, err := SApproach(Defaults(), SOptions{TargetAccuracy: -0.5}); err == nil {
 		t.Error("negative target should fail")
+	}
+	// The target accuracy is range-checked even when G is given.
+	for _, opt := range []SOptions{{G: 3, TargetAccuracy: 2}, {G: 3, TargetAccuracy: -0.5}, {G: 3, TargetAccuracy: math.NaN()}} {
+		if _, err := SApproach(Defaults(), opt); !errors.Is(err, ErrParams) {
+			t.Errorf("%+v: got %v, want ErrParams", opt, err)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ type SOptions struct {
 	// plans it from TargetAccuracy via Eq. (5).
 	G int
 	// TargetAccuracy is the desired etaS when G is zero; zero means 0.99.
+	// It must lie in (0, 1) even when G is given.
 	TargetAccuracy float64
 	// NoNormalize reports the raw truncated tail instead of dividing by the
 	// retained mass.
@@ -60,9 +61,9 @@ func SApproach(p Params, opt SOptions) (*SResult, error) {
 	if p.M <= gm.Ms {
 		return nil, fmt.Errorf("M = %d, ms = %d for the S-approach: %w", p.M, gm.Ms, ErrWindowTooShort)
 	}
-	target := opt.TargetAccuracy
-	if target == 0 {
-		target = 0.99
+	target, err := targetAccuracy(opt.TargetAccuracy)
+	if err != nil {
+		return nil, err
 	}
 	g := opt.G
 	if g <= 0 {

@@ -16,7 +16,8 @@ type TOptions struct {
 	G int
 	// Gh bounds the Head-period (period 1) sensor count. Zero plans it.
 	Gh int
-	// TargetAccuracy is used when G or Gh is zero; zero means 0.99.
+	// TargetAccuracy is used when G or Gh is zero; zero means 0.99. It
+	// must lie in (0, 1) even when both bounds are given.
 	TargetAccuracy float64
 	// MaxStates aborts the computation when the per-period Markov state
 	// count exceeds it, returning ErrStateExplosion. Zero means 2^22
@@ -80,7 +81,8 @@ func encodeTState(remaining []int, reports int) string {
 // PeakStates in the result quantifies the explosion; MaxStates aborts runs
 // that would not finish.
 func TApproach(p Params, opt TOptions) (*TResult, error) {
-	if err := p.Validate(); err != nil {
+	gh, g, err := truncation(p, MSOptions{Gh: opt.Gh, G: opt.G, TargetAccuracy: opt.TargetAccuracy})
+	if err != nil {
 		return nil, err
 	}
 	gm, err := p.Geometry()
@@ -89,21 +91,6 @@ func TApproach(p Params, opt TOptions) (*TResult, error) {
 	}
 	if p.M <= gm.Ms {
 		return nil, fmt.Errorf("M = %d, ms = %d for the T-approach: %w", p.M, gm.Ms, ErrWindowTooShort)
-	}
-	target := opt.TargetAccuracy
-	if target == 0 {
-		target = 0.99
-	}
-	gh, g := opt.Gh, opt.G
-	if gh <= 0 {
-		if gh, err = RequiredHeadG(p, target); err != nil {
-			return nil, err
-		}
-	}
-	if g <= 0 {
-		if g, err = RequiredBodyG(p, target); err != nil {
-			return nil, err
-		}
 	}
 	maxStates := opt.MaxStates
 	if maxStates <= 0 {

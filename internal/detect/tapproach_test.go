@@ -2,6 +2,7 @@ package detect
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -33,6 +34,18 @@ func TestTApproachValidation(t *testing.T) {
 	short := smallScenario().WithM(2)
 	if _, err := TApproach(short, TOptions{}); !errors.Is(err, ErrWindowTooShort) {
 		t.Error("M <= ms should report ErrWindowTooShort")
+	}
+	// The target accuracy is range-checked whether or not the bounds are
+	// planned from it.
+	for _, opt := range []TOptions{
+		{TargetAccuracy: 2},
+		{Gh: 2, G: 1, TargetAccuracy: 2},
+		{Gh: 2, G: 1, TargetAccuracy: -0.5},
+		{Gh: 2, G: 1, TargetAccuracy: math.NaN()},
+	} {
+		if _, err := TApproach(smallScenario(), opt); !errors.Is(err, ErrParams) {
+			t.Errorf("%+v: got %v, want ErrParams", opt, err)
+		}
 	}
 }
 

@@ -9,66 +9,6 @@ import (
 	"github.com/groupdetect/gbd/internal/geom"
 )
 
-// TestPairsMatchesQueryCircle checks the contract netsim relies on: a
-// single in-order sweep over the Pairs stream rebuilds, for every point,
-// exactly the neighbor list (same members, same order) that a QueryCircle
-// around that point reports, minus the point itself.
-func TestPairsMatchesQueryCircle(t *testing.T) {
-	bounds := geom.Square(1000)
-	for _, r := range []float64{60, 170, 400, 2000} {
-		for seed := int64(0); seed < 6; seed++ {
-			rng := NewRand(seed)
-			pts, err := Uniform(70, bounds, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			idx, err := NewIndex(pts, bounds, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			want := make([][]int32, len(pts))
-			buf := make([]int, 0, len(pts))
-			for i, p := range pts {
-				buf = idx.QueryCircle(p, r, buf[:0])
-				for _, j := range buf {
-					if j != i {
-						want[i] = append(want[i], int32(j))
-					}
-				}
-			}
-
-			got := make([][]int32, len(pts))
-			for _, e := range idx.Pairs(r, nil) {
-				got[e[0]] = append(got[e[0]], e[1])
-				got[e[1]] = append(got[e[1]], e[0])
-			}
-
-			for i := range want {
-				if len(want[i]) != len(got[i]) {
-					t.Fatalf("r=%v seed=%d: point %d has %d pair neighbors, QueryCircle reports %d", r, seed, i, len(got[i]), len(want[i]))
-				}
-				for k := range want[i] {
-					if want[i][k] != got[i][k] {
-						t.Fatalf("r=%v seed=%d: point %d neighbor %d is %d via Pairs, %d via QueryCircle", r, seed, i, k, got[i][k], want[i][k])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPairsNegativeRadius checks the degenerate guard.
-func TestPairsNegativeRadius(t *testing.T) {
-	idx, err := NewIndex([]geom.Point{{X: 1, Y: 1}, {X: 2, Y: 2}}, geom.Square(10), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := idx.Pairs(-1, nil); len(got) != 0 {
-		t.Fatalf("Pairs(-1) returned %d pairs, want none", len(got))
-	}
-}
-
 // TestWindowedIndexMatchesFullField checks the window contract the trial
 // kernel relies on: an index windowed to a track's bounding box inflated
 // by the query radius answers every query along that track — segments

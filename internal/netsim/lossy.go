@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -102,73 +101,6 @@ func (d Delivery) PeriodsLate(period time.Duration) int {
 	return int((d.Latency - 1) / period)
 }
 
-// ShortestPath returns the node sequence of a minimum-hop route from src to
-// dst (BFS with parent pointers). It is the repair route used when greedy
-// forwarding gets stuck.
-func (n *Network) ShortestPath(src, dst int) ([]int, error) {
-	if err := n.checkIDs(src, dst); err != nil {
-		return nil, err
-	}
-	if src == dst {
-		return []int{src}, nil
-	}
-	if !n.Connected(src, dst) {
-		return nil, fmt.Errorf("node %d to %d: %w", src, dst, ErrUnreachable)
-	}
-	parent := make([]int32, len(n.nodes))
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[src] = int32(src)
-	queue := []int32{int32(src)}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range n.adj[u] {
-			if parent[v] >= 0 {
-				continue
-			}
-			parent[v] = u
-			if int(v) == dst {
-				// Walk parents back to src.
-				var rev []int
-				for cur := v; ; cur = parent[cur] {
-					rev = append(rev, int(cur))
-					if int(cur) == src {
-						break
-					}
-				}
-				path := make([]int, len(rev))
-				for i := range rev {
-					path[i] = rev[len(rev)-1-i]
-				}
-				return path, nil
-			}
-			queue = append(queue, v)
-		}
-	}
-	return nil, fmt.Errorf("node %d to %d: %w", src, dst, ErrUnreachable)
-}
-
-// Route returns the forwarding path from src to dst: greedy geographic
-// forwarding when it succeeds, otherwise the shortest-path repair (the
-// detour GPSR's perimeter mode would find). rerouted reports which one was
-// used. It fails with ErrUnreachable when no path exists at all.
-func (n *Network) Route(src, dst int) (path []int, rerouted bool, err error) {
-	path, err = n.GreedyRoute(src, dst)
-	if err == nil {
-		return path, false, nil
-	}
-	if !errors.Is(err, ErrGreedyStuck) {
-		return nil, false, err
-	}
-	path, err = n.ShortestPath(src, dst)
-	if err != nil {
-		return nil, true, err
-	}
-	return path, true, nil
-}
-
 // Send simulates forwarding one report from src to base under the loss
 // model: route (with greedy-stuck repair), then per-hop Bernoulli attempts
 // with bounded exponential-backoff retransmission, classified against the
@@ -177,12 +109,8 @@ func (n *Network) Route(src, dst int) (path []int, rerouted bool, err error) {
 // Routes come from a per-base table built on first use, so repeated sends
 // to the same base cost O(route length), not a graph walk each.
 func (n *Network) Send(src, base int, m LossModel, rng *rand.Rand) (Delivery, error) {
-	if err := n.checkIDs(src, base); err != nil {
+	if err := checkIDs(n.idx.Len(), src, base); err != nil {
 		return Delivery{}, err
 	}
-	r, err := n.routing(base)
-	if err != nil {
-		return Delivery{}, err
-	}
-	return r.Send(src, m, rng)
+	return n.routing(base).Send(src, m, rng)
 }

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -177,39 +176,12 @@ func TestBackoffLatencyAccounted(t *testing.T) {
 	t.Skip("no fully exhausted hop observed; loosen the channel")
 }
 
-// TestRouteRepairsGreedyStuck reproduces the netsim_test.go void topology:
-// greedy forwarding cannot leave the source, but Route recovers with the
-// BFS detour, exercising the ErrGreedyStuck path end to end.
+// TestRouteRepairsGreedyStuck sends over the void deployment: greedy
+// forwarding cannot leave the source, and Send recovers with the BFS
+// detour, flagging the repair.
 func TestRouteRepairsGreedyStuck(t *testing.T) {
-	pts := []geom.Point{
-		{X: 0, Y: 0},   // 0 src
-		{X: 0, Y: 10},  // 1 detour up
-		{X: 10, Y: 14}, // 2 detour across
-		{X: 20, Y: 10}, // 3 detour down
-		{X: 20, Y: 0},  // 4 dst
-	}
-	n := mustNetwork(t, pts, 11, geom.Rect{MinX: -5, MinY: -5, MaxX: 30, MaxY: 30})
-	if _, err := n.GreedyRoute(0, 4); !errors.Is(err, ErrGreedyStuck) {
-		t.Fatalf("precondition: greedy should be stuck, got %v", err)
-	}
-	path, rerouted, err := n.Route(0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rerouted {
-		t.Error("route should report the greedy-stuck repair")
-	}
-	want := []int{0, 1, 2, 3, 4}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-
-	// And a Send over the repaired route delivers.
+	pts, r, bounds := voidDeployment()
+	n := mustNetwork(t, pts, r, bounds)
 	d, err := n.Send(0, 4, reliableModel(), field.NewRand(8))
 	if err != nil {
 		t.Fatal(err)
@@ -217,62 +189,30 @@ func TestRouteRepairsGreedyStuck(t *testing.T) {
 	if d.Outcome != Delivered || !d.Rerouted || d.Hops != 4 {
 		t.Errorf("send over repaired route = %+v", d)
 	}
+	// A source on the detour walks it greedily.
+	d, err = n.Send(1, 4, reliableModel(), field.NewRand(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Outcome != Delivered || d.Rerouted || d.Hops != 3 {
+		t.Errorf("greedy send from the detour = %+v", d)
+	}
 }
 
-// TestSendUnreachableIsLost exercises the ErrUnreachable path: a
-// partitioned network loses the report instead of erroring.
+// TestSendUnreachableIsLost: a partitioned network loses the report
+// instead of erroring.
 func TestSendUnreachableIsLost(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 80, Y: 0}, {X: 90, Y: 0}}
 	n := mustNetwork(t, pts, 15, geom.Square(100))
 	if n.Components() != 2 {
 		t.Fatalf("precondition: want a partitioned network, got %d components", n.Components())
 	}
-	if _, err := n.ShortestPath(0, 3); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("shortest path across partition: %v, want ErrUnreachable", err)
-	}
 	d, err := n.Send(0, 3, reliableModel(), field.NewRand(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Outcome != Lost {
-		t.Errorf("outcome = %v, want lost", d.Outcome)
-	}
-}
-
-func TestShortestPathMatchesShortestHops(t *testing.T) {
-	bounds := geom.Square(32000)
-	pts, err := field.Uniform(150, bounds, field.NewRand(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := mustNetwork(t, pts, 6000, bounds)
-	for dst := 1; dst < 40; dst++ {
-		hops, err := n.ShortestHops(0, dst)
-		if errors.Is(err, ErrUnreachable) {
-			if _, err := n.ShortestPath(0, dst); !errors.Is(err, ErrUnreachable) {
-				t.Fatalf("dst %d: hops unreachable but path found", dst)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		path, err := n.ShortestPath(0, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(path)-1 != hops {
-			t.Errorf("dst %d: path length %d, shortest hops %d", dst, len(path)-1, hops)
-		}
-		if path[0] != 0 || path[len(path)-1] != dst {
-			t.Errorf("dst %d: endpoints wrong: %v", dst, path)
-		}
-		// Every consecutive pair must be adjacent.
-		for i := 1; i < len(path); i++ {
-			if n.Node(path[i-1]).Dist(n.Node(path[i])) > 6000 {
-				t.Errorf("dst %d: hop %d-%d not adjacent", dst, path[i-1], path[i])
-			}
-		}
+	if d.Outcome != Lost || !d.Rerouted || d.Hops != 0 {
+		t.Errorf("send across the partition = %+v, want lost", d)
 	}
 }
 

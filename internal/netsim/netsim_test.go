@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -33,32 +32,34 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, 5, geom.Rect{}); err == nil {
 		t.Error("empty bounds should fail")
 	}
+	if n := mustNetwork(t, nil, 5, geom.Square(10)); n.Components() != 0 {
+		t.Errorf("empty network has %d components, want 0", n.Components())
+	}
 }
 
 func TestLineTopology(t *testing.T) {
 	n := mustNetwork(t, line(5, 10), 15, geom.Square(100))
-	if n.Len() != 5 {
-		t.Fatalf("Len = %d", n.Len())
-	}
-	// Node 0 reaches nodes at distance 10 only (range 15).
-	if n.Degree(0) != 1 {
-		t.Errorf("degree(0) = %d, want 1", n.Degree(0))
-	}
-	if n.Degree(2) != 2 {
-		t.Errorf("degree(2) = %d, want 2", n.Degree(2))
-	}
 	if n.Components() != 1 {
 		t.Errorf("components = %d, want 1", n.Components())
 	}
-	hops, err := n.ShortestHops(0, 4)
+	// Each node reaches only the nodes at distance 10 (range 15), so the
+	// far end is 4 hops from node 0.
+	stats, err := n.Delivery(0, time.Second, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hops != 4 {
-		t.Errorf("hops = %d, want 4", hops)
+	if stats.Reachable != 4 || stats.MaxHops != 4 {
+		t.Errorf("stats = %+v, want 4 reachable, max 4 hops", stats)
 	}
-	if h, err := n.ShortestHops(2, 2); err != nil || h != 0 {
-		t.Errorf("self hops = %d, %v", h, err)
+	d, err := n.Send(4, 0, lossless, field.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Hops != 4 || d.Rerouted {
+		t.Errorf("send 4 -> 0 = %+v, want 4 greedy hops", d)
+	}
+	if d, err := n.Send(2, 2, lossless, field.NewRand(1)); err != nil || d.Hops != 0 {
+		t.Errorf("self send = %+v, %v", d, err)
 	}
 }
 
@@ -68,66 +69,83 @@ func TestDisconnected(t *testing.T) {
 	if n.Components() != 2 {
 		t.Errorf("components = %d, want 2", n.Components())
 	}
-	if n.Connected(0, 2) {
-		t.Error("nodes 0 and 2 should be disconnected")
+	stats, err := n.Delivery(0, time.Second, time.Minute)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !n.Connected(0, 1) {
-		t.Error("nodes 0 and 1 should be connected")
+	if stats.Nodes != 2 || stats.Reachable != 1 {
+		t.Errorf("stats = %+v, want 1 of 2 reachable", stats)
 	}
-	if _, err := n.ShortestHops(0, 2); !errors.Is(err, ErrUnreachable) {
-		t.Errorf("expected ErrUnreachable, got %v", err)
+	d, err := n.Send(2, 0, lossless, field.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Outcome != Lost {
+		t.Errorf("send across the partition = %+v, want lost", d)
 	}
 }
 
 func TestGreedyRouteStraight(t *testing.T) {
 	n := mustNetwork(t, line(6, 10), 15, geom.Square(100))
-	path, err := n.GreedyRoute(0, 5)
+	d, err := n.Send(0, 5, lossless, field.NewRand(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(path) != 6 {
-		t.Errorf("path = %v", path)
+	if d.Outcome != Delivered || d.Hops != 5 || d.Rerouted {
+		t.Errorf("send 0 -> 5 = %+v, want 5 greedy hops", d)
 	}
-	if path[0] != 0 || path[len(path)-1] != 5 {
-		t.Errorf("path endpoints wrong: %v", path)
+	stats, err := n.Delivery(5, time.Second, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.GreedyOK != 5 {
+		t.Errorf("greedy ok = %d, want 5", stats.GreedyOK)
 	}
 }
 
-func TestGreedyRouteStuckInVoid(t *testing.T) {
-	// A classic void: the node closest to the destination has no neighbor
-	// that is closer. src at origin, dst far right, and a detour-only
-	// topology going up and around.
-	pts := []geom.Point{
+// voidDeployment is a classic void: the source (node 0) has no neighbour
+// closer to the destination (node 4), so greedy forwarding cannot leave it,
+// but a detour goes up and around.
+func voidDeployment() ([]geom.Point, float64, geom.Rect) {
+	return []geom.Point{
 		{X: 0, Y: 0},   // 0 src
 		{X: 0, Y: 10},  // 1 detour up
 		{X: 10, Y: 14}, // 2 detour across
 		{X: 20, Y: 10}, // 3 detour down
 		{X: 20, Y: 0},  // 4 dst
-	}
-	n := mustNetwork(t, pts, 11, geom.Rect{MinX: -5, MinY: -5, MaxX: 30, MaxY: 30})
-	// BFS finds the detour.
-	hops, err := n.ShortestHops(0, 4)
+	}, 11, geom.Rect{MinX: -5, MinY: -5, MaxX: 30, MaxY: 30}
+}
+
+func TestGreedyRouteStuckInVoid(t *testing.T) {
+	pts, r, bounds := voidDeployment()
+	n := mustNetwork(t, pts, r, bounds)
+	// Node 0's only neighbour (1) is farther from the destination than 0
+	// itself: dist(1, dst) = sqrt(400+100) = 22.4 > 20. Nodes 1-3 walk the
+	// detour greedily; BFS finds node 0's 4-hop detour.
+	stats, err := n.Delivery(4, time.Second, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hops != 4 {
-		t.Errorf("hops = %d, want 4", hops)
-	}
-	// Greedy gets stuck: node 0's only neighbor (1) is farther from dst
-	// than 0 itself... actually dist(1,dst)=sqrt(400+100)=22.4 > 20, so
-	// greedy cannot even leave the source.
-	if _, err := n.GreedyRoute(0, 4); !errors.Is(err, ErrGreedyStuck) {
-		t.Errorf("expected ErrGreedyStuck, got %v", err)
+	want := DeliveryStats{Nodes: 4, Reachable: 4, GreedyOK: 3, MaxHops: 4, MeanHops: 2.5, WithinBudget: 4}
+	if stats != want {
+		t.Errorf("stats = %+v, want %+v", stats, want)
 	}
 }
 
 func TestGreedyRouteIDValidation(t *testing.T) {
 	n := mustNetwork(t, line(3, 10), 15, geom.Square(100))
-	if _, err := n.GreedyRoute(-1, 2); err == nil {
-		t.Error("negative id should fail")
+	if _, err := n.Send(0, 7, lossless, field.NewRand(1)); err == nil {
+		t.Error("out-of-range base should fail")
 	}
-	if _, err := n.ShortestHops(0, 7); err == nil {
-		t.Error("out-of-range id should fail")
+	var r Routing
+	if err := r.Rebuild(line(3, 10), 15, geom.Square(100), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Send(-1, lossless, field.NewRand(1)); err == nil {
+		t.Error("negative source should fail")
+	}
+	if _, err := r.Send(3, lossless, field.NewRand(1)); err == nil {
+		t.Error("out-of-range source should fail")
 	}
 }
 
@@ -202,69 +220,57 @@ func TestPaperCommAssumption(t *testing.T) {
 	}
 }
 
-func TestNodeAccessor(t *testing.T) {
-	pts := line(2, 7)
-	n := mustNetwork(t, pts, 10, geom.Square(20))
-	if n.Node(1) != pts[1] {
-		t.Error("Node accessor wrong")
-	}
-}
-
 func TestHopsFrom(t *testing.T) {
-	n := mustNetwork(t, line(5, 10), 15, geom.Square(100))
-	hops, err := n.HopsFrom(0)
-	if err != nil {
+	var r Routing
+	if err := r.Rebuild(line(5, 10), 15, geom.Square(100), 0); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []int{0, 1, 2, 3, 4} {
-		if hops[i] != want {
-			t.Errorf("hops[%d] = %d, want %d", i, hops[i], want)
+	for i := 0; i < 5; i++ {
+		if h, err := r.Hops(i); err != nil || h != i {
+			t.Errorf("Hops(%d) = %d, %v, want %d", i, h, err, i)
 		}
 	}
-	if _, err := n.HopsFrom(-1); err == nil {
+	if err := r.Rebuild(line(5, 10), 15, geom.Square(100), -1); err == nil {
 		t.Error("bad base should fail")
 	}
 	// Disconnected nodes report -1.
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}
-	d := mustNetwork(t, pts, 10, geom.Square(200))
-	hops, err = d.HopsFrom(0)
-	if err != nil {
+	if err := r.Rebuild([]geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}, 10, geom.Square(200), 0); err != nil {
 		t.Fatal(err)
 	}
-	if hops[1] != -1 {
-		t.Errorf("disconnected hop count = %d, want -1", hops[1])
+	if h, err := r.Hops(1); err != nil || h != -1 {
+		t.Errorf("disconnected hop count = %d, %v, want -1", h, err)
 	}
 }
 
+// TestHopsFromMatchesShortestHops checks the table's BFS hop counts node
+// for node against the brute-force reference on a dense ONR deployment.
 func TestHopsFromMatchesShortestHops(t *testing.T) {
 	bounds := geom.Square(32000)
 	pts, err := field.Uniform(150, bounds, field.NewRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := mustNetwork(t, pts, 6000, bounds)
-	hops, err := n.HopsFrom(0)
-	if err != nil {
+	var r Routing
+	if err := r.Rebuild(pts, 6000, bounds, 0); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < n.Len(); i += 17 {
-		want, err := n.ShortestHops(0, i)
+	ref := newUnitDisk(pts, 6000, nil, 0)
+	for i := range pts {
+		h, err := r.Hops(i)
 		if err != nil {
-			if hops[i] != -1 {
-				t.Errorf("node %d: bulk %d, pairwise unreachable", i, hops[i])
-			}
-			continue
+			t.Fatal(err)
 		}
-		if hops[i] != want {
-			t.Errorf("node %d: bulk %d, pairwise %d", i, hops[i], want)
+		if h != ref.hops[i] {
+			t.Errorf("node %d: table %d hops, reference %d", i, h, ref.hops[i])
 		}
 	}
 }
 
-// TestGreedyOKMatchesGreedyRoute asserts the allocation-free walk that
-// Delivery uses agrees with GreedyRoute's success/failure verdict on
-// random sparse deployments, including disconnected and void-heavy ones.
+// TestGreedyOKMatchesGreedyRoute asserts Delivery's greedy verdicts agree
+// with the reference's greedy walks on random sparse deployments,
+// including disconnected and void-heavy ones.
 func TestGreedyOKMatchesGreedyRoute(t *testing.T) {
+	var stuck int
 	for seed := int64(0); seed < 4; seed++ {
 		rng := field.NewRand(seed)
 		bounds := geom.Square(32000)
@@ -276,11 +282,17 @@ func TestGreedyOKMatchesGreedyRoute(t *testing.T) {
 			}
 		}
 		net := mustNetwork(t, pts, 5000, bounds)
-		for i := range pts {
-			_, err := net.GreedyRoute(i, 0)
-			if got, want := net.greedyOK(i, 0), err == nil; got != want {
-				t.Fatalf("seed %d node %d: greedyOK=%v, GreedyRoute err=%v", seed, i, got, err)
-			}
+		stats, err := net.Delivery(0, 10*time.Second, time.Minute)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want := newUnitDisk(pts, 5000, nil, 0).delivery(10*time.Second, time.Minute)
+		if stats.GreedyOK != want.GreedyOK {
+			t.Fatalf("seed %d: greedy ok %d, reference %d", seed, stats.GreedyOK, want.GreedyOK)
+		}
+		stuck += stats.Reachable - stats.GreedyOK
+	}
+	if stuck == 0 {
+		t.Fatal("weak coverage: no reachable node was greedy-stuck")
 	}
 }

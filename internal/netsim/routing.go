@@ -22,19 +22,22 @@ const ghopsUnknown = -2
 // therefore costs a handful of queries, not a unit-disk graph build, and
 // Reset for a new alive mask only clears the memo.
 //
-// The table reproduces Network.Send on the alive-induced subgraph draw for
-// draw: the loss model consumes randomness only per hop attempted, greedy
-// forwarding picks the strict-argmin neighbour in QueryCircle order — the
-// order Network's adjacency lists have (see field.Index.Pairs), which an
-// alive filter preserves — and BFS hop counts are unique, so the routed hop
-// count, the only routing output the loss loop reads, is identical.
+// It is the package's one routing graph: Network's Delivery and Send read a
+// per-base all-alive table over the network's index. Greedy forwarding picks
+// the strict-argmin alive neighbour, first in QueryCircle order on ties, and
+// BFS explores neighbours in that same order; dead nodes neither relay nor
+// count as neighbours, so a masked table routes exactly as a table over the
+// alive nodes alone would. The loss model consumes randomness only per hop
+// attempted, so for a given route length the draws are fixed.
 //
 // The zero Routing is empty; Rebuild aims it at a deployment. Send, Hops and
 // Reset may run concurrently (the memo fills under a lock); Rebuild may not
 // run concurrently with anything else.
 type Routing struct {
-	mu        sync.Mutex
-	idx       field.Index // the nodes, in cells of the comm range
+	mu sync.Mutex
+	// idx holds the nodes in cells of the comm range. A Network's tables
+	// share the network's index arrays and are never Rebuilt.
+	idx       field.Index
 	commRange float64
 	base      int
 	goal      geom.Point // the base's position
@@ -46,19 +49,6 @@ type Routing struct {
 	walk      []int32 // scratch for greedy memoization
 	queue     []int32 // scratch for BFS
 	near      []int   // scratch for neighbourhood queries
-}
-
-// NewRouting builds the forwarding table toward base over the nodes with
-// alive[i] true (nil means every node is alive). The base must be alive.
-func (n *Network) NewRouting(base int, alive []bool) (*Routing, error) {
-	r := &Routing{}
-	if err := r.Rebuild(n.nodes, n.commRange, n.bounds, base); err != nil {
-		return nil, err
-	}
-	if err := r.Reset(alive); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // Rebuild re-aims the table in place at a new deployment — nodes within
@@ -78,11 +68,17 @@ func (r *Routing) Rebuild(nodes []geom.Point, commRange float64, bounds geom.Rec
 		return err
 	}
 	r.commRange = commRange
+	r.aim(base)
+	return nil
+}
+
+// aim points an indexed table at base with every node alive and the memo
+// cleared. Callers hold the lock or own the table outright.
+func (r *Routing) aim(base int) {
 	r.base = base
-	r.goal = nodes[base]
+	r.goal = r.idx.Point(base)
 	r.masked = false
 	r.clearLocked()
-	return nil
 }
 
 // Hops returns the shortest alive-path hop count from src to the base, or
@@ -223,8 +219,7 @@ func (r *Routing) bfsLocked() {
 }
 
 // Send forwards one report from src to the table's base under the loss
-// model, exactly like Network.Send on the alive-induced subgraph: greedy
-// route when it succeeds, BFS shortest-path repair when greedy is stuck,
+// model over the alive nodes: greedy route when it succeeds, BFS shortest-path repair when greedy is stuck,
 // Lost when the base is unreachable, then per-hop Bernoulli attempts with
 // bounded exponential-backoff retransmission against the latency budget.
 func (r *Routing) Send(src int, m LossModel, rng *rand.Rand) (Delivery, error) {
@@ -284,23 +279,4 @@ func (r *Routing) Send(src int, m LossModel, rng *rand.Rand) (Delivery, error) {
 	}
 	recordDelivery(d)
 	return d, nil
-}
-
-// routing returns the lazily built all-alive forwarding table toward base,
-// shared by every Send to that base on this network.
-func (n *Network) routing(base int) (*Routing, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if r, ok := n.routes[base]; ok {
-		return r, nil
-	}
-	r, err := n.NewRouting(base, nil)
-	if err != nil {
-		return nil, err
-	}
-	if n.routes == nil {
-		n.routes = make(map[int]*Routing, 1)
-	}
-	n.routes[base] = r
-	return r, nil
 }

@@ -1,8 +1,7 @@
 package netsim
 
 import (
-	"errors"
-	"slices"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -11,72 +10,156 @@ import (
 	"github.com/groupdetect/gbd/internal/geom"
 )
 
-// routeHops reproduces what the pre-cache Send computed per report: the
-// greedy route length when greedy succeeds, the BFS repair length when it
-// is stuck, and (-1, rerouted) when the base is unreachable.
-func routeHops(t *testing.T, n *Network, src, base int) (hops int, rerouted bool) {
+// coverage counts the alive sources whose lossless send was rerouted or
+// lost, so a cross-check can insist that voids and partitions occurred.
+type coverage struct{ rerouted, lost int }
+
+// checkSends sends one lossless report from every node, dead ones too, and
+// compares outcome, hop count and Rerouted with the reference's route.
+func checkSends(t *testing.T, what string, ref *unitDisk, send func(src int) (Delivery, error), cov *coverage) {
 	t.Helper()
-	path, rerouted, err := n.Route(src, base)
-	if err != nil {
-		if !errors.Is(err, ErrUnreachable) {
-			t.Fatalf("Route(%d, %d): %v", src, base, err)
+	for src := range ref.pts {
+		d, err := send(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return -1, rerouted
+		out, hops, rerouted := ref.route(src)
+		if d.Outcome != out || d.Hops != hops || d.Rerouted != rerouted {
+			t.Fatalf("%s src %d: got %v hops=%d rerouted=%v, want %v hops=%d rerouted=%v",
+				what, src, d.Outcome, d.Hops, d.Rerouted, out, hops, rerouted)
+		}
+		if !ref.live(src) {
+			continue
+		}
+		if d.Rerouted {
+			cov.rerouted++
+		}
+		if d.Outcome == Lost {
+			cov.lost++
+		}
 	}
-	return len(path) - 1, rerouted
 }
 
-// TestRoutingMatchesRouteWalks cross-checks the cached table against the
-// walk-per-report routing it replaced, on random deployments sparse enough
-// to contain greedy voids and partitions.
+// randomMask keeps each node alive with probability survive, and the base
+// always.
+func randomMask(n, base int, survive float64, rng *rand.Rand) []bool {
+	keep := make([]bool, n)
+	for i := range keep {
+		keep[i] = rng.Float64() < survive
+	}
+	keep[base] = true
+	return keep
+}
+
+// TestRoutingMatchesRouteWalks cross-checks a Network against the
+// brute-force reference — every node's Send toward two bases, Delivery and
+// Components — and then a table over a random alive mask of the same
+// deployment, on random deployments sparse enough to contain greedy voids
+// and partitions, and on the tie deployment. The test insists that voids
+// and partitions occur.
 func TestRoutingMatchesRouteWalks(t *testing.T) {
-	bounds := geom.Square(1000)
+	type deployment struct {
+		pts    []geom.Point
+		r      float64
+		bounds geom.Rect
+		bases  []int
+	}
+	pts, r, bounds := tieDeployment()
+	deps := []deployment{{pts, r, bounds, []int{0}}}
 	for seed := int64(1); seed <= 8; seed++ {
-		rng := field.NewRand(seed)
-		pts, err := field.Uniform(60, bounds, rng)
+		pts, err := field.Uniform(60, geom.Square(1000), field.NewRand(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := New(pts, 170, bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := n.NewRouting(0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := LossModel{PerHopDelivery: 1, PerHop: time.Second, Budget: time.Hour}
-		for src := 0; src < n.Len(); src++ {
-			wantHops, wantRerouted := routeHops(t, n, src, 0)
-			d, err := r.Send(src, m, field.NewRand(seed))
+		deps = append(deps, deployment{pts, 170, geom.Square(1000), []int{0, 30}})
+	}
+	var cov coverage
+	var partitioned int
+	for k, dep := range deps {
+		n := mustNetwork(t, dep.pts, dep.r, dep.bounds)
+		for _, base := range dep.bases {
+			ref := newUnitDisk(dep.pts, dep.r, nil, base)
+			checkSends(t, "Send", ref, func(src int) (Delivery, error) {
+				return n.Send(src, base, lossless, field.NewRand(int64(k)))
+			}, &cov)
+			stats, err := n.Delivery(base, 10*time.Second, time.Minute)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantHops < 0 {
-				if d.Outcome != Lost || d.Rerouted != wantRerouted {
-					t.Errorf("seed %d src %d: got %+v, want Lost rerouted=%v", seed, src, d, wantRerouted)
-				}
-				continue
+			if want := ref.delivery(10*time.Second, time.Minute); stats != want {
+				t.Fatalf("deployment %d base %d: Delivery = %+v, want %+v", k, base, stats, want)
 			}
-			if d.Hops != wantHops || d.Rerouted != wantRerouted {
-				t.Errorf("seed %d src %d: got hops=%d rerouted=%v, want hops=%d rerouted=%v",
-					seed, src, d.Hops, d.Rerouted, wantHops, wantRerouted)
+			if got, want := n.Components(), ref.components(); got != want {
+				t.Fatalf("deployment %d: Components = %d, want %d", k, got, want)
 			}
 		}
+		if n.Components() > 1 {
+			partitioned++
+		}
+		// The same walks over a random three quarters of the nodes: dead
+		// nodes neither relay nor count as neighbours.
+		base := dep.bases[0]
+		var rt Routing
+		alive := randomMask(len(dep.pts), base, 0.75, field.NewRand(int64(k)))
+		if err := rt.Rebuild(dep.pts, dep.r, dep.bounds, base); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Reset(alive); err != nil {
+			t.Fatal(err)
+		}
+		checkSends(t, "masked Send", newUnitDisk(dep.pts, dep.r, alive, base), func(src int) (Delivery, error) {
+			return rt.Send(src, lossless, field.NewRand(int64(k)))
+		}, &cov)
+	}
+	t.Logf("%d rerouted, %d lost sends, %d partitioned deployments", cov.rerouted, cov.lost, partitioned)
+	if cov.rerouted == 0 || cov.lost == 0 || partitioned == 0 {
+		t.Fatalf("weak coverage: %d rerouted, %d lost sends, %d partitioned deployments", cov.rerouted, cov.lost, partitioned)
 	}
 }
 
 // TestRoutingResetMatchesSubset checks that one table, re-aimed in place
 // with Rebuild across many random sparse deployments and Reset with alive
-// masks, reproduces node for node the Subset-and-rebuild path it replaced
-// in the fault injector: outcome, hop count, Rerouted, and BFS Hops. The
+// masks, routes node for node as the brute-force reference does over the
+// alive nodes alone: outcome, hop count, Rerouted, and BFS Hops. The
 // deployments are sparse enough that greedy voids and partitions occur,
 // and the test insists that they do.
 func TestRoutingResetMatchesSubset(t *testing.T) {
-	bounds := geom.Square(1000)
-	m := LossModel{PerHopDelivery: 1, PerHop: time.Second, Budget: time.Hour}
 	var r Routing
-	var rerouted, lost, masks int
+	var cov coverage
+	var masks int
+	check := func(what string, pts []geom.Point, commRange float64, alive []bool, base int) {
+		t.Helper()
+		ref := newUnitDisk(pts, commRange, alive, base)
+		checkSends(t, what, ref, func(src int) (Delivery, error) {
+			return r.Send(src, lossless, field.NewRand(1))
+		}, &cov)
+		for src := range pts {
+			h, err := r.Hops(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h != ref.hops[src] {
+				t.Fatalf("%s: Hops(%d) = %d, want %d", what, src, h, ref.hops[src])
+			}
+		}
+	}
+
+	// The tie deployment all alive, without a leading tie, and cut.
+	pts, commRange, bounds := tieDeployment()
+	if err := r.Rebuild(pts, commRange, bounds, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("tie deployment", pts, commRange, nil, 0)
+	for _, dead := range []int{4, 2} {
+		alive := []bool{true, true, true, true, true, true, true}
+		alive[dead] = false
+		if err := r.Reset(alive); err != nil {
+			t.Fatal(err)
+		}
+		check("tie deployment", pts, commRange, alive, 0)
+	}
+
+	bounds = geom.Square(1000)
 	for deploy := int64(0); deploy < 60; deploy++ {
 		rng := field.NewRand(200 + deploy)
 		pts, err := field.Uniform(40+rng.Intn(60), bounds, rng)
@@ -85,84 +168,37 @@ func TestRoutingResetMatchesSubset(t *testing.T) {
 		}
 		commRange := 150 + 60*rng.Float64()
 		base := rng.Intn(len(pts))
-		full, err := New(pts, commRange, bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := r.Rebuild(pts, commRange, bounds, base); err != nil {
 			t.Fatal(err)
 		}
-		// Mask 0 is Rebuild's all-alive table; then two Reset epochs.
+		// Epoch 0 is Rebuild's all-alive table; then two Reset epochs.
+		var alive []bool
 		for epoch := 0; epoch < 3; epoch++ {
-			keep := make([]bool, len(pts))
-			for i := range keep {
-				keep[i] = true
-			}
 			if epoch > 0 {
-				if keep, err = RandomFailures(len(pts), 0.75, rng, base); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Reset(keep); err != nil {
+				alive = randomMask(len(pts), base, 0.75, rng)
+				if err := r.Reset(alive); err != nil {
 					t.Fatal(err)
 				}
 				masks++
 			}
-			sub, mapping, err := full.Subset(keep, bounds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			subBase := slices.Index(mapping, base)
-			subHops, err := sub.HopsFrom(subBase)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for subSrc, src := range mapping {
-				wantHops, wantRerouted := routeHops(t, sub, subSrc, subBase)
-				wantOutcome := Delivered
-				if wantHops < 0 {
-					wantOutcome, wantHops = Lost, 0
-				}
-				d, err := r.Send(src, m, field.NewRand(1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d.Outcome != wantOutcome || d.Hops != wantHops || d.Rerouted != wantRerouted {
-					t.Fatalf("deployment %d epoch %d src %d: got %v hops=%d rerouted=%v, want %v hops=%d rerouted=%v",
-						deploy, epoch, src, d.Outcome, d.Hops, d.Rerouted, wantOutcome, wantHops, wantRerouted)
-				}
-				h, err := r.Hops(src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if h != subHops[subSrc] {
-					t.Fatalf("deployment %d epoch %d: Hops(%d) = %d, want %d", deploy, epoch, src, h, subHops[subSrc])
-				}
-				if d.Rerouted {
-					rerouted++
-				}
-				if d.Outcome == Lost {
-					lost++
-				}
-			}
+			check("random deployment", pts, commRange, alive, base)
 		}
 	}
-	t.Logf("%d masks, %d rerouted, %d lost sends", masks, rerouted, lost)
-	if masks < 100 || rerouted == 0 || lost == 0 {
-		t.Fatalf("weak coverage: %d masks, %d rerouted, %d lost sends", masks, rerouted, lost)
+	t.Logf("%d masks, %d rerouted, %d lost sends", masks, cov.rerouted, cov.lost)
+	if masks < 100 || cov.rerouted == 0 || cov.lost == 0 {
+		t.Fatalf("weak coverage: %d masks, %d rerouted, %d lost sends", masks, cov.rerouted, cov.lost)
 	}
 }
 
 func TestRoutingRejectsDeadBase(t *testing.T) {
-	n := mustNetwork(t, line(4, 1), 1.5, geom.Square(10))
-	alive := []bool{true, false, true, true}
-	if _, err := n.NewRouting(1, alive); err == nil {
-		t.Fatal("NewRouting with dead base should fail")
+	var r Routing
+	if err := r.Reset(nil); err == nil {
+		t.Fatal("Reset before Rebuild should fail")
 	}
-	r, err := n.NewRouting(0, nil)
-	if err != nil {
+	if err := r.Rebuild(line(4, 1), 1.5, geom.Square(10), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Reset([]bool{false, true, true, true}); err == nil {
+	if err := r.Reset([]bool{true, false, true, true}); err == nil {
 		t.Fatal("Reset with dead base should fail")
 	}
 	if err := r.Reset([]bool{true}); err == nil {
@@ -171,9 +207,8 @@ func TestRoutingRejectsDeadBase(t *testing.T) {
 }
 
 func TestRoutingHops(t *testing.T) {
-	n := mustNetwork(t, line(5, 1), 1.5, geom.Square(10))
-	r, err := n.NewRouting(0, nil)
-	if err != nil {
+	var r Routing
+	if err := r.Rebuild(line(5, 1), 1.5, geom.Square(10), 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -203,42 +238,136 @@ func TestRoutingHops(t *testing.T) {
 	}
 }
 
+// TestDeliveryDegradesGracefullyUnderFailures: the ONR network at N=240
+// keeps most alive nodes reachable at 90% survival but fragments heavily
+// at 30%.
+func TestDeliveryDegradesGracefullyUnderFailures(t *testing.T) {
+	bounds := geom.Square(32000)
+	rng := field.NewRand(13)
+	pts, err := field.Uniform(240, bounds, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Routing
+	if err := r.Rebuild(pts, 6000, bounds, 0); err != nil {
+		t.Fatal(err)
+	}
+	run := func(survive float64) float64 {
+		alive := randomMask(len(pts), 0, survive, rng)
+		if err := r.Reset(alive); err != nil {
+			t.Fatal(err)
+		}
+		var nodes, reachable int
+		for i := 1; i < len(pts); i++ {
+			if !alive[i] {
+				continue
+			}
+			nodes++
+			if h, err := r.Hops(i); err != nil {
+				t.Fatal(err)
+			} else if h >= 0 {
+				reachable++
+			}
+		}
+		if nodes == 0 {
+			return 0
+		}
+		return float64(reachable) / float64(nodes)
+	}
+	healthy := run(0.9)
+	crippled := run(0.3)
+	if healthy < 0.8 {
+		t.Errorf("90%% survival should keep most nodes reachable: %v", healthy)
+	}
+	if crippled >= healthy {
+		t.Errorf("30%% survival (%v) should be worse than 90%% (%v)", crippled, healthy)
+	}
+}
+
 // TestRoutingConcurrentSends: the table a Network shares across Sends is
 // filled lazily under its lock, so concurrent first walks through the same
-// nodes must still produce the routes a sequential walk does.
+// nodes must still produce the routes the reference does.
 func TestRoutingConcurrentSends(t *testing.T) {
 	bounds := geom.Square(1000)
 	pts, err := field.Uniform(80, bounds, field.NewRand(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(pts, 170, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]int, n.Len())
-	for src := range want {
-		want[src], _ = routeHops(t, n, src, 0)
-	}
-	m := LossModel{PerHopDelivery: 1, PerHop: time.Second, Budget: time.Hour}
+	n := mustNetwork(t, pts, 170, bounds)
+	ref := newUnitDisk(pts, 170, nil, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for k := range want {
-				src := (k*(2*g+1) + g) % len(want) // a different visiting order per goroutine
-				d, err := n.Send(src, 0, m, field.NewRand(int64(g)))
+			for k := range pts {
+				src := (k*(2*g+1) + g) % len(pts) // a different visiting order per goroutine
+				d, err := n.Send(src, 0, lossless, field.NewRand(int64(g)))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got := d.Hops
-				if d.Outcome == Lost {
-					got = -1
+				if out, hops, _ := ref.route(src); d.Outcome != out || d.Hops != hops {
+					t.Errorf("goroutine %d src %d: %v hops %d, want %v hops %d", g, src, d.Outcome, d.Hops, out, hops)
 				}
-				if got != want[src] {
-					t.Errorf("goroutine %d src %d: hops %d, want %d", g, src, got, want[src])
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestNetworkConcurrent calls Components, Delivery and Send on one
+// Network from several goroutines at once. The component count and the
+// per-base tables are filled lazily from the network's one index, so
+// concurrent first uses must neither race nor change an answer.
+func TestNetworkConcurrent(t *testing.T) {
+	bounds := geom.Square(1000)
+	pts, err := field.Uniform(80, bounds, field.NewRand(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := mustNetwork(t, pts, 170, bounds)
+	bases := []int{0, 1, 2}
+	refs := make([]*unitDisk, len(bases))
+	for i, b := range bases {
+		refs[i] = newUnitDisk(pts, 170, nil, b)
+	}
+	wantComps := refs[0].components()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3*len(pts); k++ {
+				i := (k/3 + g) % len(bases)
+				ref := refs[i]
+				switch (k + g) % 3 {
+				case 0:
+					if got := n.Components(); got != wantComps {
+						t.Errorf("goroutine %d: Components = %d, want %d", g, got, wantComps)
+						return
+					}
+				case 1:
+					stats, err := n.Delivery(bases[i], 10*time.Second, time.Minute)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if want := ref.delivery(10*time.Second, time.Minute); stats != want {
+						t.Errorf("goroutine %d base %d: Delivery = %+v, want %+v", g, bases[i], stats, want)
+						return
+					}
+				default:
+					src := (k*(2*g+1) + g) % len(pts)
+					d, err := n.Send(src, bases[i], lossless, field.NewRand(int64(g)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if out, hops, rerouted := ref.route(src); d.Outcome != out || d.Hops != hops || d.Rerouted != rerouted {
+						t.Errorf("goroutine %d src %d base %d: %+v, want %v hops %d rerouted %v", g, src, bases[i], d, out, hops, rerouted)
+						return
+					}
 				}
 			}
 		}(g)

@@ -12,9 +12,9 @@ import (
 // relayState is the relay stage's state on one worker: the base station
 // choice and a lazy routing table toward it, re-aimed in place at every
 // trial's deployment and Reset — not rebuilt — only when the alive mask
-// changes. Routing over the alive mask reproduces what the Subset-and-rebuild
-// path computed, draw for draw (see netsim.Routing), without building a
-// network per trial or per mask epoch.
+// changes. Routing over the alive mask routes exactly as a network of the
+// alive sensors alone would (see netsim.Routing), without building a network
+// per trial or per mask epoch.
 type relayState struct {
 	routing netsim.Routing
 	base    int // base station id
