@@ -89,6 +89,9 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
+	if math.IsNaN(*minGain) {
+		return fmt.Errorf("min-gain = %v must be a number", *minGain)
+	}
 	sess, err := obsFlags.Start("gbd-design", args)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	gbd "github.com/groupdetect/gbd"
@@ -28,6 +29,25 @@ func TestRunDesignErrors(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) should fail", args)
+		}
+	}
+}
+
+// TestRunRefusesNaN: a NaN range-checked flag is refused with an error
+// that names it, instead of running (or failing later for another
+// reason).
+func TestRunRefusesNaN(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"-target", "NaN"}, "target"},
+		{[]string{"-budget", "NaN"}, "budget"},
+		{[]string{"-place", "-place-n", "8", "-place-trials", "50", "-min-gain", "NaN"}, "min-gain"},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.name) || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("run(%v) = %v, want an error naming %s = NaN", tc.args, err, tc.name)
 		}
 	}
 }

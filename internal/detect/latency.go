@@ -93,7 +93,7 @@ func RequiredN(p Params, target float64, nMax int, opt MSOptions) (int, error) {
 	if err := p.WithN(nMax).Validate(); err != nil {
 		return 0, err
 	}
-	if target <= 0 || target >= 1 {
+	if !(target > 0 && target < 1) {
 		return 0, fmt.Errorf("target probability %v must be in (0, 1): %w", target, ErrParams)
 	}
 	if nMax < 1 {

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math"
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/numeric"
@@ -111,6 +112,9 @@ func TestRequiredNValidation(t *testing.T) {
 	}
 	if _, err := RequiredN(p, 1, 200, MSOptions{}); err == nil {
 		t.Error("target 1 should fail")
+	}
+	if _, err := RequiredN(p, math.NaN(), 200, MSOptions{}); err == nil {
+		t.Error("target NaN should fail")
 	}
 	if _, err := RequiredN(p, 0.5, 0, MSOptions{}); err == nil {
 		t.Error("nMax 0 should fail")

@@ -95,7 +95,7 @@ func KMin(m Model, horizon int, budget float64) (int, error) {
 	if horizon < m.M {
 		return 0, fmt.Errorf("horizon %d shorter than window %d: %w", horizon, m.M, ErrModel)
 	}
-	if budget <= 0 || budget >= 1 {
+	if !(budget > 0 && budget < 1) {
 		return 0, fmt.Errorf("budget %v must be in (0, 1): %w", budget, ErrModel)
 	}
 	for k := 1; k <= m.N*m.M; k++ {

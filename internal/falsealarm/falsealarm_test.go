@@ -138,6 +138,9 @@ func TestKMinValidation(t *testing.T) {
 	if _, err := KMin(m, 100, 1); err == nil {
 		t.Error("budget 1 should fail")
 	}
+	if _, err := KMin(m, 100, math.NaN()); err == nil {
+		t.Error("budget NaN should fail")
+	}
 	bad := m
 	bad.M = 0
 	if _, err := KMin(bad, 100, 0.01); err == nil {

@@ -125,7 +125,7 @@ func (c Config) Resolve() (Config, int, error) {
 	if c.FalseAlarmP == 0 {
 		c.FalseAlarmP = falsealarm.DefaultPf
 	}
-	if c.FalseAlarmP < 0 || c.FalseAlarmP > 1 {
+	if !(c.FalseAlarmP >= 0 && c.FalseAlarmP <= 1) {
 		return c, 0, fmt.Errorf("false alarm probability %v: %w", c.FalseAlarmP, ErrConfig)
 	}
 	if c.FAHorizon == 0 {

@@ -305,6 +305,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Classes = []Class{{Count: -1}} }, // bad class
 		func(c *Config) { c.RNG = field.RNGScheme(9) },       // bad scheme
 		func(c *Config) { c.FalseAlarmP = 2 },                // bad Pf
+		func(c *Config) { c.FalseAlarmP = math.NaN() },       // NaN Pf
 		func(c *Config) {
 			c.Classes = []Class{{Count: 5, Rs: -1, Pd: 0.9}} // bad class Rs
 		},

@@ -56,7 +56,7 @@ type FalseAlarm struct {
 // NewFalseAlarm validates and returns a false alarm model. P may be zero
 // (no false alarms).
 func NewFalseAlarm(p float64) (FalseAlarm, error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return FalseAlarm{}, fmt.Errorf("p = %v must be in [0, 1]: %w", p, ErrModel)
 	}
 	return FalseAlarm{P: p}, nil

@@ -48,6 +48,9 @@ func TestNewFalseAlarmValidation(t *testing.T) {
 	if _, err := NewFalseAlarm(-0.1); err == nil {
 		t.Error("negative p should fail")
 	}
+	if _, err := NewFalseAlarm(math.NaN()); err == nil {
+		t.Error("NaN probability should be rejected")
+	}
 	if _, err := NewFalseAlarm(1.1); err == nil {
 		t.Error("p > 1 should fail")
 	}

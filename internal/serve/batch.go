@@ -1,20 +1,26 @@
 // The /v1/batch handler: many analysis/simulation points in one request,
 // answered as an NDJSON stream with one line per item in input order.
-// Each line is bit-identical to the item's standalone /v1/* response — a
-// batch item and the equivalent single request render through the same
-// renderCompute path and read/populate the same cache keys, so warming
-// the cache through one surface warms it for the other.
+// Each line is bit-identical to the item's standalone /v1/* response: an
+// item takes the standalone hit path (resolve: the raw-body digest alias,
+// scoped for the routeless sweep_point by its /v1/batch/sweep_point key
+// prefix, then the canonical key) and renders through the same
+// renderCompute, so warming the cache through one surface warms it for
+// the other.
 //
 // The batch holds at most ONE admission slot (acquired only when some
 // item actually computes locally), the same discipline as a sweep stream:
 // a 256-item batch costs the pool one worker, not 256, and a shed batch
-// is a single 429/503 with Retry-After before any line is written.
+// is a single 429/503 with Retry-After before any line is written. Held
+// lines are flushed only before a line that must compute, so an all-hit
+// batch leaves as one write with a Content-Length.
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/scenario"
@@ -108,19 +114,20 @@ func (s *Server) validateBatch(req BatchRequest) error {
 	return nil
 }
 
-// planItem resolves one batch item through the endpoint table. The entry
-// is returned whenever the op names one, even if planning failed; an
-// error becomes the item's in-band error line.
-func (s *Server) planItem(it BatchItem) (*endpoint, string, computeFunc, error) {
+// resolveItem resolves one batch item through the endpoint table and
+// the standalone hit path, assembling the op's digest scope and the item
+// bytes in sc. An unknown op or a missing request is the item's in-band
+// error.
+func (s *Server) resolveItem(r *http.Request, it BatchItem, sc *bodyScratch) resolved {
 	e := endpointFor(it.Op)
 	switch {
 	case len(it.Request) == 0:
-		return e, "", nil, fmt.Errorf("batch item %q missing request: %w", it.Op, ErrRequest)
+		return resolved{e: e, err: fmt.Errorf("batch item %q missing request: %w", it.Op, ErrRequest)}
 	case e == nil:
-		return nil, "", nil, fmt.Errorf("op = %q must be one of %s: %w", it.Op, opNames, ErrRequest)
+		return resolved{err: fmt.Errorf("op = %q must be one of %s: %w", it.Op, opNames, ErrRequest)}
 	}
-	key, compute, err := e.plan(s, it.Request)
-	return e, key, compute, err
+	sc.buf = append(append(sc.buf[:0], e.scope...), it.Request...)
+	return s.resolve(r, e, sc.buf, true)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -136,50 +143,44 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	batchRequests.Inc()
 	batchItems.Add(uint64(len(req.Items)))
 
-	// Classification pass: every item resolves through the endpoint table
-	// to hit, forward, miss, or error before any compute runs, so the
-	// aggregate X-Cache header can precede the stream. A compute that
-	// later fails still lands as an in-band error line; the header
-	// reflects lookup-time classification.
-	type itemState struct {
-		e       *endpoint
-		key     string
-		compute computeFunc
-		body    []byte
-		err     error
-	}
-	states := make([]itemState, len(req.Items))
+	// Classification pass: every item resolves to hit, forward, miss, or
+	// error before any compute runs, so the aggregate X-Cache header can
+	// precede the stream. A compute that later fails still lands as an
+	// in-band error line; the header reflects lookup-time classification.
+	items := make([]resolved, len(req.Items))
 	var hits, misses, forwards, errs int
+	sc := bodyPool.Get().(*bodyScratch)
 	for i, it := range req.Items {
-		st := &states[i]
-		st.e, st.key, st.compute, st.err = s.planItem(it)
+		st := &items[i]
+		*st = s.resolveItem(r, it, sc)
 		if st.e != nil {
 			st.e.requests.Inc()
 		}
-		if st.err != nil {
-			errs++
-			continue
-		}
-		// A forwarded item replays at its owner as a one-item batch — the
-		// one shape every op, sweep_point included, can take.
-		body, source, ok := s.lookup(r, st.key, "", forward{e: st.e, body: it.Request, batch: true})
 		switch {
-		case !ok:
+		case st.err != nil:
+			errs++
+			if st.e != nil {
+				st.e.errors.Inc()
+			}
+			st.body = errorBody(st.err)
+		case st.body == nil:
 			misses++
-		case source == "hit":
+		case st.source == "hit":
 			hits++
 		default:
 			forwards++
 		}
-		st.body = body
 	}
+	bodyPool.Put(sc)
 
 	// One admission slot covers every local compute in the batch, acquired
 	// before the header so a shed batch is a clean 429/503 + Retry-After.
 	// An all-hit (or all-forward) batch never touches the pool.
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
+	var ctx context.Context
 	if misses > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = s.requestCtx(r)
+		defer cancel()
 		release, err := s.adm.acquire(ctx)
 		if err != nil {
 			s.writeError(w, err)
@@ -190,27 +191,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Cache", fmt.Sprintf("hit=%d,miss=%d,forward=%d,error=%d", hits, misses, forwards, errs))
+	if misses == 0 {
+		n := 0
+		for _, it := range items {
+			n += len(it.body)
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(n))
+	}
+	// Held lines are buffered as they come; a line that must compute first
+	// flushes the lines before it. Singleflight still dedups against other
+	// requests; the fn holds this batch's slot, never a second one.
 	flusher, _ := w.(http.Flusher)
-	for i := range states {
-		st := &states[i]
-		line := st.body
-		if line == nil && st.err == nil {
-			// Singleflight still dedups against standalone requests and
-			// other batches; the fn holds this batch's slot, never a
-			// second one.
-			line, st.err, _ = s.flight.do(st.key, func() ([]byte, error) {
-				return s.renderCompute(ctx, st.key, "", st.compute)
-			})
-		}
-		if st.err != nil {
-			if st.e != nil {
-				st.e.errors.Inc()
+	for i := range items {
+		st := &items[i]
+		if st.body == nil {
+			if flusher != nil && i > 0 {
+				flusher.Flush()
 			}
-			line = errorBody(st.err)
+			st.body, st.err, _ = s.flight.do(st.key, func() ([]byte, error) {
+				return s.renderCompute(ctx, st.key, st.alias, st.compute)
+			})
+			if st.err != nil {
+				st.e.errors.Inc()
+				st.body = errorBody(st.err)
+			}
 		}
-		w.Write(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		w.Write(st.body)
 	}
 }

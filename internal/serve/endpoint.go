@@ -3,9 +3,10 @@
 // request to its cache key and the computation that renders it. Three
 // consumers drive the table and each exists once: the standalone POST
 // handler (handle), the /v1/batch planner (batch.go), and the peer
-// forward loop (forward.go). The per-endpoint knowledge — canonical
-// forms, validation, the compute bodies — lives in the *Key and compute*
-// functions the plans call; everything else is shared plumbing.
+// forward loop (forward.go); the first two share one hit path (resolve).
+// The per-endpoint knowledge — canonical forms, validation, the compute
+// bodies — lives in the *Key and compute* functions the plans call;
+// everything else is shared plumbing.
 package serve
 
 import (
@@ -24,9 +25,11 @@ type computeFunc = func(ctx context.Context) (any, error)
 // endpoint is one entry of the table.
 type endpoint struct {
 	name string
-	// path is the standalone route, which also scopes the raw-body digest
-	// and is the peer-forward target; "" for batch-only ops.
-	path string
+	// path is the standalone route and peer-forward target, "" for
+	// batch-only ops. scope prefixes the raw-body digest so identical
+	// bytes under two ops never share an alias: the route, or the
+	// /v1/batch/<name> key prefix of a batch-only op.
+	path, scope string
 	// plan strictly decodes a request body and resolves it to its cache
 	// key and computation.
 	plan func(s *Server, body []byte) (key string, compute computeFunc, err error)
@@ -44,8 +47,9 @@ type endpoint struct {
 // request.
 func op[Req any](name, path string, plan func(s *Server, req *Req) (string, computeFunc, error)) *endpoint {
 	e := &endpoint{
-		name: name,
-		path: path,
+		name:  name,
+		path:  path,
+		scope: path,
 		plan: func(s *Server, body []byte) (string, computeFunc, error) {
 			var req Req
 			if err := decodeBytes(body, &req); err != nil {
@@ -58,6 +62,8 @@ func op[Req any](name, path string, plan func(s *Server, req *Req) (string, comp
 	}
 	if path != "" {
 		e.latency = obs.Default.Histogram("serve."+name+".latency.seconds", obs.SecondsBuckets())
+	} else {
+		e.scope = "/v1/batch/" + name
 	}
 	return e
 }
@@ -125,32 +131,49 @@ func (s *Server) handle(e *endpoint) http.HandlerFunc {
 	}
 }
 
-// serveEndpoint is the decode → key → cache → forward chain. Raw-body
-// fast path first: hash the exact request bytes and serve the rendered
-// response without decoding when a previous byte-identical request
-// populated the alias. Identical bytes always canonicalize identically,
-// so this can never serve the wrong entry; bodies that differ only in
-// whitespace or field order fall through to the canonical key.
+// serveEndpoint resolves the body read into the pooled scratch; the
+// scratch outlives serveResolved, so a forward replays the raw bytes.
 func (s *Server) serveEndpoint(w http.ResponseWriter, r *http.Request, e *endpoint) error {
 	sc := bodyPool.Get().(*bodyScratch)
 	defer bodyPool.Put(sc)
-	raw, err := readBody(r, e.path, sc)
+	raw, err := readBody(r, e.scope, sc)
 	if err != nil {
 		return err
 	}
+	return s.serveResolved(w, r, s.resolve(r, e, raw, false))
+}
+
+// resolved is one request or batch item after resolve: the bytes to
+// answer with (a hit or a forward), the planned computation of a miss,
+// or the error that becomes its response.
+type resolved struct {
+	e          *endpoint
+	key, alias string
+	compute    computeFunc
+	body       []byte
+	source     string
+	err        error
+}
+
+// resolve is the one hit path of every standalone request and /v1/batch
+// item; raw is e.scope followed by the request bytes. A byte-identical
+// earlier request answers through the raw-digest alias without decoding;
+// otherwise the bytes are planned and looked up by canonical key, whose
+// hit, forward or compute attaches the alias. An alias miss is counted
+// by that lookup, or as a miss if planning fails. A batch item forwards
+// as a one-item batch, the one shape every op can take.
+func (s *Server) resolve(r *http.Request, e *endpoint, raw []byte, batch bool) resolved {
 	digest := sha256.Sum256(raw)
 	if body, ok := s.cache.getBytes(digest[:]); ok {
 		lookupHit()
-		writeBody(w, "hit", body)
-		return nil
+		return resolved{e: e, body: body, source: "hit"}
 	}
-	lookupMiss()
-	body := raw[len(e.path):]
-	key, compute, err := e.plan(s, body)
-	if err != nil {
-		return err
+	it := resolved{e: e, alias: string(digest[:])}
+	body := raw[len(e.scope):]
+	if it.key, it.compute, it.err = e.plan(s, body); it.err != nil {
+		lookupMiss()
+		return it
 	}
-	// The raw bytes outlive serveKeyed (the pooled scratch is released on
-	// return), so a peer forward replays them verbatim.
-	return s.serveKeyed(w, r, key, string(digest[:]), forward{e: e, body: body}, compute)
+	it.body, it.source, _ = s.lookup(r, it.key, it.alias, forward{e: e, body: body, batch: batch})
+	return it
 }

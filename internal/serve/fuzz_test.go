@@ -12,15 +12,19 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/detect"
 )
 
-// fuzzServer is shared across fuzz iterations; planning is read-only on
-// the server (config lookups), so this is race-free.
+// fuzzServer is shared across fuzz iterations; planning and resolving
+// without computing only read the server's config and probe its
+// mutex-guarded cache, so this is race-free.
 var fuzzServer = New(Config{})
 
 // opIndex returns the table position of the named op.
@@ -81,6 +85,9 @@ var (
 		`{"items":[]}`,
 		`{"items":[{"op":"infer","request":"not an object"}]}`,
 		`not json`,
+		// A repeated item, valid and broken, and the same bytes under three ops.
+		`{"items":[{"op":"analyze","request":{"scenario":{}}},{"op":"analyze","request":{"scenario":{}}},{"op":"latency","request":{"scenario":{"n":-1}}},{"op":"latency","request":{"scenario":{"n":-1}}}]}`,
+		`{"items":[{"op":"analyze","request":{"scenario":{"n":90}}},{"op":"latency","request":{"scenario":{"n":90}}},{"op":"sweep_point","request":{"scenario":{"n":90}}}]}`,
 	}
 )
 
@@ -132,8 +139,11 @@ func checkSweepEnvelope(t *testing.T, body []byte) {
 }
 
 // checkBatchEnvelope runs a /v1/batch body through the handler's checks
-// and plans every item; item errors are in-band lines of a 200 stream
-// and must classify as 4xx like a rejected envelope.
+// and resolves every item as handleBatch does, without computing; item
+// errors are in-band lines of a 200 stream and must classify as 4xx like
+// a rejected envelope. A repeated item (same op, same bytes) must get
+// the same line — the same error line, or the same canonical key — and
+// the same alias, and the same bytes under two ops never share an alias.
 func checkBatchEnvelope(t *testing.T, body []byte) {
 	var req BatchRequest
 	err := decodeBytes(body, &req)
@@ -144,11 +154,38 @@ func checkBatchEnvelope(t *testing.T, body []byte) {
 		checkRejection(t, "/v1/batch", body, err)
 		return
 	}
+	r := httptest.NewRequest(http.MethodPost, "/v1/batch", nil)
+	sc := &bodyScratch{}
+	seen := make(map[string]resolved)
+	aliasOp := make(map[string]string)
 	for _, it := range req.Items {
-		if _, _, _, err := fuzzServer.planItem(it); err != nil {
-			checkRejection(t, "/v1/batch item "+it.Op, it.Request, err)
+		res := fuzzServer.resolveItem(r, it, sc)
+		if res.err != nil {
+			checkRejection(t, "/v1/batch item "+it.Op, it.Request, res.err)
 		}
+		id := it.Op + "\x00" + string(it.Request)
+		if first, ok := seen[id]; ok && (first.alias != res.alias || !bytes.Equal(itemLine(first), itemLine(res))) {
+			t.Errorf("repeated %s item %q resolved differently: alias %x line %q, then alias %x line %q",
+				it.Op, it.Request, first.alias, itemLine(first), res.alias, itemLine(res))
+		}
+		seen[id] = res
+		if res.alias == "" {
+			continue
+		}
+		if op, ok := aliasOp[res.alias]; ok && op != it.Op {
+			t.Errorf("ops %s and %s share the raw-body alias of %q", op, it.Op, it.Request)
+		}
+		aliasOp[res.alias] = it.Op
 	}
+}
+
+// itemLine is what an unanswered resolved item's batch line is fixed by:
+// its error line, or else the bytes cached under its canonical key.
+func itemLine(res resolved) []byte {
+	if res.err != nil {
+		return errorBody(res.err)
+	}
+	return []byte(res.key)
 }
 
 // checkPlan asserts the fuzz properties for one body sent to one op.

@@ -45,9 +45,11 @@ var (
 )
 
 // lookupHit / lookupMiss / lookupForward classify one cache lookup.
-// Every get/getBytes call must be followed by exactly one of these, which
-// is what keeps hits + misses + forwards == lookups an identity rather
-// than an approximation.
+// Every request, batch item and sweep row that reaches the cache is
+// classified by exactly one of these (a raw-body alias miss by the
+// canonical lookup that follows it), which is what keeps
+// hits + misses + forwards == lookups an identity rather than an
+// approximation.
 func lookupHit()     { cacheLookups.Inc(); cacheHits.Inc() }
 func lookupMiss()    { cacheLookups.Inc(); cacheMisses.Inc() }
 func lookupForward() { cacheLookups.Inc(); peerForwards.Inc() }

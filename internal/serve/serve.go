@@ -291,43 +291,35 @@ func writeBody(w http.ResponseWriter, source string, body []byte) {
 	w.Write(body)
 }
 
-// serveKeyed is the shared read path: cache lookup, then singleflight
-// dedup around an admission-controlled computation. compute's result is
-// marshaled once; the bytes are cached and every hit or follower receives
-// exactly those bytes, so identical requests are bit-identical responses
-// by construction. An error is returned unwritten for the caller to
-// count and render.
-//
-// rawKey, when non-empty, is the digest of the exact request bytes,
-// attached to the canonical entry as an alias so the next byte-identical
-// request short-circuits in the handler before any JSON decoding or
-// canonicalization (the near-zero-alloc hit path). The alias is sound
-// because identical raw bytes always canonicalize to the same key, hence
-// the same body; it shares the entry's LRU slot rather than holding one
-// of its own.
-func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, key, rawKey string, fwd forward, compute computeFunc) error {
-	if body, source, ok := s.lookup(r, key, rawKey, fwd); ok {
-		writeBody(w, source, body)
-		return nil
-	}
-	body, err, shared := s.flight.do(key, func() ([]byte, error) {
-		ctx, cancel := s.requestCtx(r)
-		defer cancel()
-		release, err := s.adm.acquire(ctx)
-		if err != nil {
-			return nil, err
+// serveResolved answers a resolved request: its error is returned
+// unwritten for the caller to count and render, found bytes are written
+// as they are, and a miss runs under singleflight dedup around an
+// admission-controlled computation. compute's result is marshaled once;
+// the bytes are cached and every hit or follower receives exactly those
+// bytes, so identical requests are bit-identical responses by
+// construction.
+func (s *Server) serveResolved(w http.ResponseWriter, r *http.Request, it resolved) error {
+	if it.err == nil && it.body == nil {
+		var shared bool
+		it.body, it.err, shared = s.flight.do(it.key, func() ([]byte, error) {
+			ctx, cancel := s.requestCtx(r)
+			defer cancel()
+			release, err := s.adm.acquire(ctx)
+			if err != nil {
+				return nil, err
+			}
+			defer release()
+			return s.renderCompute(ctx, it.key, it.alias, it.compute)
+		})
+		it.source = "miss"
+		if shared {
+			it.source = "dedup"
 		}
-		defer release()
-		return s.renderCompute(ctx, key, rawKey, compute)
-	})
-	if err != nil {
-		return err
 	}
-	source := "miss"
-	if shared {
-		source = "dedup"
+	if it.err != nil {
+		return it.err
 	}
-	writeBody(w, source, body)
+	writeBody(w, it.source, it.body)
 	return nil
 }
 
@@ -340,10 +332,10 @@ func (s *Server) serveKeyed(w http.ResponseWriter, r *http.Request, key, rawKey 
 // replica is forwarded there (forward.go) instead of computed; the
 // owner's singleflight is the fleet-wide dedup point, so no key is
 // computed by more than one replica.
-func (s *Server) lookup(r *http.Request, key, rawKey string, fwd forward) (body []byte, source string, ok bool) {
+func (s *Server) lookup(r *http.Request, key, alias string, fwd forward) (body []byte, source string, ok bool) {
 	if body, ok := s.cache.get(key); ok {
 		lookupHit()
-		s.cache.attachAlias(key, rawKey)
+		s.cache.attachAlias(key, alias)
 		return body, "hit", true
 	}
 	if body, upstream, ok := s.tryForward(r, key, fwd); ok {
@@ -352,7 +344,7 @@ func (s *Server) lookup(r *http.Request, key, rawKey string, fwd forward) (body 
 		// owner — and caching the forwarded bytes locally means repeat
 		// traffic for this key is a local hit on every replica.
 		s.cache.add(key, body)
-		s.cache.attachAlias(key, rawKey)
+		s.cache.attachAlias(key, alias)
 		return body, "forward-" + upstream, true
 	}
 	lookupMiss()
@@ -363,7 +355,15 @@ func (s *Server) lookup(r *http.Request, key, rawKey string, fwd forward) (body 
 // response bytes (one JSON line), and populates the cache. It is the
 // single render point shared by the standalone handler and /v1/batch,
 // which is what makes their bytes bit-identical by construction.
-func (s *Server) renderCompute(ctx context.Context, key, rawKey string, compute computeFunc) ([]byte, error) {
+//
+// alias, when non-empty, is the digest of the exact request bytes
+// (resolve), attached to the canonical entry here and on every hit or
+// forward in lookup, so the next byte-identical request is answered
+// before any JSON decoding or canonicalization. The alias is sound
+// because identical raw bytes always canonicalize to the same key, hence
+// the same body; it shares the entry's LRU slot rather than holding one
+// of its own.
+func (s *Server) renderCompute(ctx context.Context, key, alias string, compute computeFunc) ([]byte, error) {
 	v, err := compute(ctx)
 	if err != nil {
 		return nil, err
@@ -374,7 +374,7 @@ func (s *Server) renderCompute(ctx context.Context, key, rawKey string, compute 
 	}
 	body = append(body, '\n')
 	s.cache.add(key, body)
-	s.cache.attachAlias(key, rawKey)
+	s.cache.attachAlias(key, alias)
 	return body, nil
 }
 
@@ -811,7 +811,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	err = s.serveKeyed(w, r, key, "", forward{}, func(ctx context.Context) (any, error) {
+	it := resolved{key: key, compute: func(ctx context.Context) (any, error) {
 		tbl, err := experiments.RunOne(id, experiments.Options{
 			Trials:       trials,
 			Seed:         seed,
@@ -829,8 +829,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			ID: tbl.ID, Title: tbl.Title,
 			Columns: tbl.Columns, Rows: tbl.Rows, Notes: tbl.Notes,
 		}, nil
-	})
-	if err != nil {
+	}}
+	it.body, it.source, _ = s.lookup(r, key, "", forward{})
+	if err := s.serveResolved(w, r, it); err != nil {
 		s.writeError(w, err)
 	}
 }

@@ -158,7 +158,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Confine != ConfineRejection && c.Confine != ConfineNone {
 		return c, fmt.Errorf("unknown confinement %d: %w", c.Confine, ErrConfig)
 	}
-	if c.FalseAlarmP < 0 || c.FalseAlarmP > 1 {
+	if !(c.FalseAlarmP >= 0 && c.FalseAlarmP <= 1) {
 		return c, fmt.Errorf("false alarm probability %v: %w", c.FalseAlarmP, ErrConfig)
 	}
 	if c.ExposureLambda < 0 {

@@ -28,6 +28,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative workers", func(c *Config) { c.Workers = -1 }},
 		{"bad confinement", func(c *Config) { c.Confine = Confinement(9) }},
 		{"bad false alarm", func(c *Config) { c.FalseAlarmP = 1.5 }},
+		{"NaN false alarm", func(c *Config) { c.FalseAlarmP = math.NaN() }},
 	}
 	for _, tc := range cases {
 		cfg := baseConfig()
