@@ -59,14 +59,7 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	// LIFO: RecordOutcome classifies err into the manifest status before
-	// Close stamps and writes the manifest.
-	defer func() { sess.RecordOutcome(err) }()
+	defer sess.Finish(&err)
 	var runs []Result
 	for _, bm := range benchsuite.All {
 		if *match != "" && !strings.Contains(bm.Name, *match) {

@@ -11,7 +11,6 @@ import (
 // re-default one unnoticed. The help sentences are not pinned.
 func TestFlagsPinned(t *testing.T) {
 	const want = `-budget float 0.01
--checkpoint string
 -classes string
 -comm float 6000
 -fa float 0.0001
@@ -28,13 +27,10 @@ func TestFlagsPinned(t *testing.T) {
 -place-out string
 -place-trials int 2000
 -pprof string
--quick
--resume
 -rng string
 -rs float 1000
 -seed int 1
 -side float 32000
--sweep
 -sweep-workers int
 -t duration 1m0s
 -target float 0.9

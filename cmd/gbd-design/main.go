@@ -8,8 +8,9 @@
 // With -place the workflow answers the placement question instead: where
 // do my N sensors go? The lazy-greedy optimizer places the budget on a
 // candidate grid and reports the layout against the paper's
-// uniform-random deployment at equal N. -sweep runs the checkpointable
-// budget sweep from the experiments registry.
+// uniform-random deployment at equal N. The checkpointable budget sweep
+// is the experiments registry's "placement" table
+// (gbd-experiments -exp placement).
 //
 // Usage:
 //
@@ -20,7 +21,6 @@
 //	gbd-design -target 0.9 -fa 1e-4 -budget 0.01 -horizon 1440
 //	gbd-design -place -place-n 120 -grid 32x32
 //	gbd-design -place -classes 80:1000:0.9,40:2000:0.7 -place-out layout.json
-//	gbd-design -place -sweep -checkpoint place.ckpt
 package main
 
 import (
@@ -36,8 +36,6 @@ import (
 	"time"
 
 	gbd "github.com/groupdetect/gbd"
-	"github.com/groupdetect/gbd/internal/checkpoint"
-	"github.com/groupdetect/gbd/internal/experiments"
 	"github.com/groupdetect/gbd/internal/falsealarm"
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
@@ -75,11 +73,7 @@ func run(args []string) (err error) {
 		rngName     = fs.String("rng", "", "placement RNG scheme: legacy (default) or philox")
 		minGain     = fs.Float64("min-gain", math.Inf(-1), "fail unless placed beats uniform by at least this absolute gain")
 		placeOut    = fs.String("place-out", "", "write the placed layout as JSON to this file")
-		sweepB      = fs.Bool("sweep", false, "with -place: run the budget sweep from the experiments registry")
 		sweepW      = fs.Int("sweep-workers", 0, "placement precompute workers (0 = all cores); output is identical at any setting")
-		quick       = fs.Bool("quick", false, "with -sweep: reduced budgets and grid")
-		ckptPath    = fs.String("checkpoint", "", "with -sweep: record completed budgets in this file")
-		resume      = fs.Bool("resume", false, "resume from an existing -checkpoint file")
 	)
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -96,14 +90,7 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	// LIFO: RecordOutcome classifies err into the manifest status before
-	// Close stamps and writes the manifest.
-	defer func() { sess.RecordOutcome(err) }()
+	defer sess.Finish(&err)
 	sess.SetSeed(*seed)
 
 	p := *flagParams
@@ -116,11 +103,7 @@ func run(args []string) (err error) {
 			placeN: *placeN, gridSpec: *gridSpec, classSpec: *classSpec,
 			trials: *placeTrials, seed: *seed, rng: scheme,
 			minGain: *minGain, outPath: *placeOut,
-			workers: *sweepW, quick: *quick,
-			ckptPath: *ckptPath, resume: *resume,
-		}
-		if *sweepB {
-			return pc.runSweep(ctx, sess)
+			workers: *sweepW,
 		}
 		return pc.runOnce(ctx, sess)
 	}
@@ -222,7 +205,7 @@ func run(args []string) (err error) {
 	return nil
 }
 
-// placeCmd is the -place mode: single placement or the registry sweep.
+// placeCmd is the -place mode.
 type placeCmd struct {
 	p          gbd.Params
 	fa, budget float64
@@ -236,9 +219,6 @@ type placeCmd struct {
 	minGain    float64
 	outPath    string
 	workers    int
-	quick      bool
-	ckptPath   string
-	resume     bool
 }
 
 // parseGrid reads a COLSxROWS spec like "32x32".
@@ -358,52 +338,5 @@ func (c placeCmd) runOnce(ctx context.Context, sess *obs.Session) error {
 	if cmp.AbsGain < c.minGain {
 		return fmt.Errorf("placed layout gains %+.4f over uniform, below the -min-gain %g gate", cmp.AbsGain, c.minGain)
 	}
-	return nil
-}
-
-// placeSweepParams is the sweep checkpoint identity: the knobs that
-// change sweep results.
-type placeSweepParams struct {
-	Trials int
-	Quick  bool
-	RNG    string `json:",omitempty"`
-}
-
-// runSweep runs the "placement" experiment from the registry: the budget
-// sweep with per-point checkpointing, resumable across runs.
-func (c placeCmd) runSweep(ctx context.Context, sess *obs.Session) (err error) {
-	opt := experiments.Options{
-		Trials:       c.trials,
-		Seed:         c.seed,
-		Quick:        c.quick,
-		RNG:          c.rng,
-		SweepWorkers: c.workers,
-		Ctx:          ctx,
-		OnPointError: func(point string, attempt int, perr error) {
-			sess.SetFailedPoint(point)
-			fmt.Fprintf(os.Stderr, "point %s attempt %d failed: %v\n", point, attempt+1, perr)
-		},
-	}
-	fp, err := checkpoint.Fingerprint("gbd-design-place",
-		placeSweepParams{Trials: c.trials, Quick: c.quick, RNG: c.rng.Canonical()}, c.seed)
-	if err != nil {
-		return err
-	}
-	if opt.Checkpoint, err = checkpoint.Open(c.ckptPath, fp, c.resume); err != nil {
-		return err
-	}
-	if c.resume {
-		fmt.Fprintf(os.Stderr, "resuming: %d completed points restored from %s\n", opt.Checkpoint.Len(), c.ckptPath)
-	}
-	defer func() {
-		if ferr := opt.Checkpoint.Flush(); err == nil {
-			err = ferr
-		}
-	}()
-	tbl, err := experiments.RunOne("placement", opt)
-	if err != nil {
-		return err
-	}
-	fmt.Print(tbl.Render())
 	return nil
 }

@@ -91,23 +91,6 @@ func TestRunPlaceClasses(t *testing.T) {
 	}
 }
 
-func TestRunPlaceSweepCheckpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("placement sweep runs simulations; skipped in -short mode")
-	}
-	ckpt := filepath.Join(t.TempDir(), "place.ckpt")
-	args := []string{
-		"-place", "-sweep", "-quick",
-		"-place-trials", "100", "-seed", "7", "-checkpoint", ckpt,
-	}
-	if err := run(args); err != nil {
-		t.Fatalf("run(%v): %v", args, err)
-	}
-	if err := run(append(args, "-resume")); err != nil {
-		t.Fatalf("resumed run(%v): %v", args, err)
-	}
-}
-
 func TestRunPlaceErrors(t *testing.T) {
 	cases := [][]string{
 		{"-place", "-grid", "nonsense"},                      // bad grid spec
@@ -115,7 +98,6 @@ func TestRunPlaceErrors(t *testing.T) {
 		{"-place", "-classes", "6:1000"},                     // malformed class
 		{"-place", "-classes", "x:1000:0.9"},                 // non-numeric count
 		{"-place", "-rng", "quantum"},                        // unknown rng scheme
-		{"-place", "-sweep", "-resume"},                      // -resume without -checkpoint
 		{"-place", "-place-trials", "100", "-min-gain", "2"}, // unreachable gain gate
 	}
 	for _, args := range cases {

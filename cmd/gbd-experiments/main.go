@@ -26,12 +26,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
-	"github.com/groupdetect/gbd/internal/checkpoint"
 	"github.com/groupdetect/gbd/internal/experiments"
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/obs"
+	"github.com/groupdetect/gbd/internal/sweep"
 )
 
 func main() {
@@ -65,8 +66,12 @@ type campaignParams struct {
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gbd-experiments", flag.ContinueOnError)
+	var ids []string
+	for _, r := range experiments.Runners() {
+		ids = append(ids, r.ID)
+	}
 	var (
-		exp     = fs.String("exp", "all", "experiment id (fig8, fig9a, fig9b, fig9c, timing, extension, kmin, boundary, comm, latency, tapproach) or all")
+		exp     = fs.String("exp", "all", "experiment id ("+strings.Join(ids, ", ")+") or all")
 		trials  = fs.Int("trials", 0, "Monte Carlo trials per point (0 = paper's 10000)")
 		seed    = fs.Int64("seed", 1, "random seed")
 		quick   = fs.Bool("quick", false, "reduced sweeps and trial counts")
@@ -74,25 +79,15 @@ func run(args []string) (err error) {
 		csv     = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		plots   = fs.Bool("plot", false, "append ASCII charts for plottable experiments")
 		outDir  = fs.String("out", "", "write per-experiment files into this directory instead of stdout")
-		workers = fs.Int("sweep-workers", 0, "concurrent sweep points per experiment (0 = all cores); output is identical at any setting")
-
-		ckptPath     = fs.String("checkpoint", "", "record completed sweep points in this file for crash/interrupt recovery")
-		resume       = fs.Bool("resume", false, "resume from an existing -checkpoint file (refuses stale checkpoints)")
-		retryBackoff = fs.Duration("retry-backoff", 100*time.Millisecond, "base backoff between point retries")
-		pointTimeout = fs.Duration("point-timeout", 0, "deadline per sweep-point attempt (0 = none)")
 	)
-	// The sweep fault policy answers to both spellings of the shared
-	// vocabulary: -retries (native here) and -point-retries (gbd-faults,
-	// gbd-server) set the same value.
-	var retries int
-	fs.IntVar(&retries, "retries", 0, "re-attempts per failed sweep point (jittered exponential backoff; alias: -point-retries)")
-	fs.IntVar(&retries, "point-retries", 0, "alias for -retries")
+	policy := sweep.BindFlags(fs, 0)
+	ck := sweep.BindCheckpoint(fs)
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if retries < 0 {
-		return fmt.Errorf("retries = %d must be >= 0", retries)
+	if err := policy.Validate(); err != nil {
+		return err
 	}
 	scheme, err := field.ParseRNGScheme(*rngName)
 	if err != nil {
@@ -102,51 +97,27 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	// LIFO: RecordOutcome classifies err into the manifest status before
-	// Close stamps and writes the manifest.
-	defer func() { sess.RecordOutcome(err) }()
+	defer sess.Finish(&err)
 	ctx, cancel := sess.SignalContext(context.Background())
 	defer cancel()
 
 	opt := experiments.Options{
-		Trials:       *trials,
-		Seed:         *seed,
-		Quick:        *quick,
-		RNG:          scheme,
-		SweepWorkers: *workers,
-		Ctx:          ctx,
-		Retries:      retries,
-		RetryBackoff: *retryBackoff,
-		PointTimeout: *pointTimeout,
-		OnPointError: func(point string, attempt int, perr error) {
-			sess.SetFailedPoint(point)
-			fmt.Fprintf(os.Stderr, "point %s attempt %d failed: %v\n", point, attempt+1, perr)
-		},
+		Trials:     *trials,
+		Seed:       *seed,
+		Quick:      *quick,
+		RNG:        scheme,
+		Sweep:      *policy,
+		Ctx:        ctx,
+		Checkpoint: ck,
 	}
 	sess.SetParams(opt)
 	sess.SetSeed(*seed)
-
-	fp, err := checkpoint.Fingerprint("gbd-experiments",
+	err = ck.Open(sess, "gbd-experiments",
 		campaignParams{Trials: *trials, Quick: *quick, RNG: scheme.Canonical(), Points: 2}, *seed)
 	if err != nil {
 		return err
 	}
-	if opt.Checkpoint, err = checkpoint.Open(*ckptPath, fp, *resume); err != nil {
-		return err
-	}
-	if *resume {
-		fmt.Fprintf(os.Stderr, "resuming: %d completed points restored from %s\n", opt.Checkpoint.Len(), *ckptPath)
-	}
-	defer func() {
-		if ferr := opt.Checkpoint.Flush(); err == nil {
-			err = ferr
-		}
-	}()
+	defer ck.Flush(&err)
 
 	var tables []*experiments.Table
 	if *exp == "all" {

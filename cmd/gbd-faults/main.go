@@ -38,7 +38,6 @@ import (
 	"time"
 
 	gbd "github.com/groupdetect/gbd"
-	"github.com/groupdetect/gbd/internal/checkpoint"
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/experiments"
 	"github.com/groupdetect/gbd/internal/faults"
@@ -56,20 +55,11 @@ func main() {
 }
 
 // sweepEnv carries the resilience machinery (context, fault policy,
-// checkpoint, failure observer) from flag parsing into the sweep runners.
+// checkpoint) from flag parsing into the sweep runners.
 type sweepEnv struct {
-	ctx     context.Context
-	policy  sweep.Options
-	store   *checkpoint.Store
-	onError func(point string, attempt int, err error)
-}
-
-// runPoints runs the named sweep through sweep.Resumable under env,
-// reporting each failed attempt by its point key ("dead/3").
-func runPoints[T, R any](env sweepEnv, name string, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, []bool, error) {
-	opt := env.policy
-	opt.OnPointError = func(i, attempt int, err error) { env.onError(sweep.PointKey(name, i), attempt, err) }
-	return sweep.Resumable(env.ctx, opt, env.store, name, items, fn)
+	ctx    context.Context
+	policy sweep.Options
+	ck     *sweep.Checkpoint
 }
 
 func run(args []string, w io.Writer) (err error) {
@@ -80,7 +70,6 @@ func run(args []string, w io.Writer) (err error) {
 		seed    = fs.Int64("seed", 1, "random seed")
 		rngName = fs.String("rng", "", "trial RNG scheme: legacy (default) or philox (counter-based, window-local deploy)")
 		workers = fs.Int("workers", 0, "parallel trial workers per point (0 = all cores)")
-		sweepW  = fs.Int("sweep-workers", 1, "concurrent sweep points (0 = all cores); output is identical at any setting")
 
 		maxDead   = fs.Float64("max-dead", 0.5, "largest dead fraction in the sweep")
 		deadSteps = fs.Int("dead-steps", 10, "number of sweep increments")
@@ -100,25 +89,16 @@ func run(args []string, w io.Writer) (err error) {
 		backoff    = fs.Duration("backoff", 5*time.Second, "base retransmission backoff (doubles per retry)")
 		budget     = fs.Duration("budget", 0, "delivery latency budget (0 = one sensing period)")
 
-		ckptPath     = fs.String("checkpoint", "", "record completed sweep points in this file for crash/interrupt recovery")
-		resume       = fs.Bool("resume", false, "resume from an existing -checkpoint file (refuses stale checkpoints)")
-		retryBackoff = fs.Duration("retry-backoff", 100*time.Millisecond, "base backoff between point retries")
-		pointTimeout = fs.Duration("point-timeout", 0, "deadline per sweep-point attempt (0 = none)")
-		keepGoing    = fs.Bool("keep-going", false, "finish the sweep past point failures and render 'failed' rows")
+		keepGoing = fs.Bool("keep-going", false, "finish the sweep past point failures and render 'failed' rows")
 	)
-	// The sweep fault policy answers to both spellings of the shared
-	// vocabulary: -point-retries (native here) and -retries
-	// (gbd-experiments) set the same value. The per-hop retransmission
-	// count that -retries used to mean lives at -hop-retries now.
-	var pointRetries int
-	fs.IntVar(&pointRetries, "point-retries", 0, "re-attempts per failed sweep point (jittered exponential backoff; alias: -retries)")
-	fs.IntVar(&pointRetries, "retries", 0, "alias for -point-retries")
+	policy := sweep.BindFlags(fs, 1)
+	ck := sweep.BindCheckpoint(fs)
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if pointRetries < 0 {
-		return fmt.Errorf("point-retries = %d must be >= 0", pointRetries)
+	if err := policy.Validate(); err != nil {
+		return err
 	}
 	// A zero-trial dead-fraction point would render the analysis alone.
 	if *trials < 1 {
@@ -132,14 +112,7 @@ func run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	// LIFO: RecordOutcome classifies err into the manifest status before
-	// Close stamps and writes the manifest.
-	defer func() { sess.RecordOutcome(err) }()
+	defer sess.Finish(&err)
 	ctx, cancel := sess.SignalContext(context.Background())
 	defer cancel()
 
@@ -164,20 +137,8 @@ func run(args []string, w io.Writer) (err error) {
 		loss.Budget = p.T
 	}
 
-	env := sweepEnv{
-		ctx: ctx,
-		policy: sweep.Options{
-			Workers:      *sweepW,
-			Retries:      pointRetries,
-			Backoff:      *retryBackoff,
-			PointTimeout: *pointTimeout,
-			Degrade:      *keepGoing,
-		},
-		onError: func(point string, attempt int, perr error) {
-			sess.SetFailedPoint(point)
-			fmt.Fprintf(os.Stderr, "point %s attempt %d failed: %v\n", point, attempt+1, perr)
-		},
-	}
+	env := sweepEnv{ctx: ctx, policy: *policy, ck: ck}
+	env.policy.Degrade = *keepGoing
 	// Everything that shapes results goes into the checkpoint identity;
 	// execution knobs (workers, retry policy, keep-going) deliberately do
 	// not.
@@ -185,7 +146,7 @@ func run(args []string, w io.Writer) (err error) {
 	if *inferMode {
 		inferPD = *pDeliver
 	}
-	fp, err := checkpoint.Fingerprint("gbd-faults", struct {
+	err = ck.Open(sess, "gbd-faults", struct {
 		Params    gbd.Params
 		Trials    int
 		MaxDead   float64
@@ -205,17 +166,7 @@ func run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	if env.store, err = checkpoint.Open(*ckptPath, fp, *resume); err != nil {
-		return err
-	}
-	if *resume {
-		fmt.Fprintf(os.Stderr, "resuming: %d completed points restored from %s\n", env.store.Len(), *ckptPath)
-	}
-	defer func() {
-		if ferr := env.store.Flush(); err == nil {
-			err = ferr
-		}
-	}()
+	defer ck.Flush(&err)
 
 	switch {
 	case *hazard > 0:
@@ -255,7 +206,7 @@ func runDeadSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, maxDead float64
 	fmt.Fprintf(w, "degradation curve: Bernoulli node death, %d trials/point\n", base.Trials)
 	fmt.Fprintf(w, "%-10s  %-10s  %-9s  %-9s  %-7s\n", "dead_frac", "alive_frac", "analysis", "sim", "diff")
 	fracs := sweepGrid(maxDead, steps)
-	points, done, err := runPoints(env, "dead", fracs, func(ctx context.Context, _ int, f float64) (experiments.DeadPoint, error) {
+	points, done, err := sweep.Resumable(env.ctx, env.policy, env.ck, "dead", fracs, func(ctx context.Context, _ int, f float64) (experiments.DeadPoint, error) {
 		return experiments.DeadFracPoint(ctx, base, f, detect.MSOptions{})
 	})
 	if err != nil {
@@ -305,7 +256,7 @@ func runLossSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, loss netsim.Los
 	cfg := base
 	cfg.CommRange = commRange
 	cfg.Loss = loss
-	points, done, err := runPoints(env, "loss", rates, func(ctx context.Context, _ int, rate float64) (experiments.LossPoint, error) {
+	points, done, err := sweep.Resumable(env.ctx, env.policy, env.ck, "loss", rates, func(ctx context.Context, _ int, rate float64) (experiments.LossPoint, error) {
 		return experiments.HopLossPoint(ctx, cfg, rate, detect.MSOptions{})
 	})
 	if err != nil {
@@ -352,7 +303,7 @@ func runInferSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, pDeliver, maxD
 	cfg.PDeliver = pDeliver
 	cfg.Beacons = true
 	cfg.Infer = &gbd.InferOptions{}
-	points, done, err := runPoints(env, "infer", fracs, func(ctx context.Context, _ int, f float64) (experiments.InferPoint, error) {
+	points, done, err := sweep.Resumable(env.ctx, env.policy, env.ck, "infer", fracs, func(ctx context.Context, _ int, f float64) (experiments.InferPoint, error) {
 		return experiments.InferencePoint(ctx, cfg, f, detect.MSOptions{})
 	})
 	if err != nil {

@@ -150,12 +150,7 @@ func run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	defer func() { sess.RecordOutcome(err) }()
+	defer sess.Finish(&err)
 	ctx, cancel := sess.SignalContext(context.Background())
 	defer cancel()
 	sess.SetSeed(*seed)

@@ -66,6 +66,7 @@ import (
 	gbd "github.com/groupdetect/gbd"
 	"github.com/groupdetect/gbd/internal/obs"
 	"github.com/groupdetect/gbd/internal/serve"
+	"github.com/groupdetect/gbd/internal/sweep"
 )
 
 func main() {
@@ -85,9 +86,6 @@ func run(args []string, w io.Writer) (err error) {
 		reqTimeout   = fs.Duration("request-timeout", 30*time.Second, "per-request computation deadline")
 		maxTrials    = fs.Int("max-trials", 200000, "largest accepted Monte Carlo trial count per request")
 		maxPoints    = fs.Int("max-sweep-points", 512, "largest accepted sweep value list")
-		sweepWorkers = fs.Int("sweep-workers", 1, "concurrent points inside one sweep stream (0 = 1)")
-		retryBackoff = fs.Duration("retry-backoff", 100*time.Millisecond, "base backoff between sweep point retries")
-		pointTimeout = fs.Duration("point-timeout", 0, "deadline per sweep-point attempt (0 = none)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 		rngName      = fs.String("rng", "", "default trial RNG scheme for requests without \"rng\": legacy (default) or philox")
 		peersFlag    = fs.String("peers", "", "comma-separated fleet view for consistent-hash cache sharding: every replica's base URL (http://host:port), identical on every replica; empty disables sharding")
@@ -100,18 +98,14 @@ func run(args []string, w io.Writer) (err error) {
 	var maxBatch int
 	fs.IntVar(&maxBatch, "batch-max-items", 1024, "largest accepted /v1/batch item list; overflow is rejected with 413 (alias: -max-batch-items)")
 	fs.IntVar(&maxBatch, "max-batch-items", 1024, "alias for -batch-max-items")
-	// The sweep fault policy flag answers to both spellings of the shared
-	// vocabulary: -point-retries (gbd-faults) and -retries
-	// (gbd-experiments) set the same value.
-	var pointRetries int
-	fs.IntVar(&pointRetries, "point-retries", 0, "default re-attempts per failed sweep point (alias: -retries)")
-	fs.IntVar(&pointRetries, "retries", 0, "alias for -point-retries")
+	// The default fault policy of sweep streams and experiment tables.
+	policy := sweep.BindFlags(fs, 1)
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if pointRetries < 0 {
-		return fmt.Errorf("point-retries = %d must be >= 0", pointRetries)
+	if err := policy.Validate(); err != nil {
+		return err
 	}
 	scheme, err := gbd.ParseRNGScheme(*rngName)
 	if err != nil {
@@ -121,17 +115,10 @@ func run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	// LIFO: RecordOutcome classifies err into the manifest status before
-	// Close stamps and writes the manifest. A signal-triggered drain exits
-	// with err == nil; markInterrupted has already pinned the status, so
-	// the manifest honestly records "interrupted" while the process still
-	// exits 0.
-	defer func() { sess.RecordOutcome(err) }()
+	// A signal-triggered drain exits with err == nil; the signal has
+	// already pinned the manifest status, so it records "interrupted"
+	// while the process still exits 0.
+	defer sess.Finish(&err)
 	ctx, cancel := sess.SignalContext(context.Background())
 	defer cancel()
 
@@ -142,10 +129,7 @@ func run(args []string, w io.Writer) (err error) {
 		RequestTimeout: *reqTimeout,
 		MaxTrials:      *maxTrials,
 		MaxSweepPoints: *maxPoints,
-		SweepWorkers:   *sweepWorkers,
-		Retries:        pointRetries,
-		RetryBackoff:   *retryBackoff,
-		PointTimeout:   *pointTimeout,
+		Sweep:          *policy,
 		RNG:            scheme,
 		MaxBatchItems:  maxBatch,
 		PeerCooldown:   *peerCooldown,

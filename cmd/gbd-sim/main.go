@@ -56,14 +56,7 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := sess.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	// LIFO: RecordOutcome classifies err into the manifest status before
-	// Close stamps and writes the manifest.
-	defer func() { sess.RecordOutcome(err) }()
+	defer sess.Finish(&err)
 	ctx, cancel := sess.SignalContext(context.Background())
 	defer cancel()
 	p := *flagParams

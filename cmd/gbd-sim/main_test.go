@@ -27,6 +27,7 @@ func TestRunErrors(t *testing.T) {
 		{"-config", "/nonexistent/scenario.json"},
 		{"-exposure", "-2", "-trials", "50"},
 		{"-false-alarm", "NaN", "-trials", "200"},
+		{"-exposure", "NaN", "-trials", "200"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/checkpoint"
+	"github.com/groupdetect/gbd/internal/sweep"
 )
 
 func TestPlacementTable(t *testing.T) {
@@ -46,7 +47,7 @@ func TestPlacementCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Checkpoint = store
+	opt.Checkpoint = &sweep.Checkpoint{Store: store}
 	if _, err := Placement(opt); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestPlacementCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Checkpoint = resumed
+	opt.Checkpoint = &sweep.Checkpoint{Store: resumed}
 	tbl, err := RunOne("placement", opt)
 	if err != nil {
 		t.Fatal(err)

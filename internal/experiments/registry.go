@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/groupdetect/gbd/internal/checkpoint"
+)
 
 // Runner pairs an experiment id (the -exp flag value, which may differ
 // from the rendered Table.ID) with its function.
@@ -55,9 +59,13 @@ func RunOne(id string, opt Options) (*Table, error) {
 		return nil, fmt.Errorf("unknown experiment %q: %w", id, ErrExperiment)
 	}
 	key := "table/" + id
+	var store *checkpoint.Store
 	if opt.Checkpoint != nil {
+		store = opt.Checkpoint.Store
+	}
+	if store != nil {
 		var tbl Table
-		ok, err := opt.Checkpoint.Get(key, &tbl)
+		ok, err := store.Get(key, &tbl)
 		if err != nil {
 			return nil, err
 		}
@@ -69,8 +77,8 @@ func RunOne(id string, opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Checkpoint != nil {
-		if err := opt.Checkpoint.Put(key, tbl); err != nil {
+	if store != nil {
+		if err := store.Put(key, tbl); err != nil {
 			return nil, err
 		}
 	}

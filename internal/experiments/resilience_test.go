@@ -11,6 +11,7 @@ import (
 
 	"github.com/groupdetect/gbd/internal/checkpoint"
 	"github.com/groupdetect/gbd/internal/obs"
+	"github.com/groupdetect/gbd/internal/sweep"
 )
 
 // TestSweepPointsCheckpointResume: interrupt a sweep by failing one point,
@@ -20,7 +21,7 @@ func TestSweepPointsCheckpointResume(t *testing.T) {
 	items := []int{10, 20, 30, 40, 50}
 	square := func(_ context.Context, _ int, n int) (int, error) { return n * n, nil }
 
-	clean, err := sweepPoints(Options{SweepWorkers: 1}, "sq", items, square)
+	clean, err := sweepPoints(Options{Sweep: sweep.Options{Workers: 1}}, "sq", items, square)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSweepPointsCheckpointResume(t *testing.T) {
 		mu.Unlock()
 	}
 	boom := errors.New("boom")
-	_, err = sweepPoints(Options{SweepWorkers: 1, Checkpoint: store}, "sq", items,
+	_, err = sweepPoints(Options{Sweep: sweep.Options{Workers: 1}, Checkpoint: &sweep.Checkpoint{Store: store}}, "sq", items,
 		func(ctx context.Context, i int, n int) (int, error) {
 			record(i)
 			if i == 3 {
@@ -61,7 +62,7 @@ func TestSweepPointsCheckpointResume(t *testing.T) {
 	if resumed.Len() != 3 {
 		t.Fatalf("checkpoint holds %d points, want 3 (indices 0-2)", resumed.Len())
 	}
-	got, err := sweepPoints(Options{SweepWorkers: 1, Checkpoint: resumed}, "sq", items,
+	got, err := sweepPoints(Options{Sweep: sweep.Options{Workers: 1}, Checkpoint: &sweep.Checkpoint{Store: resumed}}, "sq", items,
 		func(ctx context.Context, i int, n int) (int, error) {
 			record(i)
 			return square(ctx, i, n)
@@ -89,8 +90,8 @@ func TestSweepPointsCheckpointResume(t *testing.T) {
 func TestSweepPointsFailureNamesPoint(t *testing.T) {
 	var failedPoint string
 	opt := Options{
-		SweepWorkers: 1,
-		OnPointError: func(point string, attempt int, err error) { failedPoint = point },
+		Sweep:      sweep.Options{Workers: 1},
+		Checkpoint: &sweep.Checkpoint{OnPointError: func(point string, attempt int, err error) { failedPoint = point }},
 	}
 	boom := errors.New("boom")
 	_, err := sweepPoints(opt, "deg", []int{1, 2, 3}, func(_ context.Context, i int, _ int) (int, error) {
@@ -119,7 +120,7 @@ func TestRunOneRestoresWholeTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Quick: true, Seed: 1, Checkpoint: store}
+	opt := Options{Quick: true, Seed: 1, Checkpoint: &sweep.Checkpoint{Store: store}}
 	first, err := RunOne("sensitivity", opt)
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +174,10 @@ func TestOptionsMarshalForManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{
-		Trials:       100,
-		Ctx:          context.Background(),
-		Checkpoint:   store,
-		OnPointError: func(string, int, error) {},
+		Trials:     100,
+		Ctx:        context.Background(),
+		Sweep:      sweep.Options{OnPointError: func(int, int, error) {}},
+		Checkpoint: &sweep.Checkpoint{Store: store, OnPointError: func(string, int, error) {}},
 	}
 	blob, err := json.Marshal(opt)
 	if err != nil {
@@ -186,10 +187,13 @@ func TestOptionsMarshalForManifest(t *testing.T) {
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	for _, hidden := range []string{"Ctx", "Checkpoint", "OnPointError"} {
+	for _, hidden := range []string{"Ctx", "Checkpoint"} {
 		if _, ok := decoded[hidden]; ok {
 			t.Errorf("runtime field %s leaked into the manifest encoding", hidden)
 		}
+	}
+	if _, ok := decoded["Sweep"].(map[string]any)["OnPointError"]; ok {
+		t.Error("runtime field Sweep.OnPointError leaked into the manifest encoding")
 	}
 }
 
@@ -213,7 +217,7 @@ func TestFig9aResumeIsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a quick fig9a campaign twice")
 	}
-	opt := Options{Quick: true, Trials: 200, Seed: 5, SweepWorkers: 2}
+	opt := Options{Quick: true, Trials: 200, Seed: 5, Sweep: sweep.Options{Workers: 2}}
 	clean, err := Fig9a(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +228,7 @@ func TestFig9aResumeIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Checkpoint = store
+	opt.Checkpoint = &sweep.Checkpoint{Store: store}
 	if _, err := Fig9a(opt); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestFig9aResumeIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Checkpoint = resumed
+	opt.Checkpoint = &sweep.Checkpoint{Store: resumed}
 	itemsBefore := obs.Default.Snapshot().Counters["sweep.items"]
 	got, err := Fig9a(opt)
 	if err != nil {

@@ -10,10 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
-	"github.com/groupdetect/gbd/internal/checkpoint"
 	"github.com/groupdetect/gbd/internal/field"
+	"github.com/groupdetect/gbd/internal/sweep"
 )
 
 // ErrExperiment reports invalid experiment options.
@@ -28,16 +27,18 @@ type Options struct {
 	Seed int64
 	// Quick shrinks sweeps and trial counts for tests and smoke runs.
 	Quick bool
-	// SweepWorkers bounds how many sweep points run concurrently in the
-	// sweep-based experiments; 0 means GOMAXPROCS. Results are identical
-	// at any setting (each point derives its rng stream from its own
-	// parameters), only wall-clock changes.
-	SweepWorkers int
 	// RNG selects the trial RNG scheme for simulation-backed experiments
 	// (zero value: the legacy per-trial reseed scheme). Changing it
 	// changes simulation columns, so it participates in checkpoint
 	// fingerprints.
 	RNG field.RNGScheme
+	// Sweep is the fault policy of every experiment sweep: concurrent
+	// points (0 means GOMAXPROCS), retries, backoff and per-attempt
+	// deadline. It shapes execution, not results — each point derives its
+	// rng stream from its own parameters — so it is recorded in manifests
+	// but excluded from checkpoint fingerprints. Degrade is ignored: a
+	// table needs every point.
+	Sweep sweep.Options
 
 	// Ctx, when non-nil, lets callers cancel a running experiment: sweeps
 	// stop dispatching points and trial loops unwind within a bounded
@@ -46,21 +47,10 @@ type Options struct {
 	Ctx context.Context `json:"-"`
 	// Checkpoint, when non-nil, records every completed sweep point (and
 	// finished table) so an interrupted campaign resumes without repeating
-	// work. Restored points are not re-executed, which is observable in the
-	// sweep.items metric. Excluded from manifests.
-	Checkpoint *checkpoint.Store `json:"-"`
-	// Retries, RetryBackoff and PointTimeout are the sweep fault policy:
-	// how many times a failed sweep point is re-attempted, the base for its
-	// jittered exponential backoff, and the per-attempt deadline (0 = no
-	// deadline). They shape execution, not results, so they are recorded in
-	// manifests but excluded from checkpoint fingerprints.
-	Retries      int
-	RetryBackoff time.Duration
-	PointTimeout time.Duration
-	// OnPointError observes every failed sweep-point attempt (point key
-	// like "fig9a/3", 0-based attempt, error) — binaries use it to stamp
-	// the failing point into the run manifest. Excluded from manifests.
-	OnPointError func(point string, attempt int, err error) `json:"-"`
+	// work, and names each failed point attempt to its observer. Restored
+	// points are not re-executed, which is observable in the sweep.items
+	// metric. Excluded from manifests.
+	Checkpoint *sweep.Checkpoint `json:"-"`
 }
 
 // ctx returns the experiment context, Background when unset.

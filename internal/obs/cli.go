@@ -14,7 +14,8 @@ import (
 )
 
 // Flags holds the standard observability flag values every gbd binary
-// exposes. Wire them with AddFlags, then bracket the run with Start/Close.
+// exposes. Wire them with AddFlags, then bracket the run with Start and a
+// deferred Finish.
 type Flags struct {
 	// MetricsOut is the run-manifest destination (empty = off).
 	MetricsOut string
@@ -37,7 +38,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 }
 
 // Session is one observed run of a binary: profiles and tracing started,
-// the manifest stamped. Close is safe to call exactly once.
+// the manifest stamped. Finish (or Close) is safe to call exactly once.
 type Session struct {
 	flags    *Flags
 	manifest *Manifest
@@ -146,6 +147,18 @@ func (s *Session) stopProfiles() {
 		trace.Stop()
 		s.traceOut.Close()
 		s.traceOut = nil
+	}
+}
+
+// Finish ends the run with its final error: RecordOutcome(*err) sets the
+// manifest status, then Close writes the manifest, and a Close failure is
+// folded into *err when the run itself succeeded. Defer it right after
+// Start, so it runs after every later deferred step (checkpoint flushes
+// included) has settled *err.
+func (s *Session) Finish(err *error) {
+	s.RecordOutcome(*err)
+	if cerr := s.Close(); *err == nil {
+		*err = cerr
 	}
 }
 

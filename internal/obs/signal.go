@@ -17,7 +17,7 @@ import (
 // status 130 for the case where the cooperative path is stuck.
 //
 // The returned cancel releases the signal registration and the context;
-// defer it next to Session.Close.
+// defer it next to Session.Finish.
 func (s *Session) SignalContext(parent context.Context) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(parent)
 	ch := make(chan os.Signal, 2)

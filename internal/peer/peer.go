@@ -29,11 +29,11 @@ import (
 	"time"
 )
 
-// defaultVirtualNodes spreads each member over this many ring points, so
+// virtualNodes spreads each member over this many ring points, so
 // ownership stays near-uniform even for 2-3 member fleets and re-hashing
 // a dead member's keys spreads over the survivors instead of dumping
 // them all on one neighbor.
-const defaultVirtualNodes = 64
+const virtualNodes = 64
 
 // Ring is an immutable consistent-hash ring over a fixed member list.
 // Two rings built from equal member slices (same strings, same order)
@@ -49,19 +49,16 @@ type ringPoint struct {
 	member int
 }
 
-// NewRing builds a ring with vnodes virtual nodes per member (<= 0 uses
-// the default). Members must be non-empty and free of duplicates.
-func NewRing(members []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring with virtualNodes points per member. Members
+// must be non-empty and free of duplicates.
+func NewRing(members []string) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("peer: ring needs at least one member")
-	}
-	if vnodes <= 0 {
-		vnodes = defaultVirtualNodes
 	}
 	seen := make(map[string]bool, len(members))
 	r := &Ring{
 		members: append([]string(nil), members...),
-		points:  make([]ringPoint, 0, len(members)*vnodes),
+		points:  make([]ringPoint, 0, len(members)*virtualNodes),
 	}
 	for i, m := range members {
 		if m == "" {
@@ -71,7 +68,7 @@ func NewRing(members []string, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("peer: duplicate member %q", m)
 		}
 		seen[m] = true
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:   hash64(m + "#" + strconv.Itoa(v)),
 				member: i,
@@ -259,15 +256,6 @@ func (h *Health) OnFailure(member int, now time.Time) (opened bool) {
 	return h.breakers[member].OnFailure(now)
 }
 
-// Options tunes a Picker.
-type Options struct {
-	// VirtualNodes per member on the ring (<= 0 uses the default).
-	VirtualNodes int
-	// Threshold and Cooldown parameterize Health (see NewHealth).
-	Threshold int
-	Cooldown  time.Duration
-}
-
 // Picker is one replica's view of the fleet: the shared ring, the local
 // health table, and this replica's own index. It answers the only
 // question the serving layer asks — "who owns this key right now?"
@@ -279,9 +267,10 @@ type Picker struct {
 
 // NewPicker builds a Picker for the replica self within the fleet view
 // peers. self must appear in peers verbatim — a replica that is not in
-// its own fleet view would forward keys it owns.
-func NewPicker(peers []string, self string, opt Options) (*Picker, error) {
-	ring, err := NewRing(peers, opt.VirtualNodes)
+// its own fleet view would forward keys it owns. A single failed forward
+// opens a member's circuit for cooldown (see NewHealth).
+func NewPicker(peers []string, self string, cooldown time.Duration) (*Picker, error) {
+	ring, err := NewRing(peers)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +286,7 @@ func NewPicker(peers []string, self string, opt Options) (*Picker, error) {
 	}
 	return &Picker{
 		ring:   ring,
-		health: NewHealth(len(peers), opt.Threshold, opt.Cooldown),
+		health: NewHealth(len(peers), 1, cooldown),
 		self:   selfIdx,
 	}, nil
 }

@@ -19,11 +19,11 @@ func TestRingDeterministicAcrossReplicas(t *testing.T) {
 	peers := testPeers(3)
 	// Every replica builds its ring from the same -peers flag; the owner
 	// function must agree on every key regardless of which replica asks.
-	r1, err := NewRing(peers, 0)
+	r1, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing(peers, 0)
+	r2, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRingDeterministicAcrossReplicas(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	peers := testPeers(3)
-	r, err := NewRing(peers, 0)
+	r, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRingBalance(t *testing.T) {
 
 func TestRingRehashOnDeath(t *testing.T) {
 	peers := testPeers(3)
-	r, err := NewRing(peers, 0)
+	r, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,19 +88,19 @@ func TestRingRehashOnDeath(t *testing.T) {
 }
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty member list should be rejected")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Error("duplicate members should be rejected")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Error("empty member URL should be rejected")
 	}
 }
 
 func TestRingAllDeadFallsBack(t *testing.T) {
-	r, err := NewRing(testPeers(3), 0)
+	r, err := NewRing(testPeers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestPickerRoute(t *testing.T) {
 	peers := testPeers(3)
 	var pickers []*Picker
 	for _, self := range peers {
-		p, err := NewPicker(peers, self, Options{})
+		p, err := NewPicker(peers, self, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestPickerRoute(t *testing.T) {
 
 func TestPickerSelfAlwaysAlive(t *testing.T) {
 	peers := testPeers(2)
-	p, err := NewPicker(peers, peers[0], Options{Threshold: 1, Cooldown: time.Hour})
+	p, err := NewPicker(peers, peers[0], time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +244,10 @@ func TestPickerSelfAlwaysAlive(t *testing.T) {
 
 func TestPickerValidation(t *testing.T) {
 	peers := testPeers(2)
-	if _, err := NewPicker(peers, "http://not-in-fleet:1", Options{}); err == nil {
+	if _, err := NewPicker(peers, "http://not-in-fleet:1", 0); err == nil {
 		t.Error("self outside the fleet view should be rejected")
 	}
-	if _, err := NewPicker(nil, "x", Options{}); err == nil {
+	if _, err := NewPicker(nil, "x", 0); err == nil {
 		t.Error("empty fleet should be rejected")
 	}
 }

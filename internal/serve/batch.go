@@ -200,17 +200,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Held lines are buffered as they come; a line that must compute first
 	// flushes the lines before it. Singleflight still dedups against other
-	// requests; the fn holds this batch's slot, never a second one.
+	// requests; the fn holds this batch's slot, never a second one. A miss
+	// that repeats an earlier item's key reuses that item's line: its
+	// flight has landed by then, so flight.do would compute it again.
 	flusher, _ := w.(http.Flusher)
+	var first map[string]int // key -> index of the item that computed it
 	for i := range items {
 		st := &items[i]
 		if st.body == nil {
-			if flusher != nil && i > 0 {
-				flusher.Flush()
+			if j, ok := first[st.key]; ok {
+				st.body, st.err = items[j].body, items[j].err
+			} else {
+				if flusher != nil && i > 0 {
+					flusher.Flush()
+				}
+				st.body, st.err, _ = s.flight.do(st.key, func() ([]byte, error) {
+					return s.renderCompute(ctx, st.key, st.alias, st.compute)
+				})
+				if first == nil {
+					first = make(map[string]int)
+				}
+				first[st.key] = i
 			}
-			st.body, st.err, _ = s.flight.do(st.key, func() ([]byte, error) {
-				return s.renderCompute(ctx, st.key, st.alias, st.compute)
-			})
 			if st.err != nil {
 				st.e.errors.Inc()
 				st.body = errorBody(st.err)

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/groupdetect/gbd/internal/obs"
 )
 
 // TestBatchBitIdentical: every /v1/batch line must be byte-equal to the
@@ -70,6 +72,33 @@ func TestBatchBitIdentical(t *testing.T) {
 	_, src, _ := post(t, ts, "/v1/analyze", `{"scenario":{"n": 77}}`)
 	if src != "hit" {
 		t.Errorf("standalone after batch: X-Cache = %q, want hit (shared cache keys)", src)
+	}
+}
+
+// TestBatchRepeatedMissComputesOnce: an item that repeats an earlier
+// missing item in the same batch reuses its line instead of computing it
+// again, with the cache on and off. Both copies still classify as misses
+// at lookup.
+func TestBatchRepeatedMissComputesOnce(t *testing.T) {
+	item := `{"op":"simulate","request":{"scenario":{},"trials":1000,"seed":3}}`
+	for _, entries := range []int{0, -1} {
+		ts := httptest.NewServer(New(Config{CacheEntries: entries}).Handler())
+		before := obs.Default.Snapshot().Counters["sim.trials"]
+		code, xcache, body := post(t, ts, "/v1/batch", `{"items":[`+item+`,`+item+`]}`)
+		trials := obs.Default.Snapshot().Counters["sim.trials"] - before
+		ts.Close()
+		if code != http.StatusOK {
+			t.Fatalf("cache %d: status %d: %s", entries, code, body)
+		}
+		if xcache != "hit=0,miss=2,forward=0,error=0" {
+			t.Errorf("cache %d: X-Cache = %q, want both copies classified as misses", entries, xcache)
+		}
+		if trials != 1000 {
+			t.Errorf("cache %d: sim.trials advanced by %d, want 1000 (one compute)", entries, trials)
+		}
+		if lines := nonEmptyLines(body); len(lines) != 2 || !bytes.Equal(lines[0], lines[1]) {
+			t.Errorf("cache %d: want two identical lines, got:\n%s", entries, body)
+		}
 	}
 }
 

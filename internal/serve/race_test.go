@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/groupdetect/gbd/internal/sweep"
 )
 
 // TestConcurrentBitIdentical is the serving layer's concurrency proof
@@ -22,7 +24,7 @@ import (
 // and the cache accounting must balance exactly (hits + misses ==
 // lookups).
 func TestConcurrentBitIdentical(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 1024, SweepWorkers: 2})
+	s := New(Config{Workers: 4, QueueDepth: 1024, Sweep: sweep.Options{Workers: 2}})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -159,7 +161,7 @@ func TestConcurrentBitIdentical(t *testing.T) {
 // in-process half of the SIGINT drain contract; the cmd/gbd-server
 // subprocess test covers the real-signal half.
 func TestShutdownDrainsStreams(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 64, SweepWorkers: 1, RequestTimeout: time.Minute})
+	s := New(Config{Workers: 4, QueueDepth: 64, Sweep: sweep.Options{Workers: 1}, RequestTimeout: time.Minute})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -50,6 +50,7 @@ import (
 	"github.com/groupdetect/gbd/internal/placement"
 	"github.com/groupdetect/gbd/internal/scenario"
 	"github.com/groupdetect/gbd/internal/sim"
+	"github.com/groupdetect/gbd/internal/sweep"
 )
 
 // Config tunes the serving layer. The zero value is usable: every field
@@ -70,16 +71,13 @@ type Config struct {
 	MaxTrials int
 	// MaxSweepPoints bounds /v1/sweep value lists (default 512).
 	MaxSweepPoints int
-	// SweepWorkers bounds the intra-request parallelism of one sweep
-	// stream (default 1). A sweep holds exactly one admission slot
-	// regardless; this knob only shapes work inside it.
-	SweepWorkers int
-	// Retries, RetryBackoff and PointTimeout are the default sweep fault
-	// policy (the gbd-experiments -retries / gbd-faults -point-retries
-	// vocabulary); SweepRequest fields override them per request.
-	Retries      int
-	RetryBackoff time.Duration
-	PointTimeout time.Duration
+	// Sweep is the default fault policy of /v1/sweep streams and
+	// /v1/experiments tables: Workers bounds the intra-request parallelism
+	// of one sweep (default 1; a sweep holds exactly one admission slot
+	// regardless), Backoff defaults to 100ms, and SweepRequest fields
+	// override Retries, Backoff and PointTimeout per request. Degrade is
+	// the request's keep_going.
+	Sweep sweep.Options
 	// RNG is the default trial RNG scheme for requests that omit "rng"
 	// (zero value: the legacy per-trial reseed scheme). The scheme is
 	// part of every cache identity, so flipping the default cannot serve
@@ -114,7 +112,7 @@ func (c Config) ValidatePeers() error {
 	if len(c.Peers) < 2 {
 		return nil
 	}
-	_, err := peer.NewPicker(c.Peers, c.Self, peer.Options{})
+	_, err := peer.NewPicker(c.Peers, c.Self, 0)
 	return err
 }
 
@@ -140,11 +138,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxSweepPoints <= 0 {
 		c.MaxSweepPoints = 512
 	}
-	if c.SweepWorkers <= 0 {
-		c.SweepWorkers = 1
+	if c.Sweep.Workers <= 0 {
+		c.Sweep.Workers = 1
 	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
+	if c.Sweep.Backoff <= 0 {
+		c.Sweep.Backoff = 100 * time.Millisecond
 	}
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 1024
@@ -185,7 +183,7 @@ func New(cfg Config) *Server {
 		start:  time.Now(),
 	}
 	if len(cfg.Peers) >= 2 {
-		if pk, err := peer.NewPicker(cfg.Peers, cfg.Self, peer.Options{Cooldown: cfg.PeerCooldown}); err == nil {
+		if pk, err := peer.NewPicker(cfg.Peers, cfg.Self, cfg.PeerCooldown); err == nil {
 			s.peers = pk
 			s.peerHC = &http.Client{Timeout: cfg.RequestTimeout}
 		}
@@ -813,14 +811,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	it := resolved{key: key, compute: func(ctx context.Context) (any, error) {
 		tbl, err := experiments.RunOne(id, experiments.Options{
-			Trials:       trials,
-			Seed:         seed,
-			Quick:        quick,
-			SweepWorkers: s.cfg.SweepWorkers,
-			Ctx:          ctx,
-			Retries:      s.cfg.Retries,
-			RetryBackoff: s.cfg.RetryBackoff,
-			PointTimeout: s.cfg.PointTimeout,
+			Trials: trials,
+			Seed:   seed,
+			Quick:  quick,
+			Sweep:  s.cfg.Sweep,
+			Ctx:    ctx,
 		})
 		if err != nil {
 			return nil, err

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	gbd "github.com/groupdetect/gbd"
+	"github.com/groupdetect/gbd/internal/sweep"
 )
 
 func TestAnalyzeGolden(t *testing.T) {
@@ -205,7 +206,7 @@ func TestSweepZeroDeadFracMatchesSimulate(t *testing.T) {
 }
 
 func TestSweepStream(t *testing.T) {
-	ts := httptest.NewServer(New(Config{SweepWorkers: 2}).Handler())
+	ts := httptest.NewServer(New(Config{Sweep: sweep.Options{Workers: 2}}).Handler())
 	defer ts.Close()
 	code, _, body := post(t, ts, "/v1/sweep", `{"scenario":{},"axis":"n","values":[60,120,180]}`)
 	if code != http.StatusOK {
@@ -261,7 +262,7 @@ func TestSweepRowsCached(t *testing.T) {
 }
 
 func TestSweepErrorRows(t *testing.T) {
-	ts := httptest.NewServer(New(Config{SweepWorkers: 1}).Handler())
+	ts := httptest.NewServer(New(Config{Sweep: sweep.Options{Workers: 1}}).Handler())
 	defer ts.Close()
 	// keep_going: the bad middle point becomes an error row, the rest of
 	// the curve still renders.

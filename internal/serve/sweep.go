@@ -106,13 +106,8 @@ func heartbeatInterval(req SweepRequest) time.Duration {
 // sweepPolicy resolves the request's fault policy against the server
 // defaults into sweep.Options.
 func (s *Server) sweepPolicy(req SweepRequest) sweep.Options {
-	opt := sweep.Options{
-		Workers:      s.cfg.SweepWorkers,
-		Retries:      s.cfg.Retries,
-		Backoff:      s.cfg.RetryBackoff,
-		PointTimeout: s.cfg.PointTimeout,
-		Degrade:      req.KeepGoing,
-	}
+	opt := s.cfg.Sweep
+	opt.Degrade = req.KeepGoing
 	if req.Retries != nil {
 		opt.Retries = *req.Retries
 	}

@@ -161,8 +161,8 @@ func (c Config) withDefaults() (Config, error) {
 	if !(c.FalseAlarmP >= 0 && c.FalseAlarmP <= 1) {
 		return c, fmt.Errorf("false alarm probability %v: %w", c.FalseAlarmP, ErrConfig)
 	}
-	if c.ExposureLambda < 0 {
-		return c, fmt.Errorf("exposure lambda %v: %w", c.ExposureLambda, ErrConfig)
+	if !(c.ExposureLambda >= 0) {
+		return c, fmt.Errorf("exposure lambda %v must be >= 0: %w", c.ExposureLambda, ErrConfig)
 	}
 	if c.MissionPeriods != 0 && c.MissionPeriods < c.Params.M {
 		return c, fmt.Errorf("mission %d shorter than window %d: %w", c.MissionPeriods, c.Params.M, ErrConfig)

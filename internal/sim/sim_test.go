@@ -29,6 +29,7 @@ func TestConfigValidation(t *testing.T) {
 		{"bad confinement", func(c *Config) { c.Confine = Confinement(9) }},
 		{"bad false alarm", func(c *Config) { c.FalseAlarmP = 1.5 }},
 		{"NaN false alarm", func(c *Config) { c.FalseAlarmP = math.NaN() }},
+		{"NaN exposure", func(c *Config) { c.ExposureLambda = math.NaN() }},
 	}
 	for _, tc := range cases {
 		cfg := baseConfig()

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-
-	"github.com/groupdetect/gbd/internal/checkpoint"
 )
 
 // PointKey names point i of the sweep called name inside checkpoints,
@@ -16,18 +14,20 @@ func PointKey(name string, i int) string {
 }
 
 // Resumable is the checkpointed sweep every campaign runner goes
-// through. Points already in store (under PointKey(name, i)) are
+// through. Points already in ck's store (under PointKey(name, i)) are
 // restored without executing; the rest run under opt like Run, and each
-// completed point is persisted before the sweep moves on. A nil store
-// runs every point. Results come back in input order whatever the
+// completed point is persisted before the sweep moves on. A nil ck or
+// store runs every point. Results come back in input order whatever the
 // restore or execution order, and done[i] reports whether point i has a
 // result: with opt.Degrade a failed point leaves it false instead of
-// failing the sweep. opt.OnPointError sees indexes into items.
+// failing the sweep. opt.OnPointError sees indexes into items, and
+// ck.OnPointError the same failures by point key.
 //
 // Each point derives its rng stream from its own parameters, so a resumed
 // sweep is bit-identical to an uninterrupted one. A point failure is
 // returned named by its key ("<name>/<i>: <cause>").
-func Resumable[T, R any](ctx context.Context, opt Options, store *checkpoint.Store, name string, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, []bool, error) {
+func Resumable[T, R any](ctx context.Context, opt Options, ck *Checkpoint, name string, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, []bool, error) {
+	store := ck.store()
 	results := make([]R, len(items))
 	done := make([]bool, len(items))
 	var pending []int
@@ -47,8 +47,14 @@ func Resumable[T, R any](ctx context.Context, opt Options, store *checkpoint.Sto
 	if len(pending) == 0 {
 		return results, done, ctx.Err()
 	}
-	if onErr := opt.OnPointError; onErr != nil {
-		opt.OnPointError = func(j, attempt int, err error) { onErr(pending[j], attempt, err) }
+	onErr := opt.OnPointError
+	opt.OnPointError = func(j, attempt int, err error) {
+		if onErr != nil {
+			onErr(pending[j], attempt, err)
+		}
+		if ck != nil && ck.OnPointError != nil {
+			ck.OnPointError(PointKey(name, pending[j]), attempt, err)
+		}
 	}
 	rep, err := Run(ctx, opt, pending, func(ctx context.Context, _ int, i int) (R, error) {
 		r, err := fn(ctx, i, items[i])

@@ -28,7 +28,7 @@ func TestResumable(t *testing.T) {
 		}
 		return v * v, nil
 	}
-	got, done, err := Resumable(context.Background(), opt, store, "sq", items, square)
+	got, done, err := Resumable(context.Background(), opt, &Checkpoint{Store: store}, "sq", items, square)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestResumable(t *testing.T) {
 	// named by its key even though it is the first pending point.
 	ran := 0
 	opt = Options{Workers: 1}
-	_, done, err = Resumable(context.Background(), opt, store, "sq", items, func(ctx context.Context, i, v int) (int, error) {
+	_, done, err = Resumable(context.Background(), opt, &Checkpoint{Store: store}, "sq", items, func(ctx context.Context, i, v int) (int, error) {
 		ran++
 		return square(ctx, i, v)
 	})

@@ -53,8 +53,9 @@ type Options struct {
 	Degrade bool
 	// OnPointError, when set, observes every failed attempt (index,
 	// 0-based attempt number, error) before any retry decision. It may be
-	// called concurrently from multiple workers.
-	OnPointError func(index, attempt int, err error)
+	// called concurrently from multiple workers. It is runtime state,
+	// left out of manifests.
+	OnPointError func(index, attempt int, err error) `json:"-"`
 }
 
 // PointError reports the failure of one sweep point after all attempts.
