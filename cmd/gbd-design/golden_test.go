@@ -24,3 +24,18 @@ func TestStdoutGolden(t *testing.T) {
 		return clitest.Stdout(t, func() error { return run(args) })
 	})
 }
+
+// TestPlacedLiterals pins the placed detection probability of the
+// canonical placement solve (60 sensors, 16x16 grid, 500 trials, seed 1)
+// under both schemes: the figures the CI "Placed layout golden" step
+// greps, so a change to either trial stream shows under `go test ./...`
+// too.
+func TestPlacedLiterals(t *testing.T) {
+	args := []string{"-place", "-place-n", "60", "-grid", "16x16", "-place-trials", "500", "-seed", "1", "-min-gain", "0"}
+	clitest.CheckLiterals(t, []clitest.Literal{
+		{Args: args, Want: []string{"placed P[detect] = 0.77 "}},
+		{Args: append([]string{"-rng", "philox"}, args...), Want: []string{"placed P[detect] = 0.754 "}},
+	}, func(args []string) (string, error) {
+		return clitest.Stdout(t, func() error { return run(args) })
+	})
+}

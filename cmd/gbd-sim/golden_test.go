@@ -24,3 +24,23 @@ func TestStdoutGolden(t *testing.T) {
 		return wallClock.ReplaceAllString(out, "simulation: $1 trials in <elapsed>"), err
 	})
 }
+
+// TestCountPathLiterals pins the count-path lines of a 20 000-trial
+// campaign at N = 240, V = 10 under both schemes: the figures the CI
+// "Plain campaign literals" step greps, so a change to either trial
+// stream shows under `go test ./...` too.
+func TestCountPathLiterals(t *testing.T) {
+	args := []string{"-n", "240", "-v", "10", "-trials", "20000", "-seed", "1"}
+	clitest.CheckLiterals(t, []clitest.Literal{
+		{Args: args, Want: []string{
+			"detection probability: 0.9798 ",
+			"mean reports per 20 periods: 18.247 (max observed 57)",
+		}},
+		{Args: append([]string{"-rng", "philox"}, args...), Want: []string{
+			"detection probability: 0.9785 ",
+			"mean reports per 20 periods: 18.271 (max observed 56)",
+		}},
+	}, func(args []string) (string, error) {
+		return clitest.Stdout(t, func() error { return run(args) })
+	})
+}

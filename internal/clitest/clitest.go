@@ -1,7 +1,8 @@
 // Package clitest pins a command's stdout as a golden: each flag set's
 // output is hashed with SHA-256 and compared to a committed digest, the
-// way internal/serve's golden corpus pins response bytes. A refactor of a
-// command's flag handling or rendering must keep every digest.
+// way internal/serve's golden corpus pins response bytes, or searched for
+// the literal lines a CI step quotes. A refactor of a command's flag
+// handling or rendering must keep every digest and every literal.
 package clitest
 
 import (
@@ -61,6 +62,33 @@ func Check(t *testing.T, cases []Case, run func(args []string) (string, error)) 
 		if got := hex.EncodeToString(sum[:]); got != tc.Sum {
 			t.Errorf("%s: stdout sha256 = %s, want %s; output:\n%s",
 				strings.Join(tc.Args, " "), got, tc.Sum, out)
+		}
+	}
+}
+
+// Literal is one invocation and the lines its stdout must contain
+// verbatim: the printed figures that a CI step or a document quotes,
+// pinned where `go test ./...` sees them.
+type Literal struct {
+	Args []string
+	Want []string
+}
+
+// CheckLiterals runs every case through run and fails on each wanted
+// substring its stdout lacks, printing the output so a deliberate change
+// can be reviewed.
+func CheckLiterals(t *testing.T, cases []Literal, run func(args []string) (string, error)) {
+	t.Helper()
+	for _, tc := range cases {
+		out, err := run(tc.Args)
+		if err != nil {
+			t.Errorf("%s: %v", strings.Join(tc.Args, " "), err)
+			continue
+		}
+		for _, want := range tc.Want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: stdout lacks %q; output:\n%s", strings.Join(tc.Args, " "), want, out)
+			}
 		}
 	}
 }
