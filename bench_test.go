@@ -316,6 +316,7 @@ func BenchmarkEndToEndTrial(b *testing.B) {
 
 func BenchmarkSimulationSingleTrial(b *testing.B)       { benchsuite.SimulationSingleTrial(b) }
 func BenchmarkSimulationSingleTrialLegacy(b *testing.B) { benchsuite.SimulationSingleTrialLegacy(b) }
+func BenchmarkLegacyStreamAt(b *testing.B)              { benchsuite.LegacyStreamAt(b) }
 func BenchmarkFaultyTrial(b *testing.B)                 { benchsuite.FaultyTrial(b) }
 func BenchmarkLossyDelivery(b *testing.B)               { benchsuite.LossyDelivery(b) }
 func BenchmarkMSApproachConvolution(b *testing.B)       { benchsuite.MSApproachConvolution(b) }

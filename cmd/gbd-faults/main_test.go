@@ -99,6 +99,7 @@ func TestRunErrors(t *testing.T) {
 		{"-loss-sweep", "-comm-range", "-5"},
 		{"-retries", "-1", "-loss-sweep"},
 		{"-point-retries", "-1"},
+		{"-sweep-workers", "-1"},
 		{"-hop-retries", "-1", "-loss-sweep"},
 		{"-infer", "-p-deliver", "0"},
 		{"-infer", "-p-deliver", "1.5"},

@@ -50,7 +50,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"sort"
@@ -59,6 +58,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/obs"
 )
 
@@ -159,7 +159,7 @@ func run(args []string, w io.Writer) (err error) {
 	// seeded PRNG, so a sharded fleet sees stable keys it can cache and
 	// forward, and two runs with the same seed are byte-for-byte the same
 	// offered load.
-	rng := rand.New(rand.NewSource(*seed))
+	rng := field.NewRand(*seed)
 	bodies := make([]string, *pool)
 	for i := range bodies {
 		bodies[i] = fmt.Sprintf(`{"scenario":{"n":%d,"k":%d}}`, 60+rng.Intn(120), 2+rng.Intn(3))

@@ -41,6 +41,7 @@ func TestRunErrors(t *testing.T) {
 		{"-unknown"},
 		{"-point-retries", "-1"},
 		{"-retries", "-1"}, // the alias validates identically
+		{"-sweep-workers", "-1"},
 		{"-addr", "not-an-address"},
 	}
 	for _, args := range cases {

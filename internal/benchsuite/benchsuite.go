@@ -42,6 +42,7 @@ type Benchmark struct {
 var All = []Benchmark{
 	{"SimulationSingleTrial", SimulationSingleTrial},
 	{"SimulationSingleTrialLegacy", SimulationSingleTrialLegacy},
+	{"LegacyStreamAt", LegacyStreamAt},
 	{"FaultyTrial", FaultyTrial},
 	{"LossyDelivery", LossyDelivery},
 	{"MSApproachConvolution", MSApproachConvolution},
@@ -71,8 +72,9 @@ func SimulationSingleTrial(b *testing.B) {
 }
 
 // SimulationSingleTrialLegacy is the same trial under the default legacy
-// scheme, whose rand.Rand.Seed reseed dominates; kept as the before/after
-// contrast and to catch regressions in the compatibility path.
+// scheme. Its per-trial reseed (LegacyStreamAt) is the gap to the philox
+// trial; kept as the before/after contrast and to catch regressions in
+// the compatibility path.
 func SimulationSingleTrialLegacy(b *testing.B) {
 	cfg := sim.Config{Params: detect.Defaults(), Trials: 1, Workers: 1}
 	b.ReportAllocs()
@@ -81,6 +83,18 @@ func SimulationSingleTrialLegacy(b *testing.B) {
 		if _, err := sim.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// LegacyStreamAt isolates the legacy scheme's per-stream setup: one
+// Stream.At reseed of the lagged-Fibonacci generator plus one draw, the
+// cost each legacy trial and each placement channel pays before it
+// samples anything.
+func LegacyStreamAt(b *testing.B) {
+	s := field.NewStream()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.At(field.SchemeLegacy, 1, int64(i)).Uint64()
 	}
 }
 

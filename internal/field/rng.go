@@ -21,7 +21,9 @@ type RNGScheme int
 const (
 	// SchemeLegacy reseeds math/rand's lagged-Fibonacci generator with
 	// DeriveSeed(seed, trial) per trial — the original scheme, and the
-	// default. Its per-trial Seed call costs ~9 µs.
+	// default. Its stream is math/rand's, bit for bit; the reseed runs on
+	// legacySource, whose Seed fills the 607-word vector from a table of
+	// powers (about 2 µs) instead of 1 841 sequential Park–Miller steps.
 	SchemeLegacy RNGScheme = iota
 	// SchemePhilox derives trial streams from the Philox4×32-10
 	// counter-based generator: key = seed, counter = trial. Stream setup
@@ -95,16 +97,20 @@ func DeriveSeed(base int64, stream int64) int64 {
 	return int64(mixed)
 }
 
-// NewRand returns a deterministic *rand.Rand for the given seed.
+// NewRand returns a deterministic *rand.Rand for the given seed. It draws
+// exactly what rand.New(rand.NewSource(seed)) draws, reseeds included.
 func NewRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	src := new(legacySource)
+	src.Seed(seed)
+	return rand.New(src)
 }
 
 // Stream is a reusable generator that can be pointed at any (seed, id)
 // stream under either scheme without allocating: SchemeLegacy reseeds one
 // lagged-Fibonacci generator with DeriveSeed(seed, id), yielding the same
-// draws as NewRand(DeriveSeed(seed, id)); SchemePhilox resets the counter
-// words of one Philox, the O(1) seek the counter-based scheme exists for.
+// draws as NewRand(DeriveSeed(seed, id)) (a 607-word fill, about 2 µs);
+// SchemePhilox resets the counter words of one Philox, the O(1) seek the
+// counter-based scheme exists for.
 // The id is whatever the caller's determinism contract keys draws on — a
 // trial index, or a trial's stream channel. Not safe for concurrent use.
 type Stream struct {

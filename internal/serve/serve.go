@@ -73,8 +73,9 @@ type Config struct {
 	MaxSweepPoints int
 	// Sweep is the default fault policy of /v1/sweep streams and
 	// /v1/experiments tables: Workers bounds the intra-request parallelism
-	// of one sweep (default 1; a sweep holds exactly one admission slot
-	// regardless), Backoff defaults to 100ms, and SweepRequest fields
+	// of one sweep (0 means GOMAXPROCS, as in sweep.Run; gbd-server's
+	// -sweep-workers defaults to 1; a sweep holds exactly one admission
+	// slot regardless), Backoff defaults to 100ms, and SweepRequest fields
 	// override Retries, Backoff and PointTimeout per request. Degrade is
 	// the request's keep_going.
 	Sweep sweep.Options
@@ -137,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSweepPoints <= 0 {
 		c.MaxSweepPoints = 512
-	}
-	if c.Sweep.Workers <= 0 {
-		c.Sweep.Workers = 1
 	}
 	if c.Sweep.Backoff <= 0 {
 		c.Sweep.Backoff = 100 * time.Millisecond

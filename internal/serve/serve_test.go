@@ -422,7 +422,8 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 func TestSweepIndexBase(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}).Handler())
+	// One worker, so the point after the failure is always skipped.
+	ts := httptest.NewServer(New(Config{Sweep: sweep.Options{Workers: 1}}).Handler())
 	defer ts.Close()
 	code, _, body := post(t, ts, "/v1/sweep",
 		`{"scenario":{},"axis":"n","values":[60,120],"index_base":7}`)

@@ -265,7 +265,7 @@ func TestConfigDefaults(t *testing.T) {
 		"timeout":      cfg.RequestTimeout == 30*time.Second,
 		"trials":       cfg.MaxTrials == 200000,
 		"sweep points": cfg.MaxSweepPoints == 512,
-		"sweepWorkers": cfg.Sweep.Workers == 1,
+		"sweepWorkers": cfg.Sweep.Workers == 0, // sweep.Run reads 0 as GOMAXPROCS
 	} {
 		if !got {
 			t.Errorf("default %s wrong: %+v", name, cfg)

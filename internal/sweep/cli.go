@@ -17,7 +17,7 @@ import (
 // Validate.
 func BindFlags(fs *flag.FlagSet, workers int) *Options {
 	o := &Options{}
-	fs.IntVar(&o.Workers, "sweep-workers", workers, "concurrent sweep points; output is identical at any setting")
+	fs.IntVar(&o.Workers, "sweep-workers", workers, "concurrent sweep points (0 = all cores); output is identical at any setting")
 	fs.IntVar(&o.Retries, "retries", 0, "re-attempts per failed sweep point (jittered exponential backoff; alias: -point-retries)")
 	fs.IntVar(&o.Retries, "point-retries", 0, "alias for -retries")
 	fs.DurationVar(&o.Backoff, "retry-backoff", 100*time.Millisecond, "base backoff between sweep point retries")
@@ -25,8 +25,12 @@ func BindFlags(fs *flag.FlagSet, workers int) *Options {
 	return o
 }
 
-// Validate refuses a negative retry count.
+// Validate refuses a negative worker or retry count. Zero workers means
+// GOMAXPROCS, as in Run.
 func (o Options) Validate() error {
+	if o.Workers < 0 {
+		return fmt.Errorf("sweep-workers = %d must be >= 0 (0 = all cores)", o.Workers)
+	}
 	if o.Retries < 0 {
 		return fmt.Errorf("point-retries = %d must be >= 0", o.Retries)
 	}

@@ -28,8 +28,10 @@ import (
 
 // Options is the execution policy for Run.
 type Options struct {
-	// Workers bounds how many points run concurrently; <= 0 means
-	// GOMAXPROCS. A single worker degenerates to an inline sequential loop.
+	// Workers bounds how many points run concurrently; 0 means
+	// GOMAXPROCS (Validate refuses a negative count, which Run also reads
+	// as GOMAXPROCS). A single worker degenerates to an inline sequential
+	// loop.
 	Workers int
 	// Retries is how many times a failed point is re-attempted after its
 	// first failure. 0 (the default) fails the point on the first error.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -375,5 +376,56 @@ func TestBackoffDelayDeterministic(t *testing.T) {
 	}
 	if d := BackoffDelay(0, 3, 1); d != 0 {
 		t.Errorf("zero base should not delay, got %v", d)
+	}
+}
+
+// TestOptionsValidate pins the policy check every binary runs on its
+// parsed flags: zero workers is valid (all cores), a negative worker or
+// retry count is refused by name.
+func TestOptionsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		opt  Options
+		want string // "" when valid
+	}{
+		{Options{}, ""},
+		{Options{Workers: 1, Retries: 2}, ""},
+		{Options{Workers: -1}, "sweep-workers = -1"},
+		{Options{Retries: -1}, "point-retries = -1"},
+	} {
+		err := tc.opt.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%+v: unexpected error %v", tc.opt, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%+v: error %v, want one naming %q", tc.opt, err, tc.want)
+		}
+	}
+}
+
+// TestRunZeroWorkersUsesAllCores checks that Workers 0 means GOMAXPROCS:
+// the first GOMAXPROCS points each wait until all of them are running,
+// which only a pool of at least that size lets happen.
+func TestRunZeroWorkersUsesAllCores(t *testing.T) {
+	const procs = 4
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	var started atomic.Int64
+	all := make(chan struct{})
+	_, err := runPlain(0, make([]int, 2*procs), func(i, v int) (int, error) {
+		if i >= procs {
+			return v, nil
+		}
+		if started.Add(1) == procs {
+			close(all)
+		}
+		select {
+		case <-all:
+			return v, nil
+		case <-time.After(10 * time.Second):
+			return 0, fmt.Errorf("point %d: only %d of %d points ran at once", i, started.Load(), procs)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
