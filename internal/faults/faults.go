@@ -1,12 +1,14 @@
 // Package faults injects node failures into a deployment. The paper assumes
 // every deployed sensor stays alive for the whole mission; real sparse
 // deployments lose nodes to battery exhaustion, hardware death and localized
-// events (jamming, flooding). Each model here turns a deployment into a
-// deterministic, seedable per-period alive mask that the simulator and the
-// network layer consume: a dead sensor neither senses nor relays.
+// events (jamming, flooding). Each model here draws, deterministically from a
+// seedable stream, the period in which each node of a deployment dies, which
+// the simulator and the network layer consume: a dead sensor neither senses
+// nor relays.
 //
 // All models are permanent-death models: once a node dies it stays dead, so
-// masks are monotone non-increasing over time.
+// one death period per node describes the whole mission, and the alive mask
+// of every period follows from it.
 package faults
 
 import (
@@ -21,13 +23,16 @@ import (
 // ErrModel reports an invalid failure model.
 var ErrModel = errors.New("faults: invalid failure model")
 
-// Model produces alive masks for a deployment.
+// Model draws the death periods of a deployment.
 type Model interface {
-	// Masks returns alive[t][i], whether node i is alive during sensing
-	// period t+1, for t = 0..periods-1. bounds is the deployment field
-	// (used by spatially correlated models); rng supplies the randomness,
-	// so a model is deterministic per (deployment, rng state).
-	Masks(nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([][]bool, error)
+	// Deaths returns dst, resized to len(nodes), holding each node's death
+	// period: node i is alive in the 1-based sensing period p iff
+	// p < dst[i], so 1 means dead from the start and periods+1 means alive
+	// for the whole mission. bounds is the deployment field (used by
+	// spatially correlated models); rng supplies the randomness, so a model
+	// is deterministic per (deployment, rng state). A caller that passes the
+	// returned slice back in allocates only on its first call.
+	Deaths(dst []int, nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([]int, error)
 }
 
 func checkPeriods(periods int) error {
@@ -37,37 +42,28 @@ func checkPeriods(periods int) error {
 	return nil
 }
 
-// rows returns periods masks of nodes entries each, sliced from one backing
-// array. Every row is capped at its own end, so no row aliases another:
-// Compose and Blob write into rows one by one.
-func rows(nodes, periods int) [][]bool {
-	backing := make([]bool, nodes*periods)
-	masks := make([][]bool, periods)
-	for t := range masks {
-		masks[t] = backing[t*nodes : (t+1)*nodes : (t+1)*nodes]
+// survivors returns dst resized to n with every node alive for the whole
+// mission of periods periods.
+func survivors(dst []int, n, periods int) []int {
+	if cap(dst) < n {
+		dst = make([]int, n)
 	}
-	return masks
-}
-
-func allAlive(nodes, periods int) [][]bool {
-	masks := rows(nodes, periods)
-	for _, m := range masks {
-		for i := range m {
-			m[i] = true
-		}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = periods + 1
 	}
-	return masks
+	return dst
 }
 
 // None is the paper's assumption: every node alive for the whole mission.
 type None struct{}
 
-// Masks implements Model.
-func (None) Masks(nodes []geom.Point, _ geom.Rect, periods int, _ *rand.Rand) ([][]bool, error) {
+// Deaths implements Model.
+func (None) Deaths(dst []int, nodes []geom.Point, _ geom.Rect, periods int, _ *rand.Rand) ([]int, error) {
 	if err := checkPeriods(periods); err != nil {
 		return nil, err
 	}
-	return allAlive(len(nodes), periods), nil
+	return survivors(dst, len(nodes), periods), nil
 }
 
 // Bernoulli kills each node independently with probability DeadFrac before
@@ -79,23 +75,23 @@ type Bernoulli struct {
 	DeadFrac float64
 }
 
-// Masks implements Model.
-func (b Bernoulli) Masks(nodes []geom.Point, _ geom.Rect, periods int, rng *rand.Rand) ([][]bool, error) {
+// Deaths implements Model: one draw per node, in id order.
+func (b Bernoulli) Deaths(dst []int, nodes []geom.Point, _ geom.Rect, periods int, rng *rand.Rand) ([]int, error) {
 	if b.DeadFrac < 0 || b.DeadFrac > 1 || math.IsNaN(b.DeadFrac) {
 		return nil, fmt.Errorf("dead fraction %v must be in [0, 1]: %w", b.DeadFrac, ErrModel)
 	}
 	if err := checkPeriods(periods); err != nil {
 		return nil, err
 	}
-	masks := rows(len(nodes), periods)
-	alive := masks[0]
-	for i := range alive {
-		alive[i] = rng.Float64() >= b.DeadFrac
+	dst = survivors(dst, len(nodes), periods)
+	for i := range dst {
+		d := periods + 1
+		if rng.Float64() < b.DeadFrac {
+			d = 1
+		}
+		dst[i] = d
 	}
-	for _, m := range masks[1:] {
-		copy(m, alive)
-	}
-	return masks, nil
+	return dst, nil
 }
 
 // Lifetime is a per-period battery/hardware hazard: each node alive at the
@@ -110,8 +106,9 @@ type Lifetime struct {
 	InitialDeadFrac float64
 }
 
-// Masks implements Model.
-func (l Lifetime) Masks(nodes []geom.Point, _ geom.Rect, periods int, rng *rand.Rand) ([][]bool, error) {
+// Deaths implements Model: one draw per node for the initial state, then
+// per period one draw per node still alive, in id order.
+func (l Lifetime) Deaths(dst []int, nodes []geom.Point, _ geom.Rect, periods int, rng *rand.Rand) ([]int, error) {
 	if l.Hazard < 0 || l.Hazard > 1 || math.IsNaN(l.Hazard) {
 		return nil, fmt.Errorf("hazard %v must be in [0, 1]: %w", l.Hazard, ErrModel)
 	}
@@ -121,22 +118,20 @@ func (l Lifetime) Masks(nodes []geom.Point, _ geom.Rect, periods int, rng *rand.
 	if err := checkPeriods(periods); err != nil {
 		return nil, err
 	}
-	masks := rows(len(nodes), periods)
-	alive := masks[0] // the initial state, then period 1's after its hazard
-	for i := range alive {
-		alive[i] = rng.Float64() >= l.InitialDeadFrac
-	}
-	for t, m := range masks {
-		if t > 0 {
-			copy(m, masks[t-1])
+	dst = survivors(dst, len(nodes), periods)
+	for i := range dst {
+		if rng.Float64() < l.InitialDeadFrac {
+			dst[i] = 1
 		}
-		for i := range m {
-			if m[i] && rng.Float64() < l.Hazard {
-				m[i] = false
+	}
+	for p := 1; p <= periods; p++ {
+		for i, d := range dst {
+			if d > periods && rng.Float64() < l.Hazard {
+				dst[i] = p
 			}
 		}
 	}
-	return masks, nil
+	return dst, nil
 }
 
 // Blob is a spatially correlated failure: at period At, every node within
@@ -153,8 +148,9 @@ type Blob struct {
 	Center *geom.Point
 }
 
-// Masks implements Model.
-func (b Blob) Masks(nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([][]bool, error) {
+// Deaths implements Model: two draws for the center (X, Y), made even when
+// Center is set.
+func (b Blob) Deaths(dst []int, nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([]int, error) {
 	if !(b.Radius > 0) || math.IsInf(b.Radius, 0) {
 		return nil, fmt.Errorf("blob radius %v must be positive and finite: %w", b.Radius, ErrModel)
 	}
@@ -175,16 +171,17 @@ func (b Blob) Masks(nodes []geom.Point, bounds geom.Rect, periods int, rng *rand
 	if b.Center != nil {
 		center = *b.Center
 	}
-	masks := allAlive(len(nodes), periods)
+	dst = survivors(dst, len(nodes), periods)
+	if at > periods {
+		return dst, nil // the event strikes after the mission
+	}
 	r2 := b.Radius * b.Radius
-	for t := at - 1; t < periods; t++ {
-		for i, p := range nodes {
-			if p.Dist2(center) <= r2 {
-				masks[t][i] = false
-			}
+	for i, p := range nodes {
+		if p.Dist2(center) <= r2 {
+			dst[i] = at
 		}
 	}
-	return masks, nil
+	return dst, nil
 }
 
 // Compose overlays several failure models: a node is alive only when alive
@@ -192,40 +189,38 @@ func (b Blob) Masks(nodes []geom.Point, bounds geom.Rect, periods int, rng *rand
 // mid-mission jamming blob.
 type Compose []Model
 
-// Masks implements Model.
-func (c Compose) Masks(nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([][]bool, error) {
+// Deaths implements Model: the components draw in order, and each node
+// dies at the earliest of its components' death periods. The returned
+// slice keeps a second len(nodes) entries of capacity past its end, the
+// later components' scratch, so passing it back allocates nothing.
+func (c Compose) Deaths(dst []int, nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([]int, error) {
 	if len(c) == 0 {
 		return nil, fmt.Errorf("empty composition: %w", ErrModel)
 	}
-	out, err := c[0].Masks(nodes, bounds, periods, rng)
-	if err != nil {
-		return nil, err
+	n := len(nodes)
+	if cap(dst) < 2*n {
+		dst = make([]int, 2*n)
 	}
-	for _, m := range c[1:] {
-		next, err := m.Masks(nodes, bounds, periods, rng)
+	out, scratch := dst[:n], dst[n:2*n]
+	for j, m := range c {
+		part := out
+		if j > 0 {
+			part = scratch
+		}
+		got, err := m.Deaths(part[:0:n], nodes, bounds, periods, rng)
 		if err != nil {
 			return nil, err
 		}
-		for t := range out {
-			for i := range out[t] {
-				out[t][i] = out[t][i] && next[t][i]
-			}
+		if len(got) != n {
+			return nil, fmt.Errorf("component %d returned %d death periods for %d nodes: %w", j, len(got), n, ErrModel)
+		}
+		if j == 0 {
+			copy(out, got) // a no-op unless the component allocated its own
+			continue
+		}
+		for i, d := range got {
+			out[i] = min(out[i], d)
 		}
 	}
 	return out, nil
-}
-
-// AliveFraction returns the fraction of true entries in a mask (1 for an
-// empty mask, matching a zero-sensor deployment having nothing to lose).
-func AliveFraction(mask []bool) float64 {
-	if len(mask) == 0 {
-		return 1
-	}
-	alive := 0
-	for _, a := range mask {
-		if a {
-			alive++
-		}
-	}
-	return float64(alive) / float64(len(mask))
 }

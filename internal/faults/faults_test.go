@@ -19,19 +19,48 @@ func deployment(t *testing.T, n int, bounds geom.Rect, seed int64) []geom.Point 
 	return pts
 }
 
-func TestNoneKeepsEveryoneAlive(t *testing.T) {
-	bounds := geom.Square(1000)
-	nodes := deployment(t, 50, bounds, 1)
-	masks, err := None{}.Masks(nodes, bounds, 5, field.NewRand(2))
+// masks draws model's death periods and expands them into alive[t][i],
+// whether node i is alive in period t+1: the per-period masks the kernel
+// walks.
+func masks(t *testing.T, model Model, nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) [][]bool {
+	t.Helper()
+	deaths, err := model.Deaths(nil, nodes, bounds, periods, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(masks) != 5 {
-		t.Fatalf("periods = %d", len(masks))
+	if len(deaths) != len(nodes) {
+		t.Fatalf("%d death periods for %d nodes", len(deaths), len(nodes))
 	}
-	for t2, m := range masks {
-		if AliveFraction(m) != 1 {
-			t.Errorf("period %d alive fraction %v", t2+1, AliveFraction(m))
+	out := make([][]bool, periods)
+	for p := range out {
+		out[p] = make([]bool, len(nodes))
+		for i, d := range deaths {
+			if d < 1 || d > periods+1 {
+				t.Fatalf("node %d death period %d outside [1, %d]", i, d, periods+1)
+			}
+			out[p][i] = p+1 < d
+		}
+	}
+	return out
+}
+
+// aliveFraction is the fraction of true entries in a mask.
+func aliveFraction(mask []bool) float64 {
+	alive := 0
+	for _, a := range mask {
+		if a {
+			alive++
+		}
+	}
+	return float64(alive) / float64(len(mask))
+}
+
+func TestNoneKeepsEveryoneAlive(t *testing.T) {
+	bounds := geom.Square(1000)
+	nodes := deployment(t, 50, bounds, 1)
+	for t2, m := range masks(t, None{}, nodes, bounds, 5, field.NewRand(2)) {
+		if aliveFraction(m) != 1 {
+			t.Errorf("period %d alive fraction %v", t2+1, aliveFraction(m))
 		}
 	}
 }
@@ -39,11 +68,8 @@ func TestNoneKeepsEveryoneAlive(t *testing.T) {
 func TestBernoulliDeadFraction(t *testing.T) {
 	bounds := geom.Square(1000)
 	nodes := deployment(t, 5000, bounds, 3)
-	masks, err := Bernoulli{DeadFrac: 0.3}.Masks(nodes, bounds, 4, field.NewRand(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := AliveFraction(masks[0])
+	masks := masks(t, Bernoulli{DeadFrac: 0.3}, nodes, bounds, 4, field.NewRand(4))
+	got := aliveFraction(masks[0])
 	if math.Abs(got-0.7) > 0.03 {
 		t.Errorf("alive fraction %v, want ~0.7", got)
 	}
@@ -60,10 +86,13 @@ func TestBernoulliDeadFraction(t *testing.T) {
 func TestBernoulliValidation(t *testing.T) {
 	bounds := geom.Square(100)
 	nodes := deployment(t, 3, bounds, 5)
-	if _, err := (Bernoulli{DeadFrac: 1.5}).Masks(nodes, bounds, 3, field.NewRand(1)); err == nil {
+	if _, err := (Bernoulli{DeadFrac: 1.5}).Deaths(nil, nodes, bounds, 3, field.NewRand(1)); err == nil {
 		t.Error("dead fraction > 1 should fail")
 	}
-	if _, err := (Bernoulli{DeadFrac: 0.5}).Masks(nodes, bounds, 0, field.NewRand(1)); err == nil {
+	if _, err := (Bernoulli{DeadFrac: math.NaN()}).Deaths(nil, nodes, bounds, 3, field.NewRand(1)); err == nil {
+		t.Error("NaN dead fraction should fail")
+	}
+	if _, err := (Bernoulli{DeadFrac: 0.5}).Deaths(nil, nodes, bounds, 0, field.NewRand(1)); err == nil {
 		t.Error("zero periods should fail")
 	}
 }
@@ -72,13 +101,10 @@ func TestLifetimeMonotoneAndGeometric(t *testing.T) {
 	bounds := geom.Square(1000)
 	nodes := deployment(t, 4000, bounds, 6)
 	const hazard = 0.1
-	masks, err := Lifetime{Hazard: hazard}.Masks(nodes, bounds, 10, field.NewRand(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	masks := masks(t, Lifetime{Hazard: hazard}, nodes, bounds, 10, field.NewRand(7))
 	prev := 1.0
 	for p, m := range masks {
-		frac := AliveFraction(m)
+		frac := aliveFraction(m)
 		if frac > prev {
 			t.Fatalf("period %d alive fraction %v rose above %v", p+1, frac, prev)
 		}
@@ -108,10 +134,7 @@ func TestBlobKillsDiskFromEventPeriod(t *testing.T) {
 		}
 	}
 	center := geom.Point{X: 500, Y: 500}
-	masks, err := Blob{Radius: 450, At: 3, Center: &center}.Masks(nodes, bounds, 5, field.NewRand(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	masks := masks(t, Blob{Radius: 450, At: 3, Center: &center}, nodes, bounds, 5, field.NewRand(8))
 	for i := range nodes {
 		inBlast := nodes[i].Dist(center) <= 450
 		for p := range masks {
@@ -126,14 +149,8 @@ func TestBlobKillsDiskFromEventPeriod(t *testing.T) {
 func TestBlobRandomCenterDeterministicPerSeed(t *testing.T) {
 	bounds := geom.Square(1000)
 	nodes := deployment(t, 200, bounds, 9)
-	a, err := Blob{Radius: 300}.Masks(nodes, bounds, 4, field.NewRand(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Blob{Radius: 300}.Masks(nodes, bounds, 4, field.NewRand(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := masks(t, Blob{Radius: 300}, nodes, bounds, 4, field.NewRand(10))
+	b := masks(t, Blob{Radius: 300}, nodes, bounds, 4, field.NewRand(10))
 	for p := range a {
 		for i := range a[p] {
 			if a[p][i] != b[p][i] {
@@ -147,23 +164,19 @@ func TestComposeIntersects(t *testing.T) {
 	bounds := geom.Square(1000)
 	nodes := deployment(t, 2000, bounds, 11)
 	model := Compose{Bernoulli{DeadFrac: 0.2}, Bernoulli{DeadFrac: 0.2}}
-	masks, err := model.Masks(nodes, bounds, 3, field.NewRand(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := AliveFraction(masks[0])
+	got := aliveFraction(masks(t, model, nodes, bounds, 3, field.NewRand(12))[0])
 	if math.Abs(got-0.64) > 0.04 {
 		t.Errorf("composed alive fraction %v, want ~0.64", got)
 	}
-	if _, err := (Compose{}).Masks(nodes, bounds, 3, field.NewRand(1)); err == nil {
+	if _, err := (Compose{}).Deaths(nil, nodes, bounds, 3, field.NewRand(1)); err == nil {
 		t.Error("empty composition should fail")
 	}
 }
 
-// perRowMasks is the one-slice-per-period construction Bernoulli (hazard
-// < 0: no per-period draws) and Lifetime used before their rows shared a
-// backing array, drawing in the same order: the reference the shared layout
-// must reproduce bit for bit.
+// perRowMasks is the per-period mask construction Bernoulli (hazard < 0:
+// no per-period draws) and Lifetime used before death periods replaced
+// masks, drawing in the same order: the reference the death periods must
+// reproduce bit for bit.
 func perRowMasks(n, periods int, initialDead, hazard float64, rng *rand.Rand) [][]bool {
 	alive := make([]bool, n)
 	for i := range alive {
@@ -181,50 +194,55 @@ func perRowMasks(n, periods int, initialDead, hazard float64, rng *rand.Rand) []
 	return masks
 }
 
-// TestSharedRowsMatchPerRowMasks: masks sliced from one backing array equal
-// the per-row construction bit for bit, and no row aliases its neighbour —
-// a write into, or an append onto, row t leaves row t+1 as it was.
-func TestSharedRowsMatchPerRowMasks(t *testing.T) {
+// perRowBlob is the per-period mask construction of Blob, drawing the
+// center the same way.
+func perRowBlob(nodes []geom.Point, bounds geom.Rect, radius float64, at, periods int, rng *rand.Rand) [][]bool {
+	center := geom.Point{
+		X: bounds.MinX + rng.Float64()*(bounds.MaxX-bounds.MinX),
+		Y: bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY),
+	}
+	masks := make([][]bool, periods)
+	for t := range masks {
+		masks[t] = make([]bool, len(nodes))
+		for i, p := range nodes {
+			masks[t][i] = t < at-1 || p.Dist2(center) > radius*radius
+		}
+	}
+	return masks
+}
+
+// TestDeathsMatchPerRowMasks: the death periods of a composition of every
+// drawing model expand to the per-period masks the models drew before,
+// bit for bit, and a buffer passed back is reused.
+func TestDeathsMatchPerRowMasks(t *testing.T) {
 	bounds := geom.Square(1000)
 	nodes := deployment(t, 300, bounds, 13)
 	const periods = 6
+	var buf []int
 	for seed := int64(1); seed <= 5; seed++ {
-		model := Compose{Bernoulli{DeadFrac: 0.2}, Lifetime{Hazard: 0.1, InitialDeadFrac: 0.05}}
-		got, err := model.Masks(nodes, bounds, periods, field.NewRand(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
+		model := Compose{Bernoulli{DeadFrac: 0.2}, Lifetime{Hazard: 0.1, InitialDeadFrac: 0.05}, Blob{Radius: 300, At: 4}}
+		got := masks(t, model, nodes, bounds, periods, field.NewRand(seed))
 		ref := field.NewRand(seed)
 		want := perRowMasks(len(nodes), periods, 0.2, -1, ref)
 		life := perRowMasks(len(nodes), periods, 0.05, 0.1, ref)
+		blob := perRowBlob(nodes, bounds, 300, 4, periods, ref)
 		for tt := range want {
 			for i := range want[tt] {
-				want[tt][i] = want[tt][i] && life[tt][i]
+				want[tt][i] = want[tt][i] && life[tt][i] && blob[tt][i]
 			}
 		}
 		for tt := range want {
 			if !slices.Equal(got[tt], want[tt]) {
-				t.Fatalf("seed %d period %d: shared-row mask differs from the per-row one", seed, tt+1)
+				t.Fatalf("seed %d period %d: death-period mask differs from the per-row one", seed, tt+1)
 			}
 		}
-		for tt := 0; tt+1 < periods; tt++ {
-			next := slices.Clone(got[tt+1])
-			for i := range got[tt] {
-				got[tt][i] = !got[tt][i]
-			}
-			_ = append(got[tt], !next[0]) // spills into row t+1 if the rows are uncapped
-			if !slices.Equal(got[tt+1], next) {
-				t.Fatalf("seed %d: writing row %d changed row %d", seed, tt, tt+1)
-			}
+		deaths, err := model.Deaths(buf, nodes, bounds, periods, field.NewRand(seed))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestAliveFractionHelpers(t *testing.T) {
-	if AliveFraction(nil) != 1 {
-		t.Error("empty mask should count as fully alive")
-	}
-	if got := AliveFraction([]bool{true, false, true, false}); got != 0.5 {
-		t.Errorf("alive fraction %v, want 0.5", got)
+		if buf != nil && &deaths[0] != &buf[0] {
+			t.Errorf("seed %d: a returned buffer passed back was not reused", seed)
+		}
+		buf = deaths
 	}
 }

@@ -142,20 +142,43 @@ type Engine struct {
 // New builds an engine over n sensors. The returned engine has observed
 // zero periods: every sensor is believed alive.
 func New(n int, opt Options) (*Engine, error) {
+	e := new(Engine)
+	if err := e.Reset(n, opt); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Reset puts e in the state New(n, opt) returns, reusing its storage, so
+// an engine kept across trials allocates only when n grows. The zero
+// Engine is ready for Reset.
+func (e *Engine) Reset(n int, opt Options) error {
 	if n < 1 {
-		return nil, fmt.Errorf("sensor count = %d must be >= 1: %w", n, ErrConfig)
+		return fmt.Errorf("sensor count = %d must be >= 1: %w", n, ErrConfig)
 	}
 	opt, err := opt.withDefaults()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	engines.Inc()
-	return &Engine{
+	*e = Engine{
 		opt:        opt,
 		threshold:  math.Log((1 - opt.Beta) / opt.Alpha),
-		llr:        make([]float64, n),
-		declaredAt: make([]int, n),
-	}, nil
+		llr:        resize(e.llr, n),
+		declaredAt: resize(e.declaredAt, n),
+	}
+	return nil
+}
+
+// resize returns s resized to n and zeroed, keeping its backing array when
+// large enough.
+func resize[T float64 | int](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Threshold returns the Wald declaration threshold log((1-Beta)/Alpha).
@@ -198,26 +221,42 @@ func (e *Engine) Observe(arrived []bool, generated, delivered int) error {
 		r = maxSilenceOdds
 	}
 	silent := -math.Log1p(-r) // log-odds of a silent period, dead over alive
+	llr, declaredAt := e.llr[:len(arrived)], e.declaredAt[:len(arrived)]
 	for i, heard := range arrived {
-		if heard {
-			// An arrival is conclusive: dead sensors emit nothing, so the
-			// LLR collapses and any standing declaration is retracted.
-			e.llr[i] = 0
-			if e.declaredAt[i] != 0 {
-				e.declaredAt[i] = 0
-				e.retractions++
-				retractions.Inc()
-			}
+		// An arrival is conclusive: dead sensors emit nothing, so the LLR
+		// collapses and any standing declaration is retracted. Silence adds
+		// its log-odds and declares once the LLR crosses the threshold.
+		// Whether a sensor is heard is a coin flip per period, so the
+		// update and the test below decide without a branch on it: the
+		// mask clears every bit of l, to +0, when heard. The branch after
+		// the test is taken only on a declaration or a retraction.
+		h := b2i(heard)
+		l := math.Float64frombits(math.Float64bits(llr[i]+silent) &^ -uint64(h))
+		llr[i] = l
+		if (1^h^b2i(declaredAt[i] != 0))&(h|b2i(l >= e.threshold)) == 0 {
 			continue
 		}
-		e.llr[i] += silent
-		if e.declaredAt[i] == 0 && e.llr[i] >= e.threshold {
-			e.declaredAt[i] = e.period
+		if heard {
+			declaredAt[i] = 0
+			e.retractions++
+			retractions.Inc()
+		} else {
+			declaredAt[i] = e.period
 			e.declarations++
 			declarations.Inc()
 		}
 	}
 	return nil
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // Alive appends the current believed-alive mask to dst (resized as
@@ -254,7 +293,8 @@ func (e *Engine) InferredDeadFrac() float64 {
 	return float64(e.DeadCount()) / float64(len(e.declaredAt))
 }
 
-// Declarations and Retractions count state transitions since New: a
+// Declarations and Retractions count state transitions since New or
+// Reset: a
 // sensor declared, heard from again, and re-declared counts twice in
 // Declarations and once in Retractions.
 func (e *Engine) Declarations() int { return e.declarations }
@@ -269,19 +309,15 @@ func (e *Engine) Score(truthAlive []bool) (Confusion, error) {
 	if len(truthAlive) != len(e.declaredAt) {
 		return c, fmt.Errorf("truth mask covers %d of %d sensors: %w", len(truthAlive), len(e.declaredAt), ErrConfig)
 	}
+	// Counted without a branch per sensor: both masks are coin flips to
+	// the branch predictor.
 	for i, at := range e.declaredAt {
-		declared := at != 0
-		switch {
-		case declared && !truthAlive[i]:
-			c.TP++
-		case declared && truthAlive[i]:
-			c.FP++
-		case !declared && !truthAlive[i]:
-			c.FN++
-		default:
-			c.TN++
-		}
+		declared, dead := b2i(at != 0), b2i(!truthAlive[i])
+		c.TP += declared & dead
+		c.FP += declared &^ dead
+		c.FN += dead &^ declared
 	}
+	c.TN = len(e.declaredAt) - c.TP - c.FP - c.FN
 	return c, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"github.com/groupdetect/gbd/internal/faults"
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
+	"github.com/groupdetect/gbd/internal/infer"
 	"github.com/groupdetect/gbd/internal/netsim"
 )
 
@@ -340,6 +341,7 @@ func TestRelayStageAllocatesNothing(t *testing.T) {
 			for i := range mask {
 				mask[i] = (i+trial+epoch)%4 != 0
 			}
+			k.relay.maskChanged()
 			for s := 0; s < pl.n; s += 5 {
 				if !mask[s] {
 					continue
@@ -360,8 +362,8 @@ func TestRelayStageAllocatesNothing(t *testing.T) {
 }
 
 // TestFaultyRunTrialAllocs bounds the allocations of one detailed
-// fault-injection trial (BenchmarkFaultyTrial's shape): the fault masks,
-// the track and the returned TrialResult, nothing per report or per route.
+// fault-injection trial (BenchmarkFaultyTrial's shape): the track and the
+// returned TrialResult, nothing per report or per route.
 func TestFaultyRunTrialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
@@ -390,5 +392,39 @@ func TestFaultyRunTrialAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, run); allocs > 12 {
 		t.Errorf("faulty RunTrial: %v allocs per trial, want at most 12", allocs)
+	}
+}
+
+// TestFaultCampaignAllocsDoNotGrowWithTrials: a campaign through every
+// fault stage — Bernoulli death, the lossy relay, beacons and the
+// inferencer — allocates per campaign, not per trial. Doubling its trials
+// may add only a few objects (the pooled kernel's scratch growing to a
+// larger deployment draw), never one per trial.
+func TestFaultCampaignAllocsDoNotGrowWithTrials(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	cfg := Config{
+		Params:    detect.Defaults(),
+		Seed:      5,
+		Workers:   1,
+		Faults:    faults.Bernoulli{DeadFrac: 0.2},
+		CommRange: 6000,
+		Loss:      netsim.LossModel{PerHopDelivery: 0.9, MaxRetries: 2, PerHop: 10 * time.Second, Backoff: 5 * time.Second},
+		Beacons:   true,
+		Infer:     &infer.Options{},
+	}
+	allocs := func(trials int) float64 {
+		cfg.Trials = trials
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	allocs(400) // warm the kernel pool
+	small, large := allocs(200), allocs(400)
+	if large-small > 4 {
+		t.Errorf("400 trials allocate %v objects, 200 trials %v: %v more, want at most 4", large, small, large-small)
 	}
 }

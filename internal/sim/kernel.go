@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"time"
 	"unsafe"
 
 	"github.com/groupdetect/gbd/internal/detect"
-	"github.com/groupdetect/gbd/internal/faults"
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
 	"github.com/groupdetect/gbd/internal/infer"
@@ -26,7 +24,9 @@ import (
 // draws from the trial's stream, and the knob that turns each on:
 //
 //	deploy      always: 2 draws per sensor (X, Y), class by class
-//	alive       Faults: Faults.Masks for the whole mission
+//	alive       Faults: Faults.Deaths, one death period per sensor for the
+//	            whole mission, bucketed by period; per period the kernel
+//	            flips that period's dying sensors in one live alive mask
 //	relay       CommRange: base station and lazy routing table, no draws
 //	track(s)    always: target.SampleInto per target, resampled until
 //	            separated when several targets share a trial
@@ -42,11 +42,14 @@ import (
 //	                on the count path the same draws, one per covered
 //	                count, class by class
 //	  false alarms  FalseAlarmP: 1 draw per alive sensor
-//	  beacons       Beacons: 1 status frame per alive sensor
+//	  beacons       Beacons: 1 status frame per alive sensor, in id order
 //	  deliver       each report or beacon as it is generated: 1 draw on the
 //	                flat uplink (PDeliver), the relay's per-hop draws
-//	                (CommRange), none otherwise
-//	  infer         Infer: Engine.Observe on what arrived, no draws
+//	                (CommRange), none otherwise; the period's beacon draws
+//	                on the flat uplink come in one fill
+//	  infer         Infer: Engine.Observe on what arrived, no draws; the
+//	                score against the alive mask is taken again only when
+//	                the mask or the engine's declarations changed
 //	window      always: the sliding K-of-M rule per target, no draws
 //
 // That is the legacy scheme's order. Under SchemePhilox the track comes
@@ -111,6 +114,7 @@ type plan struct {
 	uplink   bool // deliver over the flat lossy uplink (PDeliver in (0, 1))
 	relay    bool // deliver hop by hop over the unit-disk network (CommRange)
 	record   bool // keep each trial's generated reports for Visit
+	heard    bool // Beacons or Infer: note who the base heard each period
 	// counted: no stage reads sensor identity, so a trial that records
 	// nothing senses from per-period covered counts (see coverCounts).
 	counted bool
@@ -159,6 +163,7 @@ func (pl *plan) init(cfg Config, classes []detect.SensorClass, targets int, minS
 		pl.n += c.Count
 	}
 	pl.relay = cfg.CommRange > 0 && pl.n > 0
+	pl.heard = cfg.Beacons || cfg.Infer != nil
 	_, straight := cfg.Model.(target.Straight)
 	pl.counted = straight && cfg.ExposureLambda == 0 && cfg.Faults == nil && !pl.relay &&
 		!pl.uplink && !cfg.Beacons && cfg.Infer == nil
@@ -191,14 +196,20 @@ type kernel struct {
 	arrivals  []int     // target j's arrivals per 1-based period, at [j*(mission+1):]
 	cover     []int32   // count path: per (target, class) row, covered sensors per period
 	buf       []int     // spatial-query result buffer
-	masks     [][]bool
+	deaths    []int     // Faults: each sensor's death period (faults.Model)
+	dying     []int     // Faults: sensor ids sorted by death period
+	dyingEnd  []int     // Faults: period p's dying sensors are dying[dyingEnd[p-1]:dyingEnd[p]]
+	alive     []bool    // this period's alive mask; all true without Faults (Faults, Beacons, Infer)
+	nAlive    int       // true entries of alive
 	relay     relayState
-	eng       *infer.Engine
-	heardNow  []bool // sensors heard at the base this period (Infer)
-	allAlive  []bool // ground truth when no fault model runs (Infer)
-	genNow    int    // frames handed to the deliver stage this period
-	delNow    int    // frames that arrived within this period
-	reported  []bool // sensors with an arrived report; detailed trials only
+	eng       infer.Engine    // Reset every trial (Infer)
+	scored    infer.Confusion // eng's last Score of alive
+	scoredAt  [2]int          // eng's Declarations and Retractions at that Score
+	heardNow  []bool          // sensors heard at the base this period (Beacons, Infer)
+	beaconU   []float64       // the beacon stage's delivery draws on the flat uplink
+	genNow    int             // frames handed to the deliver stage this period
+	delNow    int             // frames that arrived within this period
+	reported  []bool          // sensors with an arrived report; detailed trials only
 	generated []Report
 
 	// Outcome of the last trial.
@@ -224,7 +235,7 @@ func getKernel(pl *plan) *kernel {
 }
 
 func putKernel(k *kernel) {
-	k.pl, k.masks, k.eng = nil, nil, nil
+	k.pl = nil
 	kernelPool.Put(k)
 }
 
@@ -353,9 +364,8 @@ func (k *kernel) run(trial int, detailed bool) error {
 	} else if err := k.deploy(); err != nil {
 		return err
 	}
-	k.masks = nil
 	if cfg.Faults != nil {
-		if err := k.alive(); err != nil {
+		if err := k.drawDeaths(); err != nil {
 			return err
 		}
 	}
@@ -367,18 +377,18 @@ func (k *kernel) run(trial int, detailed bool) error {
 	// The failure inferencer consumes no randomness — all its inputs are
 	// what the base station observed — so enabling it never perturbs the
 	// trial.
-	k.eng = nil
 	k.infer = InferStats{}
 	if cfg.Infer != nil {
-		eng, err := infer.New(pl.n, *cfg.Infer)
-		if err != nil {
+		if err := k.eng.Reset(pl.n, *cfg.Infer); err != nil {
 			return err
 		}
-		k.eng = eng
+	}
+	if cfg.Faults != nil || pl.heard {
+		k.alive = bools(k.alive, pl.n, true)
+		k.nAlive = pl.n
+	}
+	if pl.heard {
 		k.heardNow = bools(k.heardNow, pl.n, false)
-		if k.masks == nil {
-			k.allAlive = bools(k.allAlive, pl.n, true)
-		}
 	}
 	if k.ph == nil {
 		if err := k.sampleTracks(); err != nil {
@@ -400,23 +410,34 @@ func (k *kernel) run(trial int, detailed bool) error {
 	if detailed {
 		k.reported = bools(k.reported, pl.n, false)
 	}
-	aliveFracSum := 0.0
-	var prevMask []bool
-	aliveFrac := 1.0
+	// The stages read the alive mask only under a fault model; nil tells
+	// them every sensor is alive.
+	var mask []bool
+	if cfg.Faults != nil {
+		mask = k.alive
+	}
+	aliveFrac, aliveFracSum := 1.0, 0.0
 	for period := 1; period <= mission; period++ {
 		k.genNow, k.delNow = 0, 0
-		if k.eng != nil {
+		if pl.heard {
 			clear(k.heardNow)
 		}
-		var mask []bool
-		if k.masks != nil {
-			mask = k.masks[period-1]
-			// Masks mostly repeat period to period, and a repeat has the
-			// same alive fraction: count only a changed one.
-			if prevMask == nil || !slices.Equal(prevMask, mask) {
-				aliveFrac = faults.AliveFraction(mask)
+		// changed: this period's alive mask differs from the last one, or
+		// there was none.
+		changed := period == 1
+		if cfg.Faults != nil {
+			dying := k.dying[k.dyingEnd[period-1]:k.dyingEnd[period]]
+			for _, id := range dying {
+				k.alive[id] = false
 			}
-			prevMask = mask
+			k.nAlive -= len(dying)
+			if len(dying) > 0 {
+				changed = true
+				k.relay.maskChanged()
+			}
+			if changed && pl.n > 0 {
+				aliveFrac = float64(k.nAlive) / float64(pl.n)
+			}
 		}
 		aliveFracSum += aliveFrac
 		for j, track := range k.tracks {
@@ -436,16 +457,12 @@ func (k *kernel) run(trial int, detailed bool) error {
 			}
 		}
 		if cfg.Beacons {
-			for s := 0; s < pl.n; s++ {
-				if mask == nil || mask[s] {
-					if err := k.beacon(s, mask); err != nil {
-						return err
-					}
-				}
+			if err := k.beacons(mask); err != nil {
+				return err
 			}
 		}
-		if k.eng != nil {
-			if err := k.observe(mask); err != nil {
+		if cfg.Infer != nil {
+			if err := k.observe(changed); err != nil {
 				return err
 			}
 		}
@@ -455,10 +472,8 @@ func (k *kernel) run(trial int, detailed bool) error {
 		// No fault or delivery model: no counts, and every sensor alive.
 		k.faults = FaultStats{MeanAliveFrac: 1}
 	}
-	if k.eng != nil {
-		if err := k.scoreInference(); err != nil {
-			return err
-		}
+	if cfg.Infer != nil {
+		k.scoreInference()
 	}
 	k.window()
 	return nil
@@ -470,9 +485,7 @@ func (k *kernel) deploy() error {
 	pl := k.pl
 	b := pl.bounds
 	k.u = padded(k.u, 2*pl.n)
-	for i := range k.u {
-		k.u[i] = k.rng.Float64()
-	}
+	k.fill(k.u)
 	k.sensors = padded(k.sensors, pl.n)
 	w, h := b.MaxX-b.MinX, b.MaxY-b.MinY
 	for i := range k.sensors {
@@ -578,25 +591,42 @@ func indexCellSize(rs, fieldSide float64) float64 {
 	return max(rs, fieldSide/256)
 }
 
-// alive is the alive stage: the fault model's per-period masks for the
-// whole mission, drawn before the track so the draw order is stable
-// whatever the motion model.
-func (k *kernel) alive() error {
+// drawDeaths is the alive stage: the fault model's death period of every
+// sensor, drawn before the track so the draw order is stable whatever the
+// motion model, and the sensors bucketed by it (a counting sort), so each
+// period flips just its own dying sensors.
+func (k *kernel) drawDeaths() error {
 	pl := k.pl
 	mission := pl.cfg.MissionPeriods
-	masks, err := pl.cfg.Faults.Masks(k.sensors, pl.bounds, mission, k.rng)
+	deaths, err := pl.cfg.Faults.Deaths(k.deaths, k.sensors, pl.bounds, mission, k.rng)
 	if err != nil {
 		return err
 	}
-	if len(masks) != mission {
-		return fmt.Errorf("fault model returned %d masks for %d periods: %w", len(masks), mission, ErrConfig)
+	if len(deaths) != pl.n {
+		return fmt.Errorf("fault model returned %d death periods for %d nodes: %w", len(deaths), pl.n, ErrConfig)
 	}
-	for t, m := range masks {
-		if len(m) != pl.n {
-			return fmt.Errorf("fault mask %d covers %d of %d nodes: %w", t+1, len(m), pl.n, ErrConfig)
+	k.deaths = deaths
+	// After the prefix sums end[p] counts the deaths before period p, the
+	// start of p's bucket, and placing p's sensors moves it to the bucket's
+	// end. Survivors (period mission+1) are placed too, last, so no
+	// draw-dependent branch decides who is placed.
+	end := padded(k.dyingEnd, mission+3)
+	clear(end)
+	for id, p := range deaths {
+		if p < 1 || p > mission+1 {
+			return fmt.Errorf("fault model killed node %d in period %d of %d: %w", id, p, mission, ErrConfig)
 		}
+		end[p+1]++
 	}
-	k.masks = masks
+	for p := 2; p < len(end); p++ {
+		end[p] += end[p-1]
+	}
+	k.dying = padded(k.dying, pl.n)
+	for id, p := range deaths {
+		k.dying[end[p]] = id
+		end[p]++
+	}
+	k.dyingEnd = end
 	return nil
 }
 
@@ -778,16 +808,70 @@ func (k *kernel) deliver(id, j, period int, mask []bool) error {
 	return nil
 }
 
-// beacon sends one status beacon through the deliver stage. Beacons never
-// count toward the K-of-M rule and stay out of the FaultStats report
-// accounting; they exist for the inferencer.
-func (k *kernel) beacon(id int, mask []bool) error {
-	k.genNow++
-	d, err := k.transmit(id, mask)
-	if err == nil && d.Outcome == netsim.Delivered {
-		k.heard(id)
+// beacons is the beacon stage: one status frame per alive sensor, in id
+// order, through the deliver stage. Beacons never count toward the K-of-M
+// rule and stay out of the FaultStats report accounting; they exist for
+// the inferencer. On the flat uplink each frame's one delivery draw comes
+// from a single fill for the whole stage, and the heard marks and counts
+// are taken without a branch per draw; over the relay each frame goes
+// through transmit.
+func (k *kernel) beacons(mask []bool) error {
+	pl := k.pl
+	if !pl.uplink {
+		for s := 0; s < pl.n; s++ {
+			if mask != nil && !mask[s] {
+				continue
+			}
+			k.genNow++
+			d, err := k.transmit(s, mask)
+			if err != nil {
+				return err
+			}
+			if d.Outcome == netsim.Delivered {
+				k.heard(s)
+			}
+		}
+		return nil
 	}
-	return err
+	// u[j] is the draw of the j-th alive sensor; the spare last entry is
+	// read, and ignored, past the last alive one.
+	u := padded(k.beaconU, k.nAlive+1)
+	k.beaconU = u
+	k.fill(u[:k.nAlive])
+	pd := pl.cfg.PDeliver
+	heard := k.heardNow[:len(k.alive)]
+	j, delivered := 0, 0
+	for s, a := range k.alive {
+		hit := b2i(a) & b2i(u[j] < pd) // transmit: lost iff the draw is >= PDeliver
+		heard[s] = heard[s] || hit != 0
+		delivered += hit
+		j += b2i(a)
+	}
+	k.genNow += k.nAlive
+	k.delNow += delivered
+	return nil
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// fill draws len(u) uniforms from the trial's stream in order: one bulk
+// Float64s under philox, Float64 calls under legacy.
+func (k *kernel) fill(u []float64) {
+	if k.ph != nil {
+		k.ph.Float64s(u)
+		return
+	}
+	for i := range u {
+		u[i] = k.rng.Float64()
+	}
 }
 
 // transmit carries one frame from sensor id to the base: over the flat
@@ -809,70 +893,56 @@ func (k *kernel) transmit(id int, mask []bool) (netsim.Delivery, error) {
 // heard marks sensor id as observed at the base this period.
 func (k *kernel) heard(id int) {
 	k.delNow++
-	if k.eng != nil {
+	if k.pl.heard {
 		k.heardNow[id] = true
 	}
 }
 
 // observe is the infer stage: the engine reads this period's arrivals and
-// is scored against the ground-truth mask.
-func (k *kernel) observe(mask []bool) error {
+// is scored against the alive mask. The score reads only which sensors
+// are declared, which moves only with the engine's declaration and
+// retraction counts, so it is taken again only when the mask changed or
+// one of those counts moved.
+func (k *kernel) observe(changed bool) error {
 	if err := k.eng.Observe(k.heardNow, k.genNow, k.delNow); err != nil {
 		return err
 	}
 	k.infer.Generated += k.genNow
 	k.infer.Delivered += k.delNow
-	truth := mask
-	if truth == nil {
-		truth = k.allAlive
+	if at := [2]int{k.eng.Declarations(), k.eng.Retractions()}; changed || at != k.scoredAt {
+		c, err := k.eng.Score(k.alive)
+		if err != nil {
+			return err
+		}
+		k.scored, k.scoredAt = c, at
 	}
-	c, err := k.eng.Score(truth)
-	if err != nil {
-		return err
-	}
-	k.infer.PerPeriod.Add(c)
+	k.infer.PerPeriod.Add(k.scored)
 	k.infer.Periods += k.pl.n
 	return nil
 }
 
 // scoreInference is the end-of-mission inference scoring: the final mask
 // confusion, the declaration and retraction tallies, and time-to-detect
-// for every dead sensor the engine caught at or after its true death.
-func (k *kernel) scoreInference() error {
-	n, mission := k.pl.n, k.pl.cfg.MissionPeriods
-	final := k.allAlive
-	if k.masks != nil {
-		final = k.masks[mission-1]
-	}
-	c, err := k.eng.Score(final)
-	if err != nil {
-		return err
-	}
+// for every dead sensor the engine caught at or after its death period.
+// The last period's observe already scored the final mask.
+func (k *kernel) scoreInference() {
 	s := &k.infer
-	s.Final = c
-	s.Sensors = n
+	s.Final = k.scored
+	s.Sensors = k.pl.n
 	s.Declarations = k.eng.Declarations()
 	s.Retractions = k.eng.Retractions()
 	s.InferredDead = k.eng.DeadCount()
-	for i := 0; i < n; i++ {
-		if final[i] {
+	for i, alive := range k.alive {
+		if alive {
 			continue
 		}
 		s.TruthDead++
-		died := 0
-		for t := 0; t < mission; t++ {
-			if !k.masks[t][i] {
-				died = t + 1
-				break
-			}
-		}
-		if at := k.eng.DeclaredAt(i); died != 0 && at >= died {
-			s.TTDSum += at - died + 1
+		if at := k.eng.DeclaredAt(i); at >= k.deaths[i] {
+			s.TTDSum += at - k.deaths[i] + 1
 			s.TTDCount++
 		}
 	}
-	infer.CountFalseAlarms(c.FP)
-	return nil
+	infer.CountFalseAlarms(s.Final.FP)
 }
 
 // window is the window stage: per target, the base evaluates the sliding
@@ -925,7 +995,7 @@ func (k *kernel) detail() *TrialResult {
 			tr.Reporters = append(tr.Reporters, id)
 		}
 	}
-	if k.eng != nil {
+	if k.pl.cfg.Infer != nil {
 		s := k.infer
 		tr.Infer = &s
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"github.com/groupdetect/gbd/internal/geom"
 	"github.com/groupdetect/gbd/internal/netsim"
@@ -11,17 +10,17 @@ import (
 
 // relayState is the relay stage's state on one worker: the base station
 // choice and a lazy routing table toward it, re-aimed in place at every
-// trial's deployment and Reset — not rebuilt — only when the alive mask
-// changes. Routing over the alive mask routes exactly as a network of the
-// alive sensors alone would (see netsim.Routing), without building a network
-// per trial or per mask epoch.
+// trial's deployment and Reset — not rebuilt — at the first send after the
+// kernel reports an alive-mask change (maskChanged). Routing over the
+// alive mask routes exactly as a network of the alive sensors alone would
+// (see netsim.Routing), without building a network per trial or per mask
+// epoch.
 type relayState struct {
 	routing netsim.Routing
 	base    int // base station id
 
-	stale bool   // no Reset since the last rebuild
-	mask  []bool // the mask of the last Reset, empty for nil (a deployment is never empty)
-	keep  []bool // mask with the base forced alive
+	stale bool   // a new deployment or alive mask since the last Reset
+	keep  []bool // the alive mask with the base forced alive
 }
 
 // rebuild aims the relay at a new deployment, with the base station at the
@@ -40,12 +39,18 @@ func (r *relayState) rebuild(sensors []geom.Point, commRange float64, bounds geo
 	return nil
 }
 
+// maskChanged marks the routing table stale: the alive mask the next send
+// passes differs from the one the table was last Reset to.
+func (r *relayState) maskChanged() { r.stale = true }
+
 // send forwards a report from sensor id to the base over the network
 // induced by the alive mask (nil means everyone is alive). The base is
 // protected: it relays even when the mask marks it dead.
 func (r *relayState) send(id int, mask []bool, loss netsim.LossModel, rng *rand.Rand) (netsim.Delivery, error) {
-	if err := r.refresh(mask); err != nil {
-		return netsim.Delivery{}, err
+	if r.stale {
+		if err := r.reset(mask); err != nil {
+			return netsim.Delivery{}, err
+		}
 	}
 	if mask != nil && !mask[id] && id != r.base {
 		// Defensive: dead sensors are filtered before sensing, so a report
@@ -55,13 +60,9 @@ func (r *relayState) send(id int, mask []bool, loss netsim.LossModel, rng *rand.
 	return r.routing.Send(id, loss, rng)
 }
 
-// refresh re-aims the routing table when the mask changed.
-func (r *relayState) refresh(mask []bool) error {
-	if !r.stale && slices.Equal(r.mask, mask) {
-		return nil
-	}
+// reset re-aims the routing table at mask.
+func (r *relayState) reset(mask []bool) error {
 	r.stale = false
-	r.mask = append(r.mask[:0], mask...)
 	if mask == nil {
 		return r.routing.Reset(nil)
 	}
