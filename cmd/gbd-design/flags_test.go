@@ -31,11 +31,11 @@ func TestFlagsPinned(t *testing.T) {
 -rs float 1000
 -seed int 1
 -side float 32000
--sweep-workers int
 -t duration 1m0s
 -target float 0.9
 -trace string
 -v float 10
+-workers int
 `
 	if got := clitest.Flags(t, run); got != want {
 		t.Errorf("flags changed:\ngot:\n%s\nwant:\n%s", got, want)

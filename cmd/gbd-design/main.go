@@ -73,7 +73,7 @@ func run(args []string) (err error) {
 		rngName     = fs.String("rng", "", "placement RNG scheme: legacy (default) or philox")
 		minGain     = fs.Float64("min-gain", math.Inf(-1), "fail unless placed beats uniform by at least this absolute gain")
 		placeOut    = fs.String("place-out", "", "write the placed layout as JSON to this file")
-		sweepW      = fs.Int("sweep-workers", 0, "placement precompute workers (0 = all cores); output is identical at any setting")
+		workers     = fs.Int("workers", 0, "parallel trial workers of the placement precompute (0 = all cores); output is identical at any setting")
 	)
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -103,7 +103,7 @@ func run(args []string) (err error) {
 			placeN: *placeN, gridSpec: *gridSpec, classSpec: *classSpec,
 			trials: *placeTrials, seed: *seed, rng: scheme,
 			minGain: *minGain, outPath: *placeOut,
-			workers: *sweepW,
+			workers: *workers,
 		}
 		return pc.runOnce(ctx, sess)
 	}

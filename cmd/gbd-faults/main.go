@@ -100,10 +100,6 @@ func run(args []string, w io.Writer) (err error) {
 	if err := policy.Validate(); err != nil {
 		return err
 	}
-	// A zero-trial dead-fraction point would render the analysis alone.
-	if *trials < 1 {
-		return fmt.Errorf("trials = %d must be >= 1", *trials)
-	}
 	scheme, err := gbd.ParseRNGScheme(*rngName)
 	if err != nil {
 		return err
@@ -113,6 +109,40 @@ func run(args []string, w io.Writer) (err error) {
 		return err
 	}
 	defer sess.Finish(&err)
+	if err := flagParams.Validate(); err != nil {
+		return err
+	}
+	// Every other numeric flag is range-checked here, by name, whatever
+	// the mode, and the manifest records a refusal. Each condition is
+	// written so that NaN fails it, so a value out of range never switches
+	// a mode or a gate off. A zero-trial dead-fraction point would render
+	// the analysis alone.
+	for _, c := range []struct {
+		name string
+		val  any
+		ok   bool
+		want string
+	}{
+		{"trials", *trials, *trials >= 1, ">= 1"},
+		{"workers", *workers, *workers >= 0, ">= 0 (0 = all cores)"},
+		{"dead-steps", *deadSteps, *deadSteps >= 1, ">= 1"},
+		{"max-dead", *maxDead, *maxDead >= 0 && *maxDead <= 1, "in [0, 1]"},
+		{"hazard", *hazard, *hazard >= 0 && *hazard <= 1, "in [0, 1] (0 = off)"},
+		{"blob-radius", *blob, *blob >= 0 && *blob < math.Inf(1), "finite and >= 0 (0 = off)"},
+		{"p-deliver", *pDeliver, *pDeliver > 0 && *pDeliver <= 1, "in (0, 1]"},
+		{"min-precision", *minPrecision, *minPrecision >= 0 && *minPrecision <= 1, "in [0, 1] (0 = no gate)"},
+		{"min-recall", *minRecall, *minRecall >= 0 && *minRecall <= 1, "in [0, 1] (0 = no gate)"},
+		{"max-loss", *maxLoss, *maxLoss >= 0 && *maxLoss < 1, "in [0, 1)"},
+		{"comm-range", *commRange, *commRange > 0 && *commRange < math.Inf(1), "positive and finite"},
+		{"hop-retries", *hopRetries, *hopRetries >= 0, ">= 0"},
+		{"per-hop", *perHop, *perHop > 0, "positive"},
+		{"backoff", *backoff, *backoff >= 0, ">= 0"},
+		{"budget", *budget, *budget >= 0, ">= 0 (0 = one sensing period)"},
+	} {
+		if !c.ok {
+			return fmt.Errorf("%s = %v must be %s", c.name, c.val, c.want)
+		}
+	}
 	ctx, cancel := sess.SignalContext(context.Background())
 	defer cancel()
 
@@ -197,12 +227,6 @@ func sweepGrid(maxV float64, steps int) []float64 {
 // the fault-injection simulator against the analytical effective-density
 // mirror, with a sim-vs-analysis agreement summary.
 func runDeadSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, maxDead float64, steps int) error {
-	if steps < 1 {
-		return fmt.Errorf("dead-steps = %d must be >= 1", steps)
-	}
-	if maxDead < 0 || maxDead > 1 || math.IsNaN(maxDead) {
-		return fmt.Errorf("max-dead = %v must be in [0, 1]", maxDead)
-	}
 	fmt.Fprintf(w, "degradation curve: Bernoulli node death, %d trials/point\n", base.Trials)
 	fmt.Fprintf(w, "%-10s  %-10s  %-9s  %-9s  %-7s\n", "dead_frac", "alive_frac", "analysis", "sim", "diff")
 	fracs := sweepGrid(maxDead, steps)
@@ -242,12 +266,6 @@ func warnFailed(w io.Writer, failed, total int) {
 // analysis has no multi-hop model, so each row feeds the simulator's own
 // measured arrived-report fraction into the thinning mirror Pd' = Pd*p.
 func runLossSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, loss netsim.LossModel, commRange, maxLoss float64, steps int) error {
-	if steps < 1 {
-		return fmt.Errorf("dead-steps = %d must be >= 1", steps)
-	}
-	if maxLoss < 0 || maxLoss >= 1 || math.IsNaN(maxLoss) {
-		return fmt.Errorf("max-loss = %v must be in [0, 1)", maxLoss)
-	}
 	fmt.Fprintf(w, "loss degradation curve: %.0f m radios, %d retries, %d trials/point\n",
 		commRange, loss.MaxRetries, base.Trials)
 	fmt.Fprintf(w, "%-9s  %-12s  %-8s  %-9s  %-9s  %-7s\n",
@@ -285,15 +303,6 @@ func runLossSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, loss netsim.Los
 // to the truth-driven curve. With -min-precision/-min-recall the final row
 // acts as a CI accuracy gate.
 func runInferSweep(env sweepEnv, w io.Writer, base gbd.SimConfig, pDeliver, maxDead float64, steps int, minPrecision, minRecall float64) error {
-	if steps < 1 {
-		return fmt.Errorf("dead-steps = %d must be >= 1", steps)
-	}
-	if maxDead < 0 || maxDead > 1 || math.IsNaN(maxDead) {
-		return fmt.Errorf("max-dead = %v must be in [0, 1]", maxDead)
-	}
-	if pDeliver <= 0 || pDeliver > 1 || math.IsNaN(pDeliver) {
-		return fmt.Errorf("p-deliver = %v must be in (0, 1]", pDeliver)
-	}
 	fmt.Fprintf(w, "closed-loop inference: Bernoulli node death, uplink delivery %.2f, %d trials/point\n",
 		pDeliver, base.Trials)
 	fmt.Fprintf(w, "%-10s  %-9s  %-7s  %-8s  %-13s  %-10s  %-10s  %-9s  %-7s\n",

@@ -77,11 +77,12 @@ func TestInferSweepOutput(t *testing.T) {
 }
 
 func TestInferSweepGateFails(t *testing.T) {
-	// An impossible precision bar must surface as a nonzero-exit error so
-	// CI can gate on inference accuracy.
+	// A precision bar the run misses (1, against about 0.98 measured) must
+	// surface as a nonzero-exit error so CI can gate on inference accuracy.
+	// A bar above 1 is refused as a flag value before the gate is reached.
 	var sb strings.Builder
 	args := []string{"-trials", "100", "-infer", "-max-dead", "0.2", "-dead-steps", "1",
-		"-min-precision", "1.01"}
+		"-min-precision", "1"}
 	err := run(args, &sb)
 	if err == nil || !strings.Contains(err.Error(), "precision") {
 		t.Fatalf("err = %v, want precision gate failure", err)
