@@ -318,6 +318,7 @@ func BenchmarkSimulationSingleTrial(b *testing.B)       { benchsuite.SimulationS
 func BenchmarkSimulationSingleTrialLegacy(b *testing.B) { benchsuite.SimulationSingleTrialLegacy(b) }
 func BenchmarkLegacyStreamAt(b *testing.B)              { benchsuite.LegacyStreamAt(b) }
 func BenchmarkFaultyTrial(b *testing.B)                 { benchsuite.FaultyTrial(b) }
+func BenchmarkInferTrial(b *testing.B)                  { benchsuite.InferTrial(b) }
 func BenchmarkLossyDelivery(b *testing.B)               { benchsuite.LossyDelivery(b) }
 func BenchmarkMSApproachConvolution(b *testing.B)       { benchsuite.MSApproachConvolution(b) }
 func BenchmarkCommCheck(b *testing.B)                   { benchsuite.CommCheck(b) }

@@ -19,7 +19,7 @@ import (
 // snapshot entry named "Name@commit" records the same body measured at
 // an earlier commit, next to the current run, and is not a suite name.
 func TestSuiteMatchesSnapshot(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("..", "..", "BENCH_PR33.json"))
+	blob, err := os.ReadFile(filepath.Join("..", "..", "BENCH_PR34.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,7 @@ import (
 	"github.com/groupdetect/gbd/internal/faults"
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
+	"github.com/groupdetect/gbd/internal/infer"
 	"github.com/groupdetect/gbd/internal/netsim"
 	"github.com/groupdetect/gbd/internal/placement"
 	"github.com/groupdetect/gbd/internal/serve"
@@ -44,6 +45,7 @@ var All = []Benchmark{
 	{"SimulationSingleTrialLegacy", SimulationSingleTrialLegacy},
 	{"LegacyStreamAt", LegacyStreamAt},
 	{"FaultyTrial", FaultyTrial},
+	{"InferTrial", InferTrial},
 	{"LossyDelivery", LossyDelivery},
 	{"MSApproachConvolution", MSApproachConvolution},
 	{"CommCheck", CommCheck},
@@ -112,6 +114,28 @@ func FaultyTrial(b *testing.B) {
 			PerHop:         10 * time.Second,
 			Backoff:        5 * time.Second,
 		},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunTrial(cfg, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// InferTrial measures one closed-loop inference trial, the degraded
+// workload's inference point: Bernoulli node death, every report and a
+// status beacon per alive sensor per period over the flat lossy uplink,
+// and the failure inferencer scored against the alive mask each period.
+func InferTrial(b *testing.B) {
+	cfg := sim.Config{
+		Params:   detect.Defaults(),
+		Trials:   1,
+		RNG:      field.SchemePhilox,
+		Faults:   faults.Bernoulli{DeadFrac: 0.2},
+		PDeliver: 0.9,
+		Beacons:  true,
+		Infer:    &infer.Options{},
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -220,3 +220,49 @@ func TestClosedLoopPoint(t *testing.T) {
 		t.Errorf("PDeliverHat not clamped: %v", clamped.PDeliverHat)
 	}
 }
+
+// TestResetMatchesNew: an engine Reset after use, to a smaller or a
+// larger fleet and other options, behaves as New's engine does over the
+// same observations, and a Reset that does not grow the fleet allocates
+// nothing.
+func TestResetMatchesNew(t *testing.T) {
+	used := mustEngine(t, 6, Options{ReportProb: 1})
+	for period := 1; period <= 4; period++ {
+		observe(t, used, []bool{period == 4, true, false, false, true, false}, 6, 3)
+	}
+	if used.Declarations() == 0 || used.Retractions() == 0 {
+		t.Fatalf("setup: %d declarations, %d retractions, want both > 0", used.Declarations(), used.Retractions())
+	}
+	for _, n := range []int{4, 9} {
+		opt := Options{ReportProb: 0.8, Alpha: 0.05}
+		if err := used.Reset(n, opt); err != nil {
+			t.Fatal(err)
+		}
+		fresh := mustEngine(t, n, opt)
+		for period := 1; period <= 8; period++ {
+			arrived := make([]bool, n)
+			for i := range arrived {
+				arrived[i] = (i+period)%3 == 0 && i != 1
+			}
+			observe(t, used, arrived, n, n/3)
+			observe(t, fresh, arrived, n, n/3)
+			for i := 0; i < n; i++ {
+				if used.DeclaredAt(i) != fresh.DeclaredAt(i) {
+					t.Fatalf("n %d period %d sensor %d: Reset engine declared at %d, New engine at %d", n, period, i, used.DeclaredAt(i), fresh.DeclaredAt(i))
+				}
+			}
+		}
+		if used.Declarations() != fresh.Declarations() || used.Retractions() != fresh.Retractions() ||
+			used.PDeliverHat() != fresh.PDeliverHat() || used.Threshold() != fresh.Threshold() {
+			t.Errorf("n %d: Reset engine (%d, %d, %v, %v), New engine (%d, %d, %v, %v)", n,
+				used.Declarations(), used.Retractions(), used.PDeliverHat(), used.Threshold(),
+				fresh.Declarations(), fresh.Retractions(), fresh.PDeliverHat(), fresh.Threshold())
+		}
+	}
+	if err := used.Reset(0, Options{}); !errors.Is(err, ErrConfig) {
+		t.Errorf("Reset(0): %v, want ErrConfig", err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = used.Reset(9, Options{ReportProb: 0.8}) }); allocs != 0 {
+		t.Errorf("Reset to a fleet that fits allocates %v objects, want 0", allocs)
+	}
+}
