@@ -341,7 +341,7 @@ func TestRelayStageAllocatesNothing(t *testing.T) {
 			for i := range mask {
 				mask[i] = (i+trial+epoch)%4 != 0
 			}
-			k.relay.maskChanged()
+			k.relay.stale = true
 			for s := 0; s < pl.n; s += 5 {
 				if !mask[s] {
 					continue

@@ -433,7 +433,7 @@ func (k *kernel) run(trial int, detailed bool) error {
 			k.nAlive -= len(dying)
 			if len(dying) > 0 {
 				changed = true
-				k.relay.maskChanged()
+				k.relay.stale = true
 			}
 			if changed && pl.n > 0 {
 				aliveFrac = float64(k.nAlive) / float64(pl.n)

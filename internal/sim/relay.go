@@ -11,7 +11,7 @@ import (
 // relayState is the relay stage's state on one worker: the base station
 // choice and a lazy routing table toward it, re-aimed in place at every
 // trial's deployment and Reset — not rebuilt — at the first send after the
-// kernel reports an alive-mask change (maskChanged). Routing over the
+// kernel marks it stale on an alive-mask change. Routing over the
 // alive mask routes exactly as a network of the alive sensors alone would
 // (see netsim.Routing), without building a network per trial or per mask
 // epoch.
@@ -38,10 +38,6 @@ func (r *relayState) rebuild(sensors []geom.Point, commRange float64, bounds geo
 	r.stale = true
 	return nil
 }
-
-// maskChanged marks the routing table stale: the alive mask the next send
-// passes differs from the one the table was last Reset to.
-func (r *relayState) maskChanged() { r.stale = true }
 
 // send forwards a report from sensor id to the base over the network
 // induced by the alive mask (nil means everyone is alive). The base is
