@@ -294,9 +294,8 @@ func (e *Engine) InferredDeadFrac() float64 {
 }
 
 // Declarations and Retractions count state transitions since New or
-// Reset: a
-// sensor declared, heard from again, and re-declared counts twice in
-// Declarations and once in Retractions.
+// Reset: a sensor declared, heard from again, and re-declared counts
+// twice in Declarations and once in Retractions.
 func (e *Engine) Declarations() int { return e.declarations }
 func (e *Engine) Retractions() int  { return e.retractions }
 
