@@ -20,14 +20,9 @@ func TestFlagsPinned(t *testing.T) {
 -chaos-truncate-every int
 -circuit-cooldown duration 5s
 -circuit-threshold int 3
--hedge-factor float 3
--hedge-min-delay duration 1s
--hedge-min-samples int 3
--hedge-quantile float 0.9
 -hedges int 1
 -keep-going
 -ledger string
--max-inflight int 2
 -metrics-out string
 -out string "-"
 -pprof string

@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -75,16 +76,10 @@ func run(args []string, w io.Writer) (err error) {
 		verbose = fs.Bool("v", false, "log scheduling events to stderr as they happen")
 
 		shardSize = fs.Int("shard-size", 8, "sweep points per dispatched shard")
-		inflight  = fs.Int("max-inflight", 2, "concurrent shards per worker")
-		retries   = fs.Int("retries", 6, "transient re-dispatches per shard (-1 = none)")
+		retries   = fs.Int("retries", 6, "transient re-dispatches per shard (0 = none)")
 		backoff   = fs.Duration("retry-backoff", 100*time.Millisecond, "base backoff between shard re-dispatches")
-		stall     = fs.Duration("stall-timeout", 30*time.Second, "fail an attempt with no stream progress for this long (negative disables)")
-
-		hedges     = fs.Int("hedges", 1, "speculative re-dispatches per straggling shard (0 disables)")
-		hedgeQ     = fs.Float64("hedge-quantile", 0.9, "completed-duration quantile for the straggler deadline")
-		hedgeF     = fs.Float64("hedge-factor", 3, "straggler deadline = factor * quantile duration")
-		hedgeDelay = fs.Duration("hedge-min-delay", time.Second, "floor on the straggler deadline")
-		hedgeMin   = fs.Int("hedge-min-samples", 3, "completed shards required before hedging starts")
+		stall     = fs.Duration("stall-timeout", 30*time.Second, "fail an attempt with no stream progress for this long (0 or negative disables)")
+		hedges    = fs.Int("hedges", 1, "speculative twins per straggling shard (0 disables); a twin fires past 3x the 0.9 quantile of completed shard durations, at least 1s, once 3 have completed")
 
 		circuitN = fs.Int("circuit-threshold", 3, "consecutive failures that open a worker's circuit")
 		circuitC = fs.Duration("circuit-cooldown", 5*time.Second, "how long an open circuit waits before its re-admission probe")
@@ -99,6 +94,32 @@ func run(args []string, w io.Writer) (err error) {
 	obsFlags := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	cfg := fabric.Config{
+		ShardSize:        *shardSize,
+		Retries:          *retries,
+		RetryBackoff:     *backoff,
+		StallTimeout:     *stall,
+		MaxHedges:        *hedges,
+		CircuitThreshold: *circuitN,
+		CircuitCooldown:  *circuitC,
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name  string
+		every int
+	}{{"chaos-drop-every", *chaosDrop}, {"chaos-503-every", *chaos503}, {"chaos-truncate-every", *chaosTrunc}, {"chaos-stall-every", *chaosStall}} {
+		if f.every < 0 {
+			return fmt.Errorf("%s = %d must be >= 0 (0 = never)", f.name, f.every)
+		}
+	}
+	if *chaosPause <= 0 {
+		return fmt.Errorf("chaos-stall-duration = %v must be > 0", *chaosPause)
+	}
+	if *trials < 0 {
+		return fmt.Errorf("trials = %d must be >= 0", *trials)
 	}
 	urls, err := splitList(*workers)
 	if err != nil || len(urls) == 0 {
@@ -157,32 +178,17 @@ func run(args []string, w io.Writer) (err error) {
 		fmt.Fprintf(os.Stderr, "chaos: %d workers proxied (seed %d)\n", len(urls), *chaosSeed)
 	}
 
-	cfg := fabric.Config{
-		Workers: urls,
-		Request: serve.SweepRequest{
-			Scenario:  scen,
-			Axis:      serve.SweepAxis(*axis),
-			Values:    grid,
-			Trials:    *trials,
-			Seed:      *seed,
-			KeepGoing: *keep,
-			RNG:       scheme.Canonical(),
-		},
-		LedgerPath:           *ledger,
-		Resume:               *resume,
-		ShardSize:            *shardSize,
-		MaxInflightPerWorker: *inflight,
-		Retries:              *retries,
-		RetryBackoff:         *backoff,
-		StallTimeout:         *stall,
-		MaxHedges:            *hedges,
-		HedgeQuantile:        *hedgeQ,
-		HedgeFactor:          *hedgeF,
-		HedgeMinDelay:        *hedgeDelay,
-		HedgeMinSamples:      *hedgeMin,
-		CircuitThreshold:     *circuitN,
-		CircuitCooldown:      *circuitC,
+	cfg.Workers = urls
+	cfg.Request = serve.SweepRequest{
+		Scenario:  scen,
+		Axis:      serve.SweepAxis(*axis),
+		Values:    grid,
+		Trials:    *trials,
+		Seed:      *seed,
+		KeepGoing: *keep,
+		RNG:       scheme.Canonical(),
 	}
+	cfg.LedgerPath, cfg.Resume = *ledger, *resume
 	if *verbose {
 		cfg.OnEvent = func(ev fabric.Event) {
 			fmt.Fprintf(os.Stderr, "fabric: %-12s shard=%d worker=%d %s\n", ev.Type, ev.Shard, ev.Worker, ev.Err)
@@ -257,8 +263,8 @@ func parseValues(s string) ([]float64, error) {
 	out := make([]float64, len(parts))
 	for i, p := range parts {
 		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("-values: %q is not a number", p)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("-values: %q is not a finite number", p)
 		}
 		out[i] = v
 	}

@@ -75,7 +75,7 @@ func TestScenarioCheckedLocally(t *testing.T) {
 	for _, scen := range []string{`{"k":3} trailing`, `{"k":0}`, `{"period_seconds":-1}`} {
 		ledger := filepath.Join(t.TempDir(), "ledger.json")
 		err := run([]string{"-workers", url, "-values", "60", "-ledger", ledger,
-			"-retries", "-1", "-scenario", scen}, io.Discard)
+			"-retries", "0", "-scenario", scen}, io.Discard)
 		if err == nil || !strings.HasPrefix(err.Error(), "-scenario: ") {
 			t.Errorf("-scenario %s: err = %v, want a -scenario error", scen, err)
 		}

@@ -16,7 +16,6 @@ func TestFlagsPinned(t *testing.T) {
 -metrics-out string
 -out string
 -plot
--point-retries int
 -point-timeout duration
 -pprof string
 -quick

@@ -39,18 +39,15 @@ func TestRunWritesFiles(t *testing.T) {
 	}
 }
 
-// TestRetriesFlagAlias covers the unified sweep fault-policy vocabulary:
-// -retries and -point-retries set the same value, and negatives are
-// rejected under either spelling.
+// TestRetriesFlagAlias covers the sweep fault-policy vocabulary: -retries
+// is the one spelling (its former alias -point-retries is refused as an
+// unknown flag), and a negative count is rejected.
 func TestRetriesFlagAlias(t *testing.T) {
-	if err := run([]string{"-exp", "kmin", "-quick", "-point-retries", "1"}); err != nil {
-		t.Errorf("-point-retries alias: %v", err)
-	}
 	if err := run([]string{"-exp", "kmin", "-quick", "-retries", "1"}); err != nil {
 		t.Errorf("-retries: %v", err)
 	}
-	if err := run([]string{"-exp", "kmin", "-point-retries", "-1"}); err == nil {
-		t.Error("negative -point-retries should fail")
+	if err := run([]string{"-exp", "kmin", "-quick", "-point-retries", "1"}); err == nil {
+		t.Error("the retired -point-retries alias was accepted")
 	}
 	if err := run([]string{"-exp", "kmin", "-retries", "-1"}); err == nil {
 		t.Error("negative -retries should fail")

@@ -39,7 +39,6 @@ func TestNumericFlagRanges(t *testing.T) {
 		{flag: "workers"},
 		{flag: "sweep-workers"},
 		{flag: "retries"},
-		{flag: "point-retries"},
 		{flag: "retry-backoff"},
 		{flag: "point-timeout"},
 		{flag: "max-dead", ran: "degradation curve"},

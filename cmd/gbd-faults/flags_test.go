@@ -33,7 +33,6 @@ func TestFlagsPinned(t *testing.T) {
 -p-deliver float 0.9
 -pd float 0.9
 -per-hop duration 10s
--point-retries int
 -point-timeout duration
 -pprof string
 -resume

@@ -8,7 +8,7 @@
 //
 // The sweeps are resilient: Ctrl-C stops cleanly after the in-flight
 // points, -checkpoint records each completed point for -resume, failed
-// points can be retried (-point-retries) or skipped (-keep-going, which
+// points can be retried (-retries) or skipped (-keep-going, which
 // renders "failed" rows and keeps the rest of the curve).
 //
 // Usage:

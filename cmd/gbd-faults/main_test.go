@@ -99,7 +99,6 @@ func TestRunErrors(t *testing.T) {
 		{"-loss-sweep", "-max-loss", "1"},
 		{"-loss-sweep", "-comm-range", "-5"},
 		{"-retries", "-1", "-loss-sweep"},
-		{"-point-retries", "-1"},
 		{"-sweep-workers", "-1"},
 		{"-hop-retries", "-1", "-loss-sweep"},
 		{"-infer", "-p-deliver", "0"},

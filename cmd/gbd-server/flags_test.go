@@ -15,14 +15,12 @@ func TestFlagsPinned(t *testing.T) {
 -batch-max-items int 1024
 -cache-entries int 1024
 -drain-timeout duration 30s
--max-batch-items int 1024
 -max-sweep-points int 512
 -max-trials int 200000
 -metrics-out string
 -peer-cooldown duration 2s
 -peer-timeout duration 2s
 -peers string
--point-retries int
 -point-timeout duration
 -pprof string
 -queue-depth int

@@ -93,11 +93,7 @@ func run(args []string, w io.Writer) (err error) {
 		peerCooldown = fs.Duration("peer-cooldown", 2*time.Second, "how long a dead peer stays out of the ring before a re-admission probe")
 		peerTimeout  = fs.Duration("peer-timeout", 2*time.Second, "per-forward round-trip deadline; a stalled owner trips its breaker and the request computes locally")
 	)
-	// /v1/batch item-count cap; -max-batch-items is the original spelling
-	// of the same knob, kept as an alias.
-	var maxBatch int
-	fs.IntVar(&maxBatch, "batch-max-items", 1024, "largest accepted /v1/batch item list; overflow is rejected with 413 (alias: -max-batch-items)")
-	fs.IntVar(&maxBatch, "max-batch-items", 1024, "alias for -batch-max-items")
+	maxBatch := fs.Int("batch-max-items", 1024, "largest accepted /v1/batch item list; overflow is rejected with 413")
 	// The default fault policy of sweep streams and experiment tables.
 	policy := sweep.BindFlags(fs, 1)
 	obsFlags := obs.AddFlags(fs)
@@ -131,7 +127,7 @@ func run(args []string, w io.Writer) (err error) {
 		MaxSweepPoints: *maxPoints,
 		Sweep:          *policy,
 		RNG:            scheme,
-		MaxBatchItems:  maxBatch,
+		MaxBatchItems:  *maxBatch,
 		PeerCooldown:   *peerCooldown,
 		PeerTimeout:    *peerTimeout,
 	}

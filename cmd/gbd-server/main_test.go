@@ -39,8 +39,7 @@ func TestMain(m *testing.M) {
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-unknown"},
-		{"-point-retries", "-1"},
-		{"-retries", "-1"}, // the alias validates identically
+		{"-retries", "-1"},
 		{"-sweep-workers", "-1"},
 		{"-addr", "not-an-address"},
 	}

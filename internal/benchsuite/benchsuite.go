@@ -430,7 +430,6 @@ func coordinatorBench(b *testing.B, workers []string) {
 			MaxHedges:        0,
 			CircuitThreshold: 2,
 			CircuitCooldown:  10 * time.Millisecond,
-			Tick:             time.Millisecond,
 		}
 		c, err := fabric.New(cfg)
 		if err != nil {

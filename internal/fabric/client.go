@@ -169,6 +169,9 @@ func (c *client) scanRows(wd *watchdog, body io.Reader, keepGoing bool, start in
 			fabricHeartbeats.Inc()
 			continue
 		}
+		if next-start == len(values) {
+			return nil, &transportError{msg: fmt.Sprintf("row past the shard's %d values: %q", len(values), line)}
+		}
 		if p.Index == nil || *p.Index != next {
 			return nil, &transportError{msg: fmt.Sprintf("row out of order: want index %d, got %q", next, line)}
 		}

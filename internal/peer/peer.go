@@ -15,7 +15,7 @@
 //     re-hashes deterministically around dead replicas.
 //   - Health: per-member failure tracking, one Breaker per member
 //     behind a mutex — the same Breaker value the fabric coordinator
-//     drives from its scheduler goroutine.
+//     keeps per worker behind its fleet mutex.
 //
 // Picker binds the two together with the replica's own identity.
 package peer
@@ -125,8 +125,8 @@ func hash64(s string) uint64 {
 // closed → open after Threshold consecutive failures → one re-admission
 // probe once Cooldown has elapsed → closed on the probe's success, open
 // again on its failure. It is a plain value without locking: the fabric
-// coordinator drives its workers' breakers from its scheduler goroutine,
-// and Health guards its members' breakers with a mutex.
+// coordinator guards its workers' breakers with its fleet mutex, and
+// Health guards its members' breakers with a mutex.
 type Breaker struct {
 	// Threshold consecutive failures open a closed circuit; Cooldown is
 	// how long it then stays open before the probe.
@@ -160,6 +160,15 @@ func (b *Breaker) Admissible(now time.Time) bool {
 	default: // probing: the single probe slot is taken
 		return false
 	}
+}
+
+// ProbeAt reports when an open breaker admits its re-admission probe;
+// ok is false for a closed or probing breaker.
+func (b *Breaker) ProbeAt() (at time.Time, ok bool) {
+	if b.state != breakerOpen {
+		return time.Time{}, false
+	}
+	return b.openedAt.Add(b.Cooldown), true
 }
 
 // OnDispatch transitions an open-but-cooled breaker into the probing

@@ -149,7 +149,7 @@ func TestBatchErrorsInBand(t *testing.T) {
 	code, _, overBody := post(t, ts2, "/v1/batch",
 		`{"items":[{"op":"analyze","request":{"scenario":{}}},{"op":"analyze","request":{"scenario":{}}}]}`)
 	if code != http.StatusRequestEntityTooLarge {
-		t.Errorf("over max-batch-items: status %d, want 413", code)
+		t.Errorf("over batch-max-items: status %d, want 413", code)
 	}
 	var overErr map[string]string
 	if err := json.Unmarshal([]byte(overBody), &overErr); err != nil || overErr["error"] == "" {

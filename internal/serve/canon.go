@@ -182,7 +182,7 @@ const (
 // explicit values, streamed back as NDJSON rows in input order. Trials =
 // 0 runs analysis only; positive Trials add a Monte Carlo column per row.
 // The retry fields are the sweep fault policy (shared vocabulary with
-// gbd-experiments -retries / gbd-faults -point-retries); nil Retries
+// the -retries flag of gbd-experiments and gbd-faults); nil Retries
 // inherits the server default.
 type SweepRequest struct {
 	Scenario scenario.Scenario `json:"scenario"`

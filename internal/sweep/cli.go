@@ -12,14 +12,12 @@ import (
 
 // BindFlags registers the sweep fault policy on fs and returns the
 // Options the flags fill: -sweep-workers (defaulting to workers, the
-// binary's own choice), -retries with its alias -point-retries,
-// -retry-backoff and -point-timeout. Check the parsed policy with
+// binary's own choice), -retries, -retry-backoff and -point-timeout. Check the parsed policy with
 // Validate.
 func BindFlags(fs *flag.FlagSet, workers int) *Options {
 	o := &Options{}
 	fs.IntVar(&o.Workers, "sweep-workers", workers, "concurrent sweep points (0 = all cores); output is identical at any setting")
-	fs.IntVar(&o.Retries, "retries", 0, "re-attempts per failed sweep point (jittered exponential backoff; alias: -point-retries)")
-	fs.IntVar(&o.Retries, "point-retries", 0, "alias for -retries")
+	fs.IntVar(&o.Retries, "retries", 0, "re-attempts per failed sweep point (jittered exponential backoff)")
 	fs.DurationVar(&o.Backoff, "retry-backoff", 100*time.Millisecond, "base backoff between sweep point retries")
 	fs.DurationVar(&o.PointTimeout, "point-timeout", 0, "deadline per sweep-point attempt (0 = none)")
 	return o
@@ -32,7 +30,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("sweep-workers = %d must be >= 0 (0 = all cores)", o.Workers)
 	}
 	if o.Retries < 0 {
-		return fmt.Errorf("point-retries = %d must be >= 0", o.Retries)
+		return fmt.Errorf("retries = %d must be >= 0", o.Retries)
 	}
 	return nil
 }

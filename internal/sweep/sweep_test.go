@@ -390,7 +390,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Options{}, ""},
 		{Options{Workers: 1, Retries: 2}, ""},
 		{Options{Workers: -1}, "sweep-workers = -1"},
-		{Options{Retries: -1}, "point-retries = -1"},
+		{Options{Retries: -1}, "retries = -1"},
 	} {
 		err := tc.opt.Validate()
 		switch {
