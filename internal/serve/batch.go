@@ -214,7 +214,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				if flusher != nil && i > 0 {
 					flusher.Flush()
 				}
-				st.body, st.err, _ = s.flight.do(st.key, func() ([]byte, error) {
+				st.body, st.err, _ = s.flight.do(ctx, st.key, func() ([]byte, error) {
 					return s.renderCompute(ctx, st.key, st.alias, st.compute)
 				})
 				if first == nil {

@@ -172,7 +172,7 @@ func TestBatchWriteDiscipline(t *testing.T) {
 	rec = newRecordingRW()
 	leader := make(chan error, 1)
 	go func() {
-		_, err, _ := s.flight.do(key, func() ([]byte, error) {
+		_, err, _ := s.flight.do(context.Background(), key, func() ([]byte, error) {
 			select {
 			case <-rec.flushed:
 			case <-time.After(10 * time.Second):

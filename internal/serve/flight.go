@@ -1,6 +1,10 @@
 package serve
 
-import "sync"
+import (
+	"context"
+	"errors"
+	"sync"
+)
 
 // flightGroup collapses concurrent computations of the same cache key into
 // one execution (in-flight dedup, the singleflight pattern): the first
@@ -26,14 +30,24 @@ func newFlightGroup() *flightGroup {
 
 // do runs fn under key, deduplicating concurrent callers. It returns fn's
 // result and whether this caller was a follower (shared someone else's
-// execution). fn runs exactly once per flight; its error is delivered to
-// every caller of that flight but never cached.
-func (g *flightGroup) do(key string, fn func() ([]byte, error)) (body []byte, err error, shared bool) {
-	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
+// execution). fn runs once per flight; its error is delivered to every
+// caller of that flight but never cached — except that a flight ended by
+// its leader's cancellation or deadline is not the follower's to share:
+// a follower whose own ctx is still live runs the key again, as the next
+// flight's leader or one of its followers.
+func (g *flightGroup) do(ctx context.Context, key string, fn func() ([]byte, error)) (body []byte, err error, shared bool) {
+	for {
+		g.mu.Lock()
+		c, ok := g.calls[key]
+		if !ok {
+			break
+		}
 		g.mu.Unlock()
 		dedupFollowers.Inc()
 		<-c.done
+		if ctx.Err() == nil && (errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
+			continue
+		}
 		return c.body, c.err, true
 	}
 	c := &flightCall{done: make(chan struct{})}

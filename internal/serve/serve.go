@@ -297,7 +297,7 @@ func writeBody(w http.ResponseWriter, source string, body []byte) {
 func (s *Server) serveResolved(w http.ResponseWriter, r *http.Request, it resolved) error {
 	if it.err == nil && it.body == nil {
 		var shared bool
-		it.body, it.err, shared = s.flight.do(it.key, func() ([]byte, error) {
+		it.body, it.err, shared = s.flight.do(r.Context(), it.key, func() ([]byte, error) {
 			ctx, cancel := s.requestCtx(r)
 			defer cancel()
 			release, err := s.adm.acquire(ctx)

@@ -251,7 +251,7 @@ func (s *Server) sweepRow(ctx context.Context, r *http.Request, req *SweepReques
 	if line, _, ok := s.lookup(r, key, "", fwd); ok {
 		return line, nil
 	}
-	line, err, _ := s.flight.do(key, func() ([]byte, error) {
+	line, err, _ := s.flight.do(ctx, key, func() ([]byte, error) {
 		return s.renderCompute(ctx, key, "", compute)
 	})
 	return line, err

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,7 +108,7 @@ func TestFlightDedup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		body, err, shared := g.do("k", func() ([]byte, error) {
+		body, err, shared := g.do(context.Background(), "k", func() ([]byte, error) {
 			calls.Add(1)
 			close(leaderIn)
 			<-gate
@@ -122,7 +124,7 @@ func TestFlightDedup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, err, shared := g.do("k", func() ([]byte, error) {
+			body, err, shared := g.do(context.Background(), "k", func() ([]byte, error) {
 				calls.Add(1)
 				return []byte("result"), nil
 			})
@@ -145,6 +147,55 @@ func TestFlightDedup(t *testing.T) {
 	}
 	if sharedCount.Load() == 0 {
 		t.Error("no follower shared the leader's flight")
+	}
+}
+
+// TestFlightFollowerOutlivesCancelledLeader: a leader's cancellation is
+// not its followers' result. A follower whose own context is live runs
+// the key again; one whose context is done shares the leader's error.
+func TestFlightFollowerOutlivesCancelledLeader(t *testing.T) {
+	g := newFlightGroup()
+	gate, leaderIn := make(chan struct{}), make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, err, _ := g.do(context.Background(), "k", func() ([]byte, error) {
+			close(leaderIn)
+			<-gate
+			return nil, fmt.Errorf("compute: %w", context.Canceled)
+		})
+		leader <- err
+	}()
+	<-leaderIn
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	type result struct {
+		body   []byte
+		err    error
+		shared bool
+	}
+	live, dead := make(chan result, 1), make(chan result, 1)
+	joined := dedupFollowers.Value()
+	for _, f := range []struct {
+		ctx context.Context
+		out chan result
+	}{{context.Background(), live}, {done, dead}} {
+		go func() {
+			body, err, shared := g.do(f.ctx, "k", func() ([]byte, error) { return []byte("result"), nil })
+			f.out <- result{body, err, shared}
+		}()
+	}
+	for dedupFollowers.Value() < joined+2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader: err = %v, want context.Canceled", err)
+	}
+	if r := <-live; r.err != nil || string(r.body) != "result" {
+		t.Errorf("live follower: body=%q err=%v, want its own computation", r.body, r.err)
+	}
+	if r := <-dead; !errors.Is(r.err, context.Canceled) || !r.shared {
+		t.Errorf("cancelled follower: err=%v shared=%v, want the leader's error, shared", r.err, r.shared)
 	}
 }
 
